@@ -8,7 +8,8 @@ All coefficients are exact rationals; every report is deterministic.
 
 __version__ = "0.1.0"
 
-from .algebra import Element, GeneratorMismatch, GeneratorSet, basis_of_degree
+from .algebra import (Element, GeneratorMismatch, GeneratorSet, InexactCoefficient,
+                      basis_of_degree)
 from .dga import (CohomologyReport, DegreeMismatch, Differential, NotACocycle,
                   class_nonzero, cohomology)
 from .frames import (CharacteristicMap, FrameCertificate, FrameModel,
@@ -25,7 +26,8 @@ from .weil import (OddCodimension, RigidFamilyEntry, VeyIndex, godbillon_vey,
                    vey_basis, vey_counts_by_degree, weil_complex)
 
 __all__ = [
-    "Element", "GeneratorMismatch", "GeneratorSet", "basis_of_degree",
+    "Element", "GeneratorMismatch", "GeneratorSet", "InexactCoefficient",
+    "basis_of_degree",
     "CohomologyReport", "DegreeMismatch", "Differential", "NotACocycle",
     "class_nonzero", "cohomology",
     "CharacteristicMap", "FrameCertificate", "FrameModel", "IndexOutOfRange",

@@ -278,21 +278,15 @@ def criterion_cross_module() -> tuple[bool, str]:
         for entry in spherical_rigid_classes(q):
             if not entry.vey.is_member(q) or not entry.vey.is_rigid(q):
                 return False, f"q={q}: {entry.label()} fails the predicates"
-    for k in (2, 3):
-        cert = certify_projective_family(k)
-        q = 2 * k
+    for q, cert in ((4, certify_projective_family(2)),
+                    (6, certify_projective_family(3)),
+                    (6, certify_sphere_family(2))):
         for cls in cert.classes:
-            ii = tuple(int(p[1:]) for p in cls.source.split("*") if p.startswith("y"))
-            v = VeyIndex(ii, (2,) * k)
-            if not v.is_rigid(q):
+            if cls.expected_zero:
+                continue
+            v = cls.vey
+            if v is None or v.label() != cls.source or not v.is_rigid(q):
                 return False, f"certified class {cls.source} is not rigid for q={q}"
-    cert = certify_sphere_family(2)
-    for cls in cert.classes:
-        if cls.expected_zero:
-            continue
-        ii = tuple(int(p[1:]) for p in cls.source.split("*") if p.startswith("y"))
-        if not VeyIndex(ii, (4,)).is_rigid(6):
-            return False, f"certified class {cls.source} is not rigid for q=6"
     return True, "family entries and certified classes all pass rigidity"
 
 

@@ -15,8 +15,9 @@ sequences; even-degree generators commute with everything, so no other
 sign ever appears.
 
 Coefficients are :class:`fractions.Fraction` throughout.  No floating
-point is used anywhere; equality of elements is structural equality of
-their canonical term maps.
+point is used anywhere: elements accept int and Fraction coefficients and
+raise :class:`InexactCoefficient` on anything else, floats included.
+Equality of elements is structural equality of their canonical term maps.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 Mono = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -33,6 +35,51 @@ _ONE = Fraction(1)
 
 class GeneratorMismatch(ValueError):
     """Two values over different generator sets were combined."""
+
+
+class InexactCoefficient(TypeError):
+    """A coefficient that is not an int or a Fraction reached an element."""
+
+
+def _exact(c) -> Fraction:
+    if not isinstance(c, (int, Fraction)):
+        raise InexactCoefficient(
+            f"coefficients must be int or Fraction, not {type(c).__name__}")
+    return Fraction(c)
+
+
+def subsets(pool) -> list[tuple]:
+    """Every subset of ``pool`` as a tuple in pool order, sorted lexicographically.
+
+    For an increasing pool this is the order in which a depth-first walk
+    meets the subsets: each prefix before its extensions.
+    """
+    pool = tuple(pool)
+    return sorted(c for r in range(len(pool) + 1) for c in combinations(pool, r))
+
+
+def exponent_vectors(weights, budget: int, caps=None):
+    """Yield ``(exps, degree)`` for every exponent vector of weighted degree <= budget.
+
+    ``degree`` is ``sum(w * e)`` over ``weights``.  ``caps[j]``, when given
+    and not None, bounds ``exps[j]``.  Vectors come in lexicographic order,
+    and each branch stops as soon as the budget is spent.
+    """
+    n = len(weights)
+    caps = caps or [None] * n
+
+    def rec(j: int, degree: int):
+        if j == n:
+            yield (), degree
+            return
+        w, cap = weights[j], caps[j]
+        emax = (budget - degree) // w
+        if cap is not None:
+            emax = min(emax, cap)
+        for e in range(emax + 1):
+            for rest, total in rec(j + 1, degree + e * w):
+                yield (e,) + rest, total
+    return rec(0, 0)
 
 
 def merge_exterior(a: tuple[int, ...], b: tuple[int, ...]):
@@ -176,7 +223,7 @@ class GeneratorSet:
         m = (tuple(ext), tuple(exps))
         if not self.mono_valid(m):
             raise ValueError(f"invalid monomial {m} over this generator set")
-        return Element(self, {m: Fraction(coeff)})
+        return Element(self, {m: coeff})
 
     # -- counting and printing -------------------------------------------
 
@@ -254,6 +301,17 @@ def count_poly_monomials(gens: GeneratorSet) -> int | None:
 
 
 @lru_cache(maxsize=None)
+def _poly_parts_by_degree(gens: GeneratorSet, budget: int) -> dict[int, list[tuple[int, ...]]]:
+    """Polynomial exponent tuples of degree <= budget, bucketed by degree."""
+    weights = [deg for _, deg, _ in gens.poly]
+    caps = [cap for _, _, cap in gens.poly]
+    out: dict[int, list[tuple[int, ...]]] = {}
+    for exps, degree in exponent_vectors(weights, budget, caps):
+        out.setdefault(degree, []).append(exps)
+    return out
+
+
+@lru_cache(maxsize=None)
 def basis_of_degree(gens: GeneratorSet, n: int) -> tuple[Mono, ...]:
     """All monomials of total degree ``n`` in canonical order.
 
@@ -262,41 +320,15 @@ def basis_of_degree(gens: GeneratorSet, n: int) -> tuple[Mono, ...]:
     """
     if n < 0:
         return ()
+    # A bounded ring shares one enumeration across every n; an unbounded
+    # one needs polynomial parts up to n.
+    budget = gens.truncation or _max_poly_degree_capped(gens)
+    poly = _poly_parts_by_degree(gens, n if budget is None else budget)
     out: list[Mono] = []
-    ext_degs = [d for _, d in gens.exterior]
-
-    def poly_parts(target: int):
-        if gens.truncation and target > gens.truncation:
-            return
-        def rec(j: int, remaining: int):
-            if j == gens.n_poly:
-                if remaining == 0:
-                    yield ()
-                return
-            _, deg, cap = gens.poly[j]
-            emax = remaining // deg
-            if cap is not None:
-                emax = min(emax, cap)
-            for e in range(emax + 1):
-                for rest in rec(j + 1, remaining - e * deg):
-                    yield (e,) + rest
-        yield from rec(0, target)
-
-    def subsets(start: int, chosen: list[int], deg_so_far: int):
-        target = n - deg_so_far
-        if target >= 0:
-            ext = tuple(chosen)
-            for exps in poly_parts(target):
-                out.append((ext, exps))
-        for i in range(start, gens.n_exterior):
-            d = deg_so_far + ext_degs[i]
-            if d > n:
-                continue
-            chosen.append(i)
-            subsets(i + 1, chosen, d)
-            chosen.pop()
-
-    subsets(0, [], 0)
+    for ext in subsets(range(gens.n_exterior)):
+        d = sum(gens.exterior[i][1] for i in ext)
+        if d <= n:
+            out.extend((ext, exps) for exps in poly.get(n - d, ()))
     return tuple(out)
 
 
@@ -315,7 +347,7 @@ class Element:
         clean: dict[Mono, Fraction] = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                c = _exact(c)
                 if c:
                     clean[m] = c
         self.terms = clean
@@ -375,7 +407,7 @@ class Element:
         return Element(self.gens, {m: -c for m, c in self.terms.items()})
 
     def scale(self, c) -> "Element":
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return Element(self.gens, {})
         return Element(self.gens, {m: c * v for m, v in self.terms.items()})

@@ -23,10 +23,10 @@ finite computation the degree-filtration argument reduces to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import Element, GeneratorSet, basis_of_degree
+from .algebra import Element, GeneratorSet, basis_of_degree, subsets
 from .dga import DegreeMismatch, Differential, NotACocycle
 from .linalg import Echelon
 from .models import (BundleMap, Factor, ModelRing, canonical_bundle,
@@ -44,6 +44,15 @@ def fiber_primitive_count(q: int) -> int:
     return (q - 1) // 2 if q % 2 else q // 2 - 1
 
 
+def _lift(gens: GeneratorSet, x: Element) -> Element:
+    """Re-house ``x`` over ``gens``, which extends x's ring by exterior generators.
+
+    The polynomial slots are shared and exterior positions of ``x`` are
+    empty, so every monomial keeps its meaning.
+    """
+    return Element(gens, dict(x.terms))
+
+
 @dataclass(frozen=True, eq=False)
 class FrameModel:
     """Finite Koszul model of the frame bundle of a rank-q bundle."""
@@ -57,12 +66,6 @@ class FrameModel:
 
     def dimension(self) -> int:
         return self.gens.dimension()
-
-    def lift(self, x: Element) -> Element:
-        """Re-house a base-ring element inside the model (same poly slots)."""
-        if x.gens != self.base.gens:
-            raise DegreeMismatch("element does not live over the base ring")
-        return Element(self.gens, dict(x.terms))
 
     def cohomology(self, max_degree: int | None = None):
         return dga.cohomology(self.gens, self.d, max_degree)
@@ -84,23 +87,19 @@ def build_frame_model(base: ModelRing, bundle: BundleMap, q: int,
     if with_v:
         exterior.append(("v", q - 1))
     gens = GeneratorSet(tuple(exterior), base.gens.poly, base.gens.truncation)
-
-    def lift(x: Element) -> Element:
-        return Element(gens, dict(x.terms))
-
     images = {}
     for i in range(1, n_u + 1):
         img = bundle.p(i)
         if img:
             if img.degree() != 4 * i:
                 raise DegreeMismatch(f"p_{i} image has the wrong degree")
-            images[f"u{i}"] = lift(img)
+            images[f"u{i}"] = _lift(gens, img)
     if with_v:
         e = bundle.euler_image()
         if e:
             if e.degree() != q:
                 raise DegreeMismatch("Euler image must have degree q")
-            images["v"] = lift(e)
+            images["v"] = _lift(gens, e)
     d = Differential(gens, images)
     return FrameModel(q, base, bundle, gens, d, with_v)
 
@@ -119,10 +118,6 @@ class CharacteristicMap:
         self.source_gens, self.source_d = weil_complex(q, framed=True)
         zero = model.gens.zero()
         n_u = fiber_primitive_count(q)
-
-        def lift(x: Element) -> Element:
-            return Element(model.gens, dict(x.terms))
-
         y_images: list[Element | None] = []
         c_images: list[Element] = []
         for i in range(1, q + 1):
@@ -131,7 +126,7 @@ class CharacteristicMap:
                 continue
             j = i // 2
             img = model.bundle.p(j)
-            c_images.append(lift(img) if img else zero)
+            c_images.append(_lift(model.gens, img) if img else zero)
         for i in range(1, q + 1):
             if i % 2 == 1:
                 y_images.append(zero)
@@ -139,7 +134,7 @@ class CharacteristicMap:
                 y_images.append(model.gens.generator(f"u{i // 2}"))
             elif q % 2 == 0 and i == q:
                 if model.has_euler_transgression:
-                    e = lift(model.bundle.euler_image())
+                    e = _lift(model.gens, model.bundle.euler_image())
                     y_images.append(model.gens.generator("v") * e)
                 else:
                     y_images.append(None)
@@ -198,6 +193,7 @@ class CertifiedClass:
     degree: int | None
     nonzero: bool
     expected_zero: bool = False
+    vey: VeyIndex | None = None
 
 
 @dataclass(frozen=True)
@@ -211,7 +207,10 @@ class FrameCertificate:
 
 
 def _certify(model: FrameModel, elements, labels) -> tuple[list[CertifiedClass], bool]:
-    """Cocycle check, individual nonvanishing, joint independence mod image."""
+    """Cocycle check, individual nonvanishing, joint independence mod image.
+
+    The entries come back in the order of ``labels``.
+    """
     entries = []
     by_degree: dict[int, list[tuple[str, Element]]] = {}
     for label, x in zip(labels, elements):
@@ -264,24 +263,11 @@ def certify_projective_family(k: int) -> FrameCertificate:
     q = 2 * k
     delta = CharacteristicMap(model)
     gens_w = delta.source_gens
-    n_u = fiber_primitive_count(q)
-    index_sets = []
-
-    def extend(start: int, chosen: list[int]):
-        index_sets.append(tuple(chosen))
-        for i in range(start, n_u + 1):
-            chosen.append(i)
-            extend(i + 1, chosen)
-            chosen.pop()
-
-    extend(2, [1])
-    elements = []
-    labels = []
-    for iset in sorted(index_sets):
-        v = VeyIndex(tuple(2 * i for i in iset), (2,) * k)
-        labels.append(v.label())
-        elements.append(delta(v.element(gens_w)))
-    entries, joint = _certify(model, elements, labels)
+    veys = [VeyIndex(tuple(2 * i for i in (1,) + rest), (2,) * k)
+            for rest in subsets(range(2, fiber_primitive_count(q) + 1))]
+    elements = [delta(v.element(gens_w)) for v in veys]
+    entries, joint = _certify(model, elements, [v.label() for v in veys])
+    entries = [replace(e, vey=v) for e, v in zip(entries, veys)]
     passed = joint and all(e.nonzero for e in entries)
     return FrameCertificate(q, model.base.label, model.dimension(),
                             tuple(entries), joint, passed)
@@ -309,29 +295,16 @@ def certify_sphere_family(k: int) -> FrameCertificate:
     q = 4 * k - 2
     delta = CharacteristicMap(model)
     gens_w = delta.source_gens
-    n_u = fiber_primitive_count(q)
-    index_sets = []
-
-    def extend(start: int, chosen: list[int]):
-        index_sets.append(tuple(chosen))
-        for i in range(start, n_u + 1):
-            chosen.append(i)
-            extend(i + 1, chosen)
-            chosen.pop()
-
-    extend(k + 1, [k])
-    elements = []
-    labels = []
-    for iset in sorted(index_sets):
-        v = VeyIndex(tuple(2 * i for i in iset), (2 * k,))
-        labels.append(v.label())
-        elements.append(delta(v.element(gens_w)))
-    entries, joint = _certify(model, elements, labels)
+    veys = [VeyIndex(tuple(2 * i for i in (k,) + rest), (2 * k,))
+            for rest in subsets(range(k + 1, fiber_primitive_count(q) + 1))]
+    elements = [delta(v.element(gens_w)) for v in veys]
+    entries, joint = _certify(model, elements, [v.label() for v in veys])
     vanishing = VeyIndex((2,), (2,) * (2 * k - 1))
     vanished = delta(vanishing.element(gens_w))
-    entries = tuple(entries) + (CertifiedClass(vanishing.label(), str(vanished),
-                                               None, not vanished.is_zero(),
-                                               expected_zero=True),)
+    entries = tuple(replace(e, vey=v) for e, v in zip(entries, veys)) + (
+        CertifiedClass(vanishing.label(), str(vanished), None,
+                       not vanished.is_zero(), expected_zero=True,
+                       vey=vanishing),)
     passed = (joint and all(e.nonzero for e in entries if not e.expected_zero)
               and all(not e.nonzero for e in entries if e.expected_zero))
     return FrameCertificate(q, model.base.label, model.dimension(),
@@ -377,19 +350,9 @@ def permanence_family(I: tuple[int, ...], J: tuple[int, ...], q: int,
     d = Differential(gens, {})
     model = FrameModel(q, ModelRing(gens, None, f"SO({q}) x S^{n}"),
                        None, gens, d, q % 2 == 0)
-    subsets: list[tuple[int, ...]] = []
-
-    def extend(start: int, chosen: list[int]):
-        subsets.append(tuple(chosen))
-        for idx in range(start, len(r_list)):
-            chosen.append(r_list[idx])
-            extend(idx + 1, chosen)
-            chosen.pop()
-
-    extend(0, [])
     elements = []
     labels = []
-    for R in sorted(subsets):
+    for R in subsets(r_list):
         elem = chi
         for r in R:
             elem = gens.generator(f"u{r}") * elem

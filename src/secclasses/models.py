@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Element, GeneratorSet, Mono
+from .algebra import Element, GeneratorSet, Mono, exponent_vectors
 from .dga import DegreeMismatch
 from .linalg import IntegerEliminator
 
@@ -268,19 +268,9 @@ def admissible_monomials(q: int) -> list[PontrjaginMonomial]:
     """
     if q < 2:
         raise ValueError("q must be at least 2")
-    kmax = (q + 2) // 4
-    found: list[PontrjaginMonomial] = []
-
-    def rec(i: int, exps: list[int], weight: int):
-        if i > kmax:
-            if any(exps):
-                found.append(PontrjaginMonomial.of(*exps))
-            return
-        wi = 4 * i - 2
-        for e in range((q - weight) // wi + 1):
-            rec(i + 1, exps + [e], weight + e * wi)
-
-    rec(1, [], 0)
+    weights = [4 * i - 2 for i in range(1, (q + 2) // 4 + 1)]
+    found = [PontrjaginMonomial.of(*exps)
+             for exps, weight in exponent_vectors(weights, q) if weight]
     found.sort(key=lambda m: (len(m.exps), m.exps))
     for m in found:
         if m.degree > 2 * q:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Element, GeneratorSet
+from .algebra import Element, GeneratorSet, exponent_vectors, subsets
 from .dga import Differential
 
 
@@ -112,52 +112,33 @@ def is_rigid(v: VeyIndex, q: int) -> bool:
     return v.I[0] + sum(v.J) >= q + 2
 
 
-def _increasing_tuples(q: int):
-    """Nonempty strictly increasing tuples over [1, q], lexicographic."""
-    def rec(start: int, chosen: list[int]):
-        for i in range(start, q + 1):
-            chosen.append(i)
-            yield tuple(chosen)
-            yield from rec(i + 1, chosen)
-            chosen.pop()
-    yield from rec(1, [])
-
-
-def _nondecreasing_tuples(q: int):
-    """Nondecreasing tuples over [1, q] with sum <= q (incl. empty), lexicographic."""
-    def rec(lo: int, budget: int, chosen: list[int]):
-        yield tuple(chosen)
-        for j in range(lo, budget + 1):
-            chosen.append(j)
-            yield from rec(j, budget - j, chosen)
-            chosen.pop()
-    yield from rec(1, q, [])
-
-
 def vey_basis(q: int, min_degree: int | None = None,
               max_degree: int | None = None) -> list[VeyIndex]:
     """All Vey indices for codimension q, ordered by (I, J) lexicographically.
 
-    The unit class is excluded; report it separately when counting degree 0.
+    Membership fixes the shape: for each i_1, J runs over the partitions
+    with parts in [i_1, q] and sum in [q+1-i_1, q], and I over (i_1,)
+    followed by any subset of (i_1, q].  The unit class is excluded;
+    report it separately when counting degree 0.
     """
     if q < 1:
         raise ValueError("codimension must be a positive integer")
-    js = list(_nondecreasing_tuples(q))
     out = []
-    for I in _increasing_tuples(q):
-        need = q + 1 - I[0]
-        for J in js:
-            if sum(J) < need:
-                continue
-            v = VeyIndex(I, J)
-            if not v.is_member(q):
-                continue
-            deg = v.degree
-            if min_degree is not None and deg < min_degree:
-                continue
-            if max_degree is not None and deg > max_degree:
-                continue
-            out.append(v)
+    for i1 in range(1, q + 1):
+        parts = range(i1, q + 1)
+        js = sorted(
+            tuple(j for j, e in zip(parts, mult) for _ in range(e))
+            for mult, total in exponent_vectors(parts, q) if total >= q + 1 - i1)
+        for rest in subsets(range(i1 + 1, q + 1)):
+            I = (i1,) + rest
+            for J in js:
+                v = VeyIndex(I, J)
+                deg = v.degree
+                if min_degree is not None and deg < min_degree:
+                    continue
+                if max_degree is not None and deg > max_degree:
+                    continue
+                out.append(v)
     return out
 
 
@@ -199,15 +180,7 @@ def spherical_rigid_classes(q: int) -> list[RigidFamilyEntry]:
     top = (q + 2) // 4
     pool = [2 * k for k in range(2, top + 1)]
     entries: list[RigidFamilyEntry] = []
-
-    def subsets(start: int, chosen: list[int]):
-        yield tuple(chosen)
-        for idx in range(start, len(pool)):
-            chosen.append(pool[idx])
-            yield from subsets(idx + 1, chosen)
-            chosen.pop()
-
-    for K in sorted(subsets(0, [])):
+    for K in subsets(pool):
         v = VeyIndex((2,) + K, (2,) * m)
         if not v.is_rigid(q):
             raise AssertionError(f"family A produced a non-rigid index {v}")
@@ -219,11 +192,6 @@ def spherical_rigid_classes(q: int) -> list[RigidFamilyEntry]:
             raise AssertionError(f"family B produced a non-rigid index {v}")
         entries.append(RigidFamilyEntry(v, v.degree, "B"))
     return entries
-
-
-def family_a_size(q: int) -> int:
-    """|family A| = 2^(B-1) with B = floor((q+2)/4)."""
-    return len([e for e in spherical_rigid_classes(q) if e.family == "A"])
 
 
 @dataclass(frozen=True)

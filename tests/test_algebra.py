@@ -7,8 +7,9 @@ from itertools import product
 import pytest
 
 from secclasses.algebra import (Element, GeneratorMismatch, GeneratorSet,
-                                basis_of_degree, count_poly_monomials,
-                                merge_exterior)
+                                InexactCoefficient, basis_of_degree,
+                                count_poly_monomials, exponent_vectors,
+                                merge_exterior, subsets)
 from secclasses.weil import weil_complex
 
 
@@ -102,6 +103,45 @@ def test_basis_canonical_order_is_deterministic():
         for ext in set(exts):
             exps = [m[1] for m in monos if m[0] == ext]
             assert exps == sorted(exps)
+
+
+def test_enumerators_match_brute_force_product():
+    # a capped generator, an uncapped one and a truncation, all at once
+    gens = GeneratorSet((("x", 1), ("y", 3), ("z", 5)),
+                        (("a", 2, 2), ("b", 4, None), ("c", 6, 1)),
+                        truncation=10)
+    weights, caps = (2, 4, 6), (2, None, 1)
+    ranges = [range(c + 1) if c is not None else range(10 // w + 1)
+              for w, c in zip(weights, caps)]
+    vectors = [(e, sum(w * x for w, x in zip(weights, e)))
+               for e in product(*ranges)]
+    assert list(exponent_vectors(weights, 10, caps)) == \
+        [(e, d) for e, d in vectors if d <= 10]
+    exts = sorted(tuple(i for i in range(3) if mask >> i & 1)
+                  for mask in range(8))
+    assert subsets(range(3)) == exts
+    for n in range(gens.top_degree() + 2):
+        expected = tuple(
+            (ext, e) for ext in exts for e, d in vectors
+            if d <= 10 and sum((1, 3, 5)[i] for i in ext) + d == n)
+        assert basis_of_degree(gens, n) == expected
+
+
+def test_float_coefficients_rejected():
+    gens, _ = weil_complex(1)
+    m = ((0,), (1,))
+    y1 = gens.generator("y1")
+    for bad in (lambda: Element(gens, {m: 0.1}),
+                lambda: gens.monomial((0,), (1,), coeff=0.5),
+                lambda: y1.scale(0.1),
+                lambda: 0.5 * y1,
+                lambda: y1 * 0.5):
+        with pytest.raises(InexactCoefficient):
+            bad()
+    assert issubclass(InexactCoefficient, TypeError)
+    half = Fraction(1, 2)
+    assert Element(gens, {m: half}) == gens.monomial((0,), (1,), coeff=half)
+    assert 2 * y1 == y1.scale(Fraction(2)) == Element(gens, {((0,), (0,)): 2})
 
 
 def test_caps_model_projective_plane():

@@ -1,6 +1,7 @@
 """CLI behavior: formats, exit codes, determinism, schema round-trip."""
 
 import csv
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -72,6 +73,12 @@ def test_cohomology_budget_exit_3(capsys):
     code, out, err = run(capsys, "cohomology", "--q", "12")
     assert code == 3
     assert "budget" in err
+
+
+def test_cohomology_negative_max_degree_exit_2():
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "--q", "2", "--max-degree", "-3"])
+    assert exc.value.code == 2
 
 
 def test_cohomology_representatives(capsys):
@@ -218,3 +225,22 @@ def test_selftest_contract(capsys):
     for name, ok, _ in results:
         marker = "PASS" if ok else "FAIL"
         assert f"{marker}  {name}" in out
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("vey --q 9 --format csv",
+     "4e8514a3cf455d10398f979f6719c074f945883e74fdd1121eef552557775fdf"),
+    ("cohomology --q 5 --representatives --format json",
+     "910a60f2257e313e7ae5ba38afac94bf8a2ab3809386cc3cc9747b717f03de1a"),
+    ("pontrjagin --q 14 --format json",
+     "417a1ac9957c01ff0a71ef08419a458d04c3b35e04dfe3aa76dec0d3e3ba66a2"),
+    ("frame --case 4k2 --k 3 --format json",
+     "5530aac3710ceaa4cefb6423546bf1d116e6f7aea6f64ef6c23d49804c52c1a5"),
+    ("catalog --q 14 --dim 51 --format json",
+     "11d4da103954f75db5a92964c3b10a18ef7a4d25cf54f2a99de66db2573a9154"),
+])
+def test_golden_output_sha256(capsys, argv, digest):
+    # pins the enumeration order of every family behind these reports
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -184,9 +184,9 @@ def test_certified_classes_are_rigid():
     for k in (2, 3):
         cert = certify_projective_family(k)
         for cls in cert.classes:
-            ii = tuple(int(p[1:]) for p in cls.source.split("*")
-                       if p.startswith("y"))
-            assert VeyIndex(ii, (2,) * k).is_rigid(2 * k)
+            assert cls.vey.label() == cls.source
+            assert cls.vey.J == (2,) * k
+            assert cls.vey.is_rigid(2 * k)
 
 
 def test_sphere_model_euler_honest_zero():

@@ -1,5 +1,7 @@
 """Weil complexes, the Vey index combinatorics, and the rigid families."""
 
+from itertools import combinations, combinations_with_replacement
+
 import pytest
 
 from secclasses.dga import cohomology
@@ -83,6 +85,24 @@ def test_vey_counts_match_cohomology_small():
         for n in range(1, report.max_degree + 1):
             assert counts.get(n, 0) == report.by_degree[n].dim
         assert report.by_degree[0].dim == 1
+
+
+def generate_and_filter(q):
+    """Every (I, J) with entries in [1, q] and sum(J) <= q, kept if a member."""
+    pool = range(1, q + 1)
+    Is = sorted(c for r in range(1, q + 1) for c in combinations(pool, r))
+    Js = sorted(c for r in range(q + 1)
+                for c in combinations_with_replacement(pool, r) if sum(c) <= q)
+    return [VeyIndex(I, J) for I in Is for J in Js
+            if VeyIndex(I, J).is_member(q)]
+
+
+def test_vey_basis_matches_generate_and_filter_oracle():
+    for q in range(1, 9):
+        oracle = generate_and_filter(q)
+        assert vey_basis(q) == oracle
+        assert vey_basis(q, min_degree=2 * q, max_degree=3 * q) == \
+            [v for v in oracle if 2 * q <= v.degree <= 3 * q]
 
 
 def test_vey_degree_filter():
