@@ -282,6 +282,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "vey":
             if args.q < 1:
                 parser.error("--q must be >= 1")
+            if args.max_degree is not None and args.max_degree < 0:
+                parser.error("--max-degree must be >= 0")
             sys.stdout.write(cmd_vey(args))
         elif args.command == "cohomology":
             if args.q < 1:

@@ -230,9 +230,9 @@ def _certify(model: FrameModel, elements, labels) -> tuple[list[CertifiedClass],
                 dm = model.d(Element(model.gens, {m: Fraction(1)}))
                 if dm:
                     image_stack.add({index[mm]: c for mm, c in dm.terms.items()})
+        # already in reduced echelon form, so it seeds the joint stack as is
         joint_stack = Echelon()
-        for row in (dict(image_stack.pivots[c]) for c in image_stack.pivot_columns()):
-            joint_stack.add(row)
+        joint_stack.pivots = {c: dict(row) for c, row in image_stack.pivots.items()}
         for label, x in by_degree[n]:
             coords = {index[m]: c for m, c in x.terms.items()}
             nonzero = bool(image_stack.reduce(coords))

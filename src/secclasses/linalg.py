@@ -158,8 +158,7 @@ def kernel_from_columns(columns: list[Row], ncols: int) -> list[Row]:
     rows: dict[int, Row] = {}
     for j, col in enumerate(columns):
         for i, c in col.items():
-            if c:
-                rows.setdefault(i, {})[j] = Fraction(c)
+            rows.setdefault(i, {})[j] = c
     pivot_cols, pivot_rows = rref(rows[i] for i in sorted(rows))
     pivot_set = set(pivot_cols)
     out: list[Row] = []

@@ -81,6 +81,12 @@ def test_cohomology_negative_max_degree_exit_2():
     assert exc.value.code == 2
 
 
+def test_vey_negative_max_degree_exit_2():
+    with pytest.raises(SystemExit) as exc:
+        main(["vey", "--q", "4", "--max-degree", "-3"])
+    assert exc.value.code == 2
+
+
 def test_cohomology_representatives(capsys):
     code, payload, _ = run_json(capsys, "cohomology", "--q", "1",
                                 "--representatives")
@@ -232,6 +238,10 @@ def test_selftest_contract(capsys):
      "4e8514a3cf455d10398f979f6719c074f945883e74fdd1121eef552557775fdf"),
     ("cohomology --q 5 --representatives --format json",
      "910a60f2257e313e7ae5ba38afac94bf8a2ab3809386cc3cc9747b717f03de1a"),
+    ("cohomology --q 6 --no-framed --representatives --format json",
+     "2667d8ccf4485ad73d0fc1aad1f69f82a5499fe8f31fd3283f775b6e8c09750f"),
+    ("cohomology --q 6 --representatives --format json",
+     "cd79c8fb612864237b158e2c453c8bd0fcea0a6185827ad294a89f065be438f7"),
     ("pontrjagin --q 14 --format json",
      "417a1ac9957c01ff0a71ef08419a458d04c3b35e04dfe3aa76dec0d3e3ba66a2"),
     ("frame --case 4k2 --k 3 --format json",

@@ -7,8 +7,9 @@ import pytest
 
 from secclasses.algebra import Element, GeneratorSet, basis_of_degree
 from secclasses.dga import (DegreeMismatch, Differential, NotACocycle,
-                            class_nonzero, cohomology)
-from secclasses.linalg import rank
+                            _image_columns, class_nonzero, cohomology)
+from secclasses.frames import projective_base_model, sphere_base_model
+from secclasses.linalg import Echelon, kernel_from_columns, rank
 from secclasses.weil import weil_complex
 
 
@@ -62,6 +63,20 @@ def test_d_squared_and_leibniz_randomized():
             if a:
                 sign = -1 if a.degree() % 2 else 1
                 assert d(a * b) == d(a) * b + (a * d(b)).scale(sign)
+
+
+def test_leibniz_on_capped_frame_models():
+    # exponent caps and a nonzero d on several exterior generators
+    from secclasses.acceptance import random_element, random_homogeneous
+    rng = random.Random(29)
+    for model in (projective_base_model(3), sphere_base_model(2)):
+        gens, d = model.gens, model.d
+        for _ in range(100):
+            a = random_homogeneous(gens, rng)
+            b = random_element(gens, rng)
+            sign = -1 if a.degree() % 2 else 1
+            assert d(a * b) == d(a) * b + (a * d(b)).scale(sign)
+            assert d(d(b)).is_zero()
 
 
 def test_cohomology_w1():
@@ -126,3 +141,54 @@ def test_representatives_are_cocycles_not_coboundaries():
             assert d(rep).is_zero()
             assert class_nonzero(gens, d, rep)
         assert len(s.representatives) == s.dim
+
+
+def global_cohomology(gens, d):
+    """Oracle: one elimination over each whole degree slice, no blocks.
+
+    Returns ``{n: (dim, [str(rep), ...])}`` over every degree.
+    """
+    out = {}
+    prev_image = []
+    for n in range(gens.top_degree() + 1):
+        basis_n, cols = _image_columns(gens, d, n)
+        kernel = kernel_from_columns(cols, len(basis_n))
+        stack = Echelon()
+        for row in prev_image:
+            stack.add(row)
+        image_rank = stack.rank
+        reps = []
+        for vec in kernel:
+            residual = stack.add(vec)
+            if residual is not None:
+                reps.append(str(Element(
+                    gens, {basis_n[j]: c for j, c in residual.items()})))
+        out[n] = (len(kernel) - image_rank, reps)
+        prev_image = [c for c in cols if c]
+    return out
+
+
+def _transgression_model():
+    gens = GeneratorSet((("u1", 3),), (("p1", 4, None),), truncation=6)
+    return gens, Differential(gens, {"u1": gens.generator("p1")})
+
+
+def _frame(build):
+    model = build(2)
+    return model.gens, model.d
+
+
+@pytest.mark.parametrize("complex_", [
+    *[pytest.param(lambda q=q, f=f: weil_complex(q, framed=f),
+                   id=f"W{q}-{'framed' if f else 'unframed'}")
+      for q in range(1, 6) for f in (True, False)],
+    pytest.param(_transgression_model, id="transgression"),
+    pytest.param(lambda: _frame(projective_base_model), id="projective-k2"),
+    pytest.param(lambda: _frame(sphere_base_model), id="sphere-k2"),
+])
+def test_block_cohomology_matches_global_elimination(complex_):
+    gens, d = complex_()
+    report = cohomology(gens, d)
+    got = {n: (s.dim, [str(r) for r in s.representatives])
+           for n, s in report.by_degree.items()}
+    assert got == global_cohomology(gens, d)
