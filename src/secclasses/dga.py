@@ -11,6 +11,15 @@ monomials.  Cohomology finds the blocks from the matrices themselves and
 eliminates each on its own.  Reduced echelon form is unique for a fixed
 column order, so the representatives are the same as those of one
 elimination over the whole degree.
+
+Coboundary tests (:func:`classes_mod_image`, behind :func:`class_nonzero`
+and the frame certificates) never build a whole degree either.  A closure
+search from the cocycles' supports lists the Leibniz predecessors of each
+monomial reached (:meth:`Differential.predecessors`), applies d to each
+once, and follows the new supports until nothing new is found; the rows
+it collects are the block of the image the cocycles touch.  They are
+ranked by fraction-free integer elimination, since the tests need only
+ranks.  ``Echelon`` stays for the cohomology representatives.
 """
 
 from __future__ import annotations
@@ -124,6 +133,42 @@ class Differential:
                     add(ext, exps[:j] + (e - 1,) + exps[j + 1:],
                         deg - weights[j], coeff * sign * e, image)
         return Element(self.gens, acc)
+
+    def predecessors(self, t: Mono) -> set[Mono]:
+        """Every monomial m whose image d(m) can have ``t`` in its support.
+
+        By the Leibniz rule every term of d(m) is, up to sign, (m / g) * b
+        for a generator g of m and a term b of d(g).  So m = (t / b) * g
+        for some g with d(g) != 0 and some term b of d(g) dividing t.  A
+        candidate is dropped when g would repeat an exterior index of
+        t / b, or when a polynomial g would break its cap or the
+        truncation; every other candidate is a monomial of degree
+        deg(t) - 1.  Cancellation in d(m) may still remove t, so this
+        is a superset of the true predecessors.
+        """
+        t_ext, t_exps = t
+        t_deg = sum(map(operator.mul, t_exps, self._weights))
+        trunc = self.gens.truncation
+        caps = self._caps
+        out: set[Mono] = set()
+
+        def quotients(image):
+            for b_ext, b_exps, b_deg, _ in image:
+                if all(map(operator.le, b_exps, t_exps)) and all(i in t_ext for i in b_ext):
+                    yield (tuple(i for i in t_ext if i not in b_ext),
+                           tuple(map(operator.sub, t_exps, b_exps)), t_deg - b_deg)
+
+        for g, image in enumerate(self._ext_terms):
+            for r_ext, r_exps, _ in quotients(image):
+                if g not in r_ext:
+                    out.add((tuple(sorted(r_ext + (g,))), r_exps))
+        for j, image in enumerate(self._poly_terms):
+            for r_ext, r_exps, r_deg in quotients(image):
+                e = r_exps[j] + 1
+                if caps and e > caps[j] or trunc and r_deg + self._weights[j] > trunc:
+                    continue
+                out.add((r_ext, r_exps[:j] + (e,) + r_exps[j + 1:]))
+        return out
 
     def is_square_zero(self) -> bool:
         """True iff d(d(g)) = 0 for every generator (always, post-construction)."""
@@ -247,21 +292,60 @@ def cohomology(gens: GeneratorSet, d: Differential,
     return CohomologyReport(max_degree, by_degree)
 
 
+def _touched_image(d: Differential, support) -> list[dict[Mono, Fraction]]:
+    """The nonzero images d(m) of the block of d that ``support`` touches.
+
+    A closure search: every monomial reached is a target, each target's
+    predecessors are differentiated once, and the support of every new
+    image joins the targets until nothing new is found.  Every m whose
+    d(m) meets a reached target is found, and the rest of the image lives
+    on targets that are never reached, so a vector supported on ``support``
+    is in the image of d iff it is in the span of these rows.  The rows
+    come in the canonical order of their source monomials (``Mono`` tuple
+    order is the order of :func:`basis_of_degree` within a degree).
+    """
+    targets = set(support)
+    frontier = list(targets)
+    images: dict[Mono, dict[Mono, Fraction]] = {}
+    while frontier:
+        for m in d.predecessors(frontier.pop()):
+            if m in images:
+                continue
+            dm = images[m] = d(Element(d.gens, {m: Fraction(1)})).terms
+            for mm in dm.keys() - targets:
+                targets.add(mm)
+                frontier.append(mm)
+    return [images[m] for m in sorted(images) if images[m]]
+
+
+def classes_mod_image(d: Differential, cocycles) -> tuple[list[bool], bool]:
+    """Whether each cocycle is not a coboundary, and whether the cocycles
+    are jointly linearly independent modulo coboundaries.
+
+    Exact: the image rows come from :func:`_touched_image` on the union of
+    the cocycles' supports and are ranked by fraction-free elimination.
+    The caller checks that the inputs are cocycles.
+    """
+    cocycles = list(cocycles)
+    support = set().union(*(x.terms for x in cocycles))
+    rows = _touched_image(d, support)
+    index = {m: i for i, m in enumerate(sorted(support.union(*rows)))}
+    image = IntegerEliminator()
+    for row in rows:
+        image.add({index[m]: c for m, c in row.items()})
+    joint = image.copy()
+    nonzero, independent = [], True
+    for x in cocycles:
+        coords = {index[m]: c for m, c in x.terms.items()}
+        nonzero.append(image.copy().add(coords))
+        independent = joint.add(coords) and independent
+    return nonzero, independent
+
+
 def class_nonzero(gens: GeneratorSet, d: Differential, x: Element) -> bool:
     """True iff the cocycle ``x`` is not a coboundary (exact rank test)."""
     if x.is_zero():
         return False
     if not d(x).is_zero():
         raise NotACocycle(f"d(x) = {d(x)} != 0")
-    n = x.degree()
-    basis_n = basis_of_degree(gens, n)
-    index = {m: i for i, m in enumerate(basis_n)}
-    elim = IntegerEliminator()
-    if n > 0:
-        below = basis_of_degree(gens, n - 1)
-        for m in below:
-            dm = d(Element(gens, {m: Fraction(1)}))
-            if dm.is_zero():
-                continue
-            elim.add({index[mm]: c for mm, c in dm.terms.items()})
-    return elim.add({index[m]: c for m, c in x.terms.items()})
+    return classes_mod_image(d, [x])[0][0]

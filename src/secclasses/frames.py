@@ -23,12 +23,12 @@ finite computation the degree-filtration argument reduces to.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import Element, GeneratorSet, basis_of_degree, subsets
+from .algebra import Element, GeneratorSet, Mono, basis_of_degree, subsets
 from .dga import DegreeMismatch, Differential, NotACocycle
-from .linalg import Echelon
 from .models import (BundleMap, Factor, ModelRing, canonical_bundle,
                      product_model, sphere_model)
 from .weil import VeyIndex, weil_complex
@@ -142,6 +142,7 @@ class CharacteristicMap:
                 raise AssertionError(f"unhoused generator y{i}")
         self.y_images = tuple(y_images)
         self.c_images = tuple(c_images)
+        self._powers: dict[tuple[int, int], Element] = {}
         self._check_chain_property()
 
     def _check_chain_property(self):
@@ -158,11 +159,18 @@ class CharacteristicMap:
             if img and not d(img).is_zero():
                 raise DegreeMismatch(f"image of c{i} is not a cocycle")
 
+    def _power(self, j: int, e: int) -> Element:
+        """The image of c_{j+1}^e, computed once per map."""
+        key = (j, e)
+        if key not in self._powers:
+            self._powers[key] = self.c_images[j] ** e
+        return self._powers[key]
+
     def __call__(self, x: Element) -> Element:
         if x.gens != self.source_gens:
             raise DegreeMismatch("element does not live over the Weil complex")
         gens = self.model.gens
-        out = gens.zero()
+        acc: dict[Mono, Fraction] = {}
         for (ext, exps), coeff in x.terms.items():
             term = gens.unit().scale(coeff)
             for pos in ext:
@@ -178,12 +186,12 @@ class CharacteristicMap:
                 for j, e in enumerate(exps):
                     if not e:
                         continue
-                    term = term * self.c_images[j] ** e
+                    term = term * self._power(j, e)
                     if term.is_zero():
                         break
-            if term:
-                out = out + term
-        return out
+            for m, c in term.terms.items():
+                acc[m] = acc.get(m, 0) + c
+        return Element(gens, acc)
 
 
 @dataclass(frozen=True)
@@ -209,6 +217,10 @@ class FrameCertificate:
 def _certify(model: FrameModel, elements, labels) -> tuple[list[CertifiedClass], bool]:
     """Cocycle check, individual nonvanishing, joint independence mod image.
 
+    Every class must be a combination of monomials of the model's basis:
+    the closure search in :func:`dga.classes_mod_image` starts from the
+    support and is complete only for monomials of the ring.  The cached
+    basis of each degree is sorted, so the check is a binary search.
     The entries come back in the order of ``labels``.
     """
     entries = []
@@ -223,22 +235,16 @@ def _certify(model: FrameModel, elements, labels) -> tuple[list[CertifiedClass],
     joint = True
     for n in sorted(by_degree):
         basis_n = basis_of_degree(model.gens, n)
-        index = {m: i for i, m in enumerate(basis_n)}
-        image_stack = Echelon()
-        if n > 0:
-            for m in basis_of_degree(model.gens, n - 1):
-                dm = model.d(Element(model.gens, {m: Fraction(1)}))
-                if dm:
-                    image_stack.add({index[mm]: c for mm, c in dm.terms.items()})
-        # already in reduced echelon form, so it seeds the joint stack as is
-        joint_stack = Echelon()
-        joint_stack.pivots = {c: dict(row) for c, row in image_stack.pivots.items()}
         for label, x in by_degree[n]:
-            coords = {index[m]: c for m, c in x.terms.items()}
-            nonzero = bool(image_stack.reduce(coords))
-            if joint_stack.add(coords) is None:
-                joint = False
-            entries.append(CertifiedClass(label, str(x), n, nonzero))
+            for m in x.terms:
+                i = bisect_left(basis_n, m)
+                if i == len(basis_n) or basis_n[i] != m:
+                    raise ValueError(f"{label} has a term {m} outside the model")
+        nonzero, independent = dga.classes_mod_image(
+            model.d, [x for _, x in by_degree[n]])
+        joint = joint and independent
+        entries.extend(CertifiedClass(label, str(x), n, nz)
+                       for (label, x), nz in zip(by_degree[n], nonzero))
     order = {lbl: k for k, lbl in enumerate(labels)}
     entries.sort(key=lambda e: order[e.source])
     return entries, joint

@@ -55,6 +55,16 @@ class IntegerEliminator:
     def rank(self) -> int:
         return len(self.pivots)
 
+    def copy(self) -> "IntegerEliminator":
+        """An eliminator that starts from the same pivots.
+
+        ``add`` never mutates a stored pivot row, only the dict of pivots,
+        so a shallow copy of that dict is enough.
+        """
+        out = IntegerEliminator()
+        out.pivots = dict(self.pivots)
+        return out
+
     def add(self, row: Row | IntRow) -> bool:
         """Reduce a row against the pivots; keep it if independent."""
         if any(isinstance(v, Fraction) for v in row.values()):

@@ -2,6 +2,9 @@
 prints one pass/fail line.  Run with ``pytest tests/test_acceptance.py -v``
 or ``secclasses selftest``."""
 
+import re
+from types import SimpleNamespace
+
 import pytest
 
 from secclasses import acceptance
@@ -31,3 +34,24 @@ def test_growth_table_fails_when_a_family_a_member_is_dropped(monkeypatch):
     ok, detail = acceptance.criterion_growth_table()
     assert not ok
     assert "|A(12)|" in detail
+
+
+TIMING = re.compile(r"\d(\.\d+)?\s*(s|ms|sec|seconds)\b")
+
+
+def test_passing_details_carry_no_timing():
+    # selftest stdout is reproducible byte for byte
+    for name, ok, detail in acceptance.run_all():
+        if ok:
+            assert not TIMING.search(detail), f"{name}: {detail}"
+
+
+def test_budget_failure_names_the_elapsed_time(monkeypatch):
+    # the runtime budget is still enforced once timings left the details
+    clock = iter(range(0, 10 ** 6, 1000))
+    monkeypatch.setattr(acceptance, "time",
+                        SimpleNamespace(perf_counter=lambda: next(clock)))
+    ok, detail = acceptance.criterion_projective_family()
+    assert not ok
+    assert detail == "runtime budget exceeded: 1000.0s >= 120s"
+    assert TIMING.search(detail)

@@ -244,6 +244,8 @@ def test_selftest_contract(capsys):
      "cd79c8fb612864237b158e2c453c8bd0fcea0a6185827ad294a89f065be438f7"),
     ("pontrjagin --q 14 --format json",
      "417a1ac9957c01ff0a71ef08419a458d04c3b35e04dfe3aa76dec0d3e3ba66a2"),
+    ("frame --case 2k --k 5 --format json",
+     "9c5d8772402ff057fb525ae06a7962387c40415f99d08894e1b60090a79abb4c"),
     ("frame --case 4k2 --k 3 --format json",
      "5530aac3710ceaa4cefb6423546bf1d116e6f7aea6f64ef6c23d49804c52c1a5"),
     ("catalog --q 14 --dim 51 --format json",

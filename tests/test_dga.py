@@ -6,9 +6,13 @@ from fractions import Fraction
 import pytest
 
 from secclasses.algebra import Element, GeneratorSet, basis_of_degree
+from secclasses import frames
 from secclasses.dga import (DegreeMismatch, Differential, NotACocycle,
-                            _image_columns, class_nonzero, cohomology)
-from secclasses.frames import projective_base_model, sphere_base_model
+                            _image_columns, _touched_image, class_nonzero,
+                            classes_mod_image, cohomology)
+from secclasses.frames import (certify_projective_family, certify_sphere_family,
+                               permanence_family, projective_base_model,
+                               sphere_base_model)
 from secclasses.linalg import Echelon, kernel_from_columns, rank
 from secclasses.weil import weil_complex
 
@@ -192,3 +196,186 @@ def test_block_cohomology_matches_global_elimination(complex_):
     got = {n: (s.dim, [str(r) for r in s.representatives])
            for n, s in report.by_degree.items()}
     assert got == global_cohomology(gens, d)
+
+
+def _poly_differential_model():
+    """A polynomial generator with a nonzero differential, a cap and a
+    truncation: d(p) = x*q and d(y) = q^3, so some predecessors come
+    through p, and some of those break p's cap (m = p^2) or the
+    truncation (m = p*q^4).  d(p) has a lower polynomial degree than p,
+    so the truncation ideal is not closed under d and d^2 != 0 on some
+    monomials; it serves the predecessor tests, which need no d^2 = 0."""
+    gens = GeneratorSet((("x", 3), ("y", 5)),
+                        (("p", 4, 1), ("q", 2, None)), truncation=10)
+    x, q = gens.generator("x"), gens.generator("q")
+    return gens, Differential(gens, {"p": x * q, "y": q ** 3})
+
+
+def _koszul_model():
+    """A complex (d^2 = 0) with a polynomial generator that is not a
+    cocycle: d(p) = x*q, d(y) = q^2, q capped at 2, truncation 6.  d never
+    lowers the polynomial degree and d(q) = 0, so the truncation and the
+    cap cut out ideals closed under d."""
+    gens = GeneratorSet((("x", 1), ("y", 3)),
+                        (("p", 2, None), ("q", 2, 2)), truncation=6)
+    x, q = gens.generator("x"), gens.generator("q")
+    return gens, Differential(gens, {"p": x * q, "y": q * q})
+
+
+def _two_step_model():
+    """d(u) = s + r and d(w) = r: s = d(u - w) is exact, but the row d(w)
+    that shows it never touches s, so the closure needs a second step."""
+    gens = GeneratorSet((("u", 3), ("w", 3)),
+                        (("s", 4, None), ("r", 4, None)), truncation=4)
+    s, r = gens.generator("s"), gens.generator("r")
+    return gens, Differential(gens, {"u": s + r, "w": r})
+
+
+@pytest.mark.parametrize("complex_", [
+    *[pytest.param(lambda q=q, f=f: weil_complex(q, framed=f),
+                   id=f"W{q}-{'framed' if f else 'unframed'}")
+      for q in range(1, 5) for f in (True, False)],
+    pytest.param(lambda: _frame(projective_base_model), id="projective-k2"),
+    pytest.param(lambda: _frame(sphere_base_model), id="sphere-k2"),
+    pytest.param(_poly_differential_model, id="poly-differential"),
+    pytest.param(_koszul_model, id="koszul"),
+    pytest.param(_two_step_model, id="two-step"),
+])
+def test_predecessors_are_complete_and_valid(complex_):
+    # every m with t in supp d(m) is a predecessor of t, and every
+    # predecessor of t is a monomial of degree deg(t) - 1
+    gens, d = complex_()
+    for n in range(gens.top_degree() + 1):
+        below = set(basis_of_degree(gens, n - 1))
+        preds = {t: d.predecessors(t) for t in basis_of_degree(gens, n)}
+        for t, ms in preds.items():
+            assert ms <= below, (gens.mono_str(t), ms - below)
+        for m in below:
+            for t in d(Element(gens, {m: Fraction(1)})).terms:
+                assert m in preds[t], (gens.mono_str(m), gens.mono_str(t))
+
+
+def test_predecessors_drop_cap_truncation_and_exterior_repeats():
+    gens, d = _poly_differential_model()
+    # t = x*p*q: p * (t / (x*q)) = p^2 breaks the cap of p
+    assert d.predecessors(((0,), (1, 1))) == set()
+    # t = x*q^5: p * q^4 breaks the truncation; y * (t / q^3) stays
+    assert d.predecessors(((0,), (0, 5))) == {((0, 1), (0, 2))}  # x*y*q^2
+    # t = y*q^3: y * (t / q^3) would repeat y
+    assert d.predecessors(((1,), (0, 3))) == set()
+
+
+def global_classes_mod_image(d, cocycles):
+    """Oracle: membership against the whole degree-(n-1) image at once,
+    reduced in one Fraction ``Echelon``.  All cocycles share one degree."""
+    gens = d.gens
+    n = cocycles[0].degree()
+    index = {m: i for i, m in enumerate(basis_of_degree(gens, n))}
+    image = Echelon()
+    for m in basis_of_degree(gens, n - 1):
+        dm = d(Element(gens, {m: Fraction(1)}))
+        image.add({index[mm]: c for mm, c in dm.terms.items()})
+    joint = Echelon()
+    joint.pivots = {c: dict(row) for c, row in image.pivots.items()}
+    nonzero, independent = [], True
+    for x in cocycles:
+        coords = {index[m]: c for m, c in x.terms.items()}
+        nonzero.append(bool(image.reduce(coords)))
+        independent = joint.add(coords) is not None and independent
+    return nonzero, independent
+
+
+@pytest.mark.parametrize("certify", [
+    *[pytest.param(lambda k=k: certify_projective_family(k), id=f"projective-k{k}")
+      for k in range(2, 6)],
+    *[pytest.param(lambda k=k: certify_sphere_family(k), id=f"sphere-k{k}")
+      for k in (2, 3)],
+    pytest.param(lambda: permanence_family((2,), (2, 2), 4, ()), id="permanence-seed"),
+    pytest.param(lambda: permanence_family((2,), (2, 2, 2), 6, (2,)),
+                 id="permanence-twisted"),
+])
+def test_certificates_match_global_elimination(certify, monkeypatch):
+    got = certify()
+    monkeypatch.setattr(frames.dga, "classes_mod_image", global_classes_mod_image)
+    assert got == certify()
+
+
+def _random_in_degree(gens, rng, n):
+    pool = basis_of_degree(gens, n)
+    if not pool:
+        return gens.zero()
+    return Element(gens, {rng.choice(pool): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                          for _ in range(rng.randint(1, 3))})
+
+
+@pytest.mark.parametrize("complex_", [
+    pytest.param(lambda: weil_complex(2), id="W2-framed"),
+    pytest.param(lambda: weil_complex(3), id="W3-framed"),
+    pytest.param(lambda: weil_complex(3, framed=False), id="W3-unframed"),
+    pytest.param(lambda: _frame(projective_base_model), id="projective-k2"),
+    pytest.param(lambda: _frame(sphere_base_model), id="sphere-k2"),
+    pytest.param(_koszul_model, id="koszul"),
+    pytest.param(_two_step_model, id="two-step"),
+])
+def test_membership_matches_global_elimination_on_random_cocycles(complex_):
+    # random combinations of representatives plus random coboundaries d(y),
+    # and the coboundaries alone, which must report zero
+    gens, d = complex_()
+    rng = random.Random(61)
+    for n, s in cohomology(gens, d).by_degree.items():
+        if n == 0:
+            continue
+        for _ in range(4):
+            cocycles = []
+            for _ in range(rng.randint(1, 3)):
+                x = d(_random_in_degree(gens, rng, n - 1))
+                for rep in s.representatives:
+                    x = x + rep.scale(rng.randint(-2, 2))
+                if x:
+                    cocycles.append(x)
+            if cocycles:
+                assert classes_mod_image(d, cocycles) == \
+                    global_classes_mod_image(d, cocycles)
+            y = d(_random_in_degree(gens, rng, n - 1))
+            if y:
+                assert classes_mod_image(d, [y]) == ([False], False)
+                assert not class_nonzero(gens, d, y)
+
+
+def test_membership_on_a_cocycle_spanning_two_blocks():
+    gens, d = weil_complex(3)
+
+    def block(x):
+        return set(x.terms).union(*_touched_image(d, x.terms))
+
+    for s in cohomology(gens, d).by_degree.values():
+        reps = s.representatives
+        pairs = [(a, b) for i, a in enumerate(reps) for b in reps[i + 1:]
+                 if not block(a) & block(b)]
+        if pairs:
+            break
+    a, b = pairs[0]
+    n = a.degree()
+    ya = next(y for y in basis_of_degree(gens, n - 1)
+              if set(d(Element(gens, {y: Fraction(1)})).terms) & block(a))
+    yb = next(y for y in basis_of_degree(gens, n - 1)
+              if set(d(Element(gens, {y: Fraction(1)})).terms) & block(b))
+    exact = d(Element(gens, {ya: Fraction(1), yb: Fraction(-3)}))
+    assert set(exact.terms) & block(a) and set(exact.terms) & block(b)
+    assert classes_mod_image(d, [exact]) == ([False], False)
+    x = a + b.scale(2) + exact
+    for cocycles in ([x], [x, a], [x, a, b], [a, b]):
+        got = classes_mod_image(d, cocycles)
+        assert got == global_classes_mod_image(d, cocycles)
+    assert classes_mod_image(d, [x, a]) == ([True, True], True)
+    assert classes_mod_image(d, [x, a, b]) == ([True, True, True], False)
+
+
+def test_closure_follows_images_beyond_the_support():
+    gens, d = _two_step_model()
+    s = gens.generator("s")
+    assert d.predecessors(next(iter(s.terms))) == {((0,), (0, 0))}  # u only
+    assert len(_touched_image(d, s.terms)) == 2  # d(u) and then d(w)
+    assert classes_mod_image(d, [s]) == ([False], False)
+    assert not class_nonzero(gens, d, s)
+    assert global_classes_mod_image(d, [s]) == ([False], False)

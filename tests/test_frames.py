@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from secclasses.algebra import Element
 from secclasses.dga import DegreeMismatch
-from secclasses.frames import (CharacteristicMap, IndexOutOfRange,
+from secclasses.frames import (CharacteristicMap, IndexOutOfRange, _certify,
                                build_frame_model, certify_projective_family,
                                certify_sphere_family, fiber_primitive_count,
                                permanence_family, projective_base_model,
@@ -194,3 +195,48 @@ def test_sphere_model_euler_honest_zero():
     model = sphere_base_model(3)  # q = 10 over S^12
     assert model.d(model.gens.generator("v")).is_zero()
     assert model.has_euler_transgression
+
+
+def naive_characteristic_map(delta, x):
+    """Oracle: the map term by term, powers recomputed, sums built pairwise."""
+    gens = delta.model.gens
+    out = gens.zero()
+    for (ext, exps), coeff in x.terms.items():
+        term = gens.unit().scale(coeff)
+        for pos in ext:
+            term = term * delta.y_images[pos]
+        for j, e in enumerate(exps):
+            term = term * delta.c_images[j] ** e
+        out = out + term
+    return out
+
+
+def test_characteristic_map_matches_naive_route():
+    # the one-dict accumulation and the cached powers c_j^e change nothing,
+    # including the printed form, and reusing a cached power is safe
+    from secclasses.acceptance import random_element
+    rng = random.Random(53)
+    for model in (projective_base_model(2), projective_base_model(3),
+                  sphere_base_model(2)):
+        delta = CharacteristicMap(model)
+        housed = {i for i, img in enumerate(delta.y_images) if img is not None}
+        top = VeyIndex((2,), (2,) * (model.q // 2)).element(delta.source_gens)
+        samples = [top, top]  # the second call reuses the cached power
+        for _ in range(60):
+            x = random_element(delta.source_gens, rng, n_terms=5)
+            samples.append(Element(x.gens, {m: c for m, c in x.terms.items()
+                                            if housed.issuperset(m[0])}))
+        for x in samples:
+            got = delta(x)
+            assert got == naive_characteristic_map(delta, x)
+            assert str(got) == str(naive_characteristic_map(delta, x))
+
+
+def test_certify_rejects_a_term_outside_the_model():
+    # u1*a1^3 breaks the cap a1^3 = 0 of CP^2; d kills it, so only the
+    # basis check stands between it and the closure search
+    model = projective_base_model(2)
+    bad = Element(model.gens, {((0,), (3, 0)): Fraction(1)})
+    assert model.d(bad).is_zero()
+    with pytest.raises(ValueError, match="outside the model"):
+        _certify(model, [bad], ["bad"])
