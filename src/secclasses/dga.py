@@ -8,9 +8,13 @@ rank computations degree by degree.
 Within a degree the matrices of d are direct sums of small blocks: over
 all degrees of W_6, 1920 monomials fall into 1381 blocks of at most 6
 monomials.  Cohomology finds the blocks from the matrices themselves and
-eliminates each on its own.  Reduced echelon form is unique for a fixed
-column order, so the representatives are the same as those of one
-elimination over the whole degree.
+eliminates each on its own, on Python ints from the differential to the
+last pivot: every coefficient of d on the Weil and frame models is an
+integer, the elimination is fraction-free, and a ``Fraction`` is made
+only where a kept representative needs one.  A representative is the
+residual of a kernel vector modulo the image and the earlier kernel
+vectors, made monic at its lead; it depends only on those spans, so it is
+the same as that of one reduced elimination over the whole degree.
 
 Coboundary tests (:func:`classes_mod_image`, behind :func:`class_nonzero`
 and the frame certificates) never build a whole degree either.  A closure
@@ -18,8 +22,9 @@ search from the cocycles' supports lists the Leibniz predecessors of each
 monomial reached (:meth:`Differential.predecessors`), applies d to each
 once, and follows the new supports until nothing new is found; the rows
 it collects are the block of the image the cocycles touch.  They are
-ranked by fraction-free integer elimination, since the tests need only
-ranks.  ``Echelon`` stays for the cohomology representatives.
+ranked by the same fraction-free elimination, since the tests need only
+ranks; ``Echelon``, which also returns each row's monic residual, serves
+the cohomology representatives.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ class Differential:
     """
 
     __slots__ = ("gens", "ext_images", "poly_images", "_ext_terms",
-                 "_poly_terms", "_weights", "_caps")
+                 "_poly_terms", "_weights", "_caps", "_terms_by_variable")
 
     def __init__(self, gens: GeneratorSet, images: dict[str, Element] | None = None):
         self.gens = gens
@@ -69,7 +74,8 @@ class Differential:
             return img
 
         def image_terms(img: Element):
-            return tuple((ext, exps, gens.poly_degree(exps), c)
+            return tuple((ext, exps, gens.poly_degree(exps),
+                          c.numerator if c.denominator == 1 else c)
                          for (ext, exps), c in img.terms.items())
 
         self.ext_images = tuple(take(n, d) for n, d in gens.exterior)
@@ -82,6 +88,17 @@ class Differential:
         caps = [cap for _, _, cap in gens.poly]
         self._caps = (tuple(math.inf if cap is None else cap for cap in caps)
                       if any(cap is not None for cap in caps) else None)
+        # Each generator-image term, keyed by one variable it needs: its
+        # first exterior index, else n_exterior + its first polynomial
+        # position.  Generator degrees are positive, so no term is constant.
+        n_ext = gens.n_exterior
+        self._terms_by_variable: dict[int, list] = {}
+        for g, image in enumerate(self._ext_terms + self._poly_terms):
+            for term in image:
+                b_ext, b_exps = term[0], term[1]
+                key = b_ext[0] if b_ext else n_ext + next(
+                    j for j, e in enumerate(b_exps) if e)
+                self._terms_by_variable.setdefault(key, []).append((g, term))
         for name, img in zip([n for n, _ in gens.exterior], self.ext_images):
             if not self(img).is_zero():
                 raise ValueError(f"d(d(g)) != 0 on generator {name}")
@@ -90,16 +107,26 @@ class Differential:
                 raise ValueError(f"d(d(g)) != 0 on generator {name}")
 
     def __call__(self, x: Element) -> Element:
-        """Apply the differential via the graded Leibniz rule, in one pass.
+        """Apply the differential via the graded Leibniz rule, in one pass."""
+        return Element(self.gens, self._leibniz(x.terms.items()))
+
+    def _monomial_image(self, m: Mono) -> dict[Mono, int | Fraction]:
+        """The terms of d(m); a coefficient is an int when the generator
+        images have integral coefficients, as in every Weil and frame model."""
+        return {mm: c for mm, c in self._leibniz(((m, 1),)).items() if c}
+
+    def _leibniz(self, terms) -> dict:
+        """d of the linear combination ``terms`` of ``(monomial, coeff)``
+        pairs, as one accumulator that may hold cancelled zeros.
 
         A generator g of a monomial contributes the monomial with one g
         removed, times d(g) at the right end, times the exponent of g and
         (-1)^k, k being the number of exterior generators standing before g
         (all of them when g is polynomial).  The products go straight into
-        one accumulator, truncation and caps are checked as each is formed,
-        and one Element is built at the end.
+        the accumulator, and truncation and caps are checked as each is
+        formed.
         """
-        acc: dict[Mono, Fraction] = {}
+        acc: dict[Mono, int | Fraction] = {}
         trunc = self.gens.truncation
         caps = self._caps
         weights = self._weights
@@ -119,7 +146,7 @@ class Differential:
                 v = c * b_c
                 acc[m] = acc.get(m, 0) - v if parity else acc.get(m, 0) + v
 
-        for (ext, exps), coeff in x.terms.items():
+        for (ext, exps), coeff in terms:
             deg = sum(map(operator.mul, exps, weights))
             for pos, idx in enumerate(ext):
                 image = self._ext_terms[idx]
@@ -132,7 +159,7 @@ class Differential:
                 if image:
                     add(ext, exps[:j] + (e - 1,) + exps[j + 1:],
                         deg - weights[j], coeff * sign * e, image)
-        return Element(self.gens, acc)
+        return acc
 
     def predecessors(self, t: Mono) -> set[Mono]:
         """Every monomial m whose image d(m) can have ``t`` in its support.
@@ -150,22 +177,24 @@ class Differential:
         t_deg = sum(map(operator.mul, t_exps, self._weights))
         trunc = self.gens.truncation
         caps = self._caps
+        n_ext = self.gens.n_exterior
         out: set[Mono] = set()
-
-        def quotients(image):
-            for b_ext, b_exps, b_deg, _ in image:
-                if all(map(operator.le, b_exps, t_exps)) and all(i in t_ext for i in b_ext):
-                    yield (tuple(i for i in t_ext if i not in b_ext),
-                           tuple(map(operator.sub, t_exps, b_exps)), t_deg - b_deg)
-
-        for g, image in enumerate(self._ext_terms):
-            for r_ext, r_exps, _ in quotients(image):
-                if g not in r_ext:
-                    out.add((tuple(sorted(r_ext + (g,))), r_exps))
-        for j, image in enumerate(self._poly_terms):
-            for r_ext, r_exps, r_deg in quotients(image):
+        # a term b divides t only if t has the variable b is keyed by
+        keys = [*t_ext, *(n_ext + j for j, e in enumerate(t_exps) if e)]
+        for key in keys:
+            for g, (b_ext, b_exps, b_deg, _) in self._terms_by_variable.get(key, ()):
+                if not (all(map(operator.le, b_exps, t_exps))
+                        and all(i in t_ext for i in b_ext)):
+                    continue
+                r_ext = tuple(i for i in t_ext if i not in b_ext)
+                r_exps = tuple(map(operator.sub, t_exps, b_exps))
+                if g < n_ext:
+                    if g not in r_ext:
+                        out.add((tuple(sorted(r_ext + (g,))), r_exps))
+                    continue
+                j = g - n_ext
                 e = r_exps[j] + 1
-                if caps and e > caps[j] or trunc and r_deg + self._weights[j] > trunc:
+                if caps and e > caps[j] or trunc and t_deg - b_deg + self._weights[j] > trunc:
                     continue
                 out.add((r_ext, r_exps[:j] + (e,) + r_exps[j + 1:]))
         return out
@@ -200,10 +229,8 @@ def _image_columns(gens: GeneratorSet, d: Differential, n: int):
     """Coordinates of d(m) for the degree-n basis, over the degree-(n+1) basis."""
     basis_n = basis_of_degree(gens, n)
     index = {m: i for i, m in enumerate(basis_of_degree(gens, n + 1))}
-    cols = []
-    for m in basis_n:
-        dm = d(Element(gens, {m: Fraction(1)}))
-        cols.append({index[mm]: c for mm, c in dm.terms.items()})
+    cols = [{index[mm]: c for mm, c in d._monomial_image(m).items()}
+            for m in basis_n]
     return basis_n, cols
 
 
@@ -251,12 +278,15 @@ def cohomology(gens: GeneratorSet, d: Differential,
     chosen with a deterministic pivot rule, so output is reproducible.
 
     Each degree is eliminated block by block (see :func:`_blocks`), with
-    local indices kept in ascending global order.  Reduced echelon form is
-    unique for a fixed column order and the matrices are block diagonal,
-    so every kernel vector, pivot and representative is exactly the one a
-    single elimination over the whole degree would give; representatives
-    come out sorted by their free column, the largest index of their
-    kernel vector, as that elimination emits them.
+    local indices kept in ascending global order.  The i-th kernel vector
+    of a block spans, with the earlier ones, the kernel vectors supported
+    up to its free column, and its monic residual modulo the image and
+    those vectors depends only on these spans.  The matrices are block
+    diagonal, so every representative is exactly the one a single reduced
+    elimination over the whole degree would give; representatives come out
+    sorted by their free column, the largest index of their kernel vector,
+    as that elimination emits them.  A block whose kernel dimension equals
+    its image rank carries no class and gets no representative search.
     """
     if max_degree is None:
         max_degree = gens.top_degree()
@@ -280,7 +310,10 @@ def cohomology(gens: GeneratorSet, d: Differential,
             stack = Echelon()
             for row in image:
                 stack.add(row)
-            dim += len(kernel) - stack.rank
+            classes = len(kernel) - stack.rank
+            if not classes:
+                continue
+            dim += classes
             for vec in kernel:
                 residual = stack.add(vec)
                 if residual is not None:  # keyed by its free column
@@ -292,7 +325,7 @@ def cohomology(gens: GeneratorSet, d: Differential,
     return CohomologyReport(max_degree, by_degree)
 
 
-def _touched_image(d: Differential, support) -> list[dict[Mono, Fraction]]:
+def _touched_image(d: Differential, support) -> list[dict[Mono, int | Fraction]]:
     """The nonzero images d(m) of the block of d that ``support`` touches.
 
     A closure search: every monomial reached is a target, each target's
@@ -306,12 +339,12 @@ def _touched_image(d: Differential, support) -> list[dict[Mono, Fraction]]:
     """
     targets = set(support)
     frontier = list(targets)
-    images: dict[Mono, dict[Mono, Fraction]] = {}
+    images: dict[Mono, dict[Mono, int | Fraction]] = {}
     while frontier:
         for m in d.predecessors(frontier.pop()):
             if m in images:
                 continue
-            dm = images[m] = d(Element(d.gens, {m: Fraction(1)})).terms
+            dm = images[m] = d._monomial_image(m)
             for mm in dm.keys() - targets:
                 targets.add(mm)
                 frontier.append(mm)

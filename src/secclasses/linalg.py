@@ -1,10 +1,12 @@
-"""Sparse exact linear algebra over the rationals.
+"""Sparse exact linear algebra over the rationals, run on integers.
 
-Rows are dicts ``{column: coefficient}``.  Rank computations run
-fraction-free: rows are scaled to integers once, then eliminated by
+Rows are dicts ``{column: coefficient}`` with int or Fraction entries;
+anything else, floats included, raises :class:`InexactCoefficient`.  Each
+row is scaled to integers once on entry, then eliminated fraction-free:
 cross-multiplication with content stripping, so no rational division
-happens during elimination.  Reduced echelon form over Fraction backs
-kernel extraction and the choice of cohomology representatives.
+happens during elimination.  The one place a ``Fraction`` is made is the
+monic residual :meth:`Echelon.add` returns, and only where its lead does
+not divide an entry.
 
 Pivot rule everywhere: rows are processed in the order given and the
 smallest column index of a row becomes its pivot.  This makes every
@@ -16,22 +18,28 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-_ZERO = Fraction(0)
+from .algebra import InexactCoefficient
 
 Row = dict[int, Fraction]
 IntRow = dict[int, int]
 
 
-def _to_integer_row(row: Row) -> IntRow:
+def _integer_row(row: Row | IntRow) -> tuple[IntRow, int]:
+    """The row times the lcm of its denominators, and that lcm.
+
+    The one entry check: every coefficient must be an int or a Fraction.
+    """
     denom = 1
-    for c in row.values():
-        denom = lcm(denom, c.denominator)
-    out = {}
-    for j, c in row.items():
-        v = int(c * denom)
-        if v:
-            out[j] = v
-    return out
+    for v in row.values():
+        if type(v) is not int:
+            if not isinstance(v, (int, Fraction)):
+                raise InexactCoefficient(
+                    f"coefficients must be int or Fraction, not {type(v).__name__}")
+            denom = lcm(denom, v.denominator)
+    if denom == 1:
+        return {j: v.numerator for j, v in row.items() if v}, 1
+    return {j: v.numerator * (denom // v.denominator)
+            for j, v in row.items() if v}, denom
 
 
 def _strip_content(row: IntRow) -> IntRow:
@@ -45,8 +53,26 @@ def _strip_content(row: IntRow) -> IntRow:
     return {j: v // g for j, v in row.items()}
 
 
+def _cancel(r: IntRow, p: IntRow, c: int) -> IntRow:
+    """An integer multiple of ``r`` plus one of ``p`` that is zero at ``c``,
+    content stripped."""
+    a, b = r[c], p[c]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out: IntRow = {}
+    for j in r.keys() | p.keys():
+        v = r.get(j, 0) * b - a * p.get(j, 0)
+        if v:
+            out[j] = v
+    return _strip_content(out)
+
+
 class IntegerEliminator:
-    """Incremental fraction-free forward elimination over the integers."""
+    """Incremental fraction-free forward elimination over the integers.
+
+    Each pivot row is content stripped with a positive lead, and has
+    entries only at its lead column and beyond.
+    """
 
     def __init__(self):
         self.pivots: dict[int, IntRow] = {}
@@ -61,31 +87,26 @@ class IntegerEliminator:
         ``add`` never mutates a stored pivot row, only the dict of pivots,
         so a shallow copy of that dict is enough.
         """
-        out = IntegerEliminator()
+        out = type(self)()
         out.pivots = dict(self.pivots)
         return out
 
+    def _keep(self, r: IntRow, lead: int) -> IntRow:
+        if r[lead] < 0:
+            r = {j: -v for j, v in r.items()}
+        self.pivots[lead] = r = _strip_content(r)
+        return r
+
     def add(self, row: Row | IntRow) -> bool:
         """Reduce a row against the pivots; keep it if independent."""
-        if any(isinstance(v, Fraction) for v in row.values()):
-            r = _to_integer_row(row)  # type: ignore[arg-type]
-        else:
-            r = {j: v for j, v in row.items() if v}
+        r = _integer_row(row)[0]
         while r:
             lead = min(r)
             p = self.pivots.get(lead)
             if p is None:
-                if r[lead] < 0:
-                    r = {j: -v for j, v in r.items()}
-                self.pivots[lead] = _strip_content(r)
+                self._keep(r, lead)
                 return True
-            a, b = r[lead], p[lead]
-            nxt: IntRow = {}
-            for j in r.keys() | p.keys():
-                v = r.get(j, 0) * b - a * p.get(j, 0)
-                if v:
-                    nxt[j] = v
-            r = _strip_content(nxt)
+            r = _cancel(r, p, lead)
         return False
 
 
@@ -97,88 +118,61 @@ def rank(rows) -> int:
     return elim.rank
 
 
-class Echelon:
-    """Incremental reduced echelon form over Fraction.
+class Echelon(IntegerEliminator):
+    """Incremental echelon form that reports each row's normal form.
 
-    Pivot rows are monic at their pivot column and mutually reduced, so
-    reducing a vector against the accumulated rows is a single pass.
+    The pivots are those of :class:`IntegerEliminator`; :meth:`add` also
+    cancels every pivot column beyond the lead.  A vector of the row space
+    that is zero at every pivot column is zero, so the residual left
+    modulo the row space is unique up to scale, and made monic it is the
+    residual a reduced row echelon form over Fraction gives.
     """
 
-    def __init__(self):
-        self.pivots: dict[int, Row] = {}
+    def add(self, row: Row | IntRow) -> Row | None:
+        """Insert a row; returns its monic residual, or None if dependent.
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def reduce(self, row: Row) -> Row:
-        """Residual of a row modulo the accumulated row space."""
-        r = {j: Fraction(v) for j, v in row.items() if v}
-        for c in sorted(set(r) & set(self.pivots)):
-            coeff = r.get(c)
-            if not coeff:
-                continue
-            for j, v in self.pivots[c].items():
-                nv = r.get(j, _ZERO) - coeff * v
-                if nv:
-                    r[j] = nv
-                else:
-                    r.pop(j, None)
-        return r
-
-    def add(self, row: Row) -> Row | None:
-        """Insert a row; returns the normalized residual, or None if dependent."""
-        r = self.reduce(row)
+        The residual is zero at every earlier pivot column and 1 at its
+        lead; an entry is an int where the lead divides it, else a Fraction.
+        """
+        r = _integer_row(row)[0]
+        # a pivot row has no entries before its lead, so cancelling the
+        # columns in ascending order never reopens one already cancelled
+        for c in sorted(self.pivots):
+            if c in r:
+                r = _cancel(r, self.pivots[c], c)
         if not r:
             return None
         lead = min(r)
+        r = self._keep(r, lead)
         inv = r[lead]
-        r = {j: v / inv for j, v in r.items()}
-        for p in self.pivots.values():
-            coeff = p.get(lead)
-            if coeff:
-                for j, v in r.items():
-                    nv = p.get(j, _ZERO) - coeff * v
-                    if nv:
-                        p[j] = nv
-                    else:
-                        p.pop(j, None)
-        self.pivots[lead] = r
-        return dict(r)
-
-    def pivot_columns(self) -> list[int]:
-        return sorted(self.pivots)
+        return {j: v // inv if v % inv == 0 else Fraction(v, inv)
+                for j, v in r.items()}
 
 
-def rref(rows) -> tuple[list[int], list[Row]]:
-    """Reduced row echelon form; returns (pivot columns, pivot rows)."""
-    ech = Echelon()
-    for row in rows:
-        ech.add(row)
-    cols = ech.pivot_columns()
-    return cols, [dict(ech.pivots[c]) for c in cols]
-
-
-def kernel_from_columns(columns: list[Row], ncols: int) -> list[Row]:
+def kernel_from_columns(columns: list[Row], ncols: int) -> list[IntRow]:
     """Kernel basis of the map whose j-th basis image is ``columns[j]``.
 
-    Vectors come back over the column index space, one per free column,
-    in ascending free-column order, with a 1 in the free slot.
+    The columns are eliminated in order, each carrying the combination of
+    columns it has become; a column that cancels to zero gives the kernel
+    vector of its free column f.  Vectors come back over the column index
+    space as integer rows, one per free column in ascending order, each
+    supported on the columns up to f and nonzero at f.
     """
-    rows: dict[int, Row] = {}
-    for j, col in enumerate(columns):
-        for i, c in col.items():
-            rows.setdefault(i, {})[j] = c
-    pivot_cols, pivot_rows = rref(rows[i] for i in sorted(rows))
-    pivot_set = set(pivot_cols)
-    out: list[Row] = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        vec: Row = {f: Fraction(1)}
-        for c, prow in zip(pivot_cols, pivot_rows):
-            v = prow.get(f)
-            if v:
-                vec[c] = -v
-        out.append(vec)
+    # the combination lives on keys offset + j, above every row index
+    offset = 1 + max((i for col in columns for i in col), default=-1)
+    pivots: dict[int, IntRow] = {}
+    out: list[IntRow] = []
+    for j in range(ncols):
+        r, denom = _integer_row(columns[j] if j < len(columns) else {})
+        r[offset + j] = denom
+        while True:
+            lead = min(r)
+            if lead >= offset:
+                out.append({k - offset: v for k, v in r.items()})
+                break
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = r
+                break
+            r = _cancel(r, p, lead)
     return out

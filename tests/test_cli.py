@@ -242,6 +242,10 @@ def test_selftest_contract(capsys):
      "2667d8ccf4485ad73d0fc1aad1f69f82a5499fe8f31fd3283f775b6e8c09750f"),
     ("cohomology --q 6 --representatives --format json",
      "cd79c8fb612864237b158e2c453c8bd0fcea0a6185827ad294a89f065be438f7"),
+    ("cohomology --q 8 --no-framed --representatives --format json",
+     "c3c1a94b252cd12f25e8613ae0e87a9c5700ebb4970c78403d8534aeb9b3c0b2"),
+    ("cohomology --q 8 --representatives --format json",
+     "b9ba325b9e5641774ca126692ea2f6ed4f44c325521a8756cf78ca6170177cd9"),
     ("pontrjagin --q 14 --format json",
      "417a1ac9957c01ff0a71ef08419a458d04c3b35e04dfe3aa76dec0d3e3ba66a2"),
     ("frame --case 2k --k 5 --format json",

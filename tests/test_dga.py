@@ -8,12 +8,13 @@ import pytest
 from secclasses.algebra import Element, GeneratorSet, basis_of_degree
 from secclasses import frames
 from secclasses.dga import (DegreeMismatch, Differential, NotACocycle,
-                            _image_columns, _touched_image, class_nonzero,
+                            _touched_image, class_nonzero,
                             classes_mod_image, cohomology)
 from secclasses.frames import (certify_projective_family, certify_sphere_family,
                                permanence_family, projective_base_model,
                                sphere_base_model)
-from secclasses.linalg import Echelon, kernel_from_columns, rank
+from secclasses.linalg import rank
+from fraction_linalg import Echelon, kernel_from_columns
 from secclasses.weil import weil_complex
 
 
@@ -147,15 +148,24 @@ def test_representatives_are_cocycles_not_coboundaries():
         assert len(s.representatives) == s.dim
 
 
+def _public_image_columns(gens, d, n):
+    """Coordinates of d(m) for the degree-n basis, through ``d(Element)``."""
+    basis_n = basis_of_degree(gens, n)
+    index = {m: i for i, m in enumerate(basis_of_degree(gens, n + 1))}
+    return basis_n, [{index[mm]: c for mm, c in d(Element(gens, {m: 1})).terms.items()}
+                     for m in basis_n]
+
+
 def global_cohomology(gens, d):
-    """Oracle: one elimination over each whole degree slice, no blocks.
+    """Oracle: one elimination over each whole degree slice, no blocks,
+    in reduced echelon form over Fraction.
 
     Returns ``{n: (dim, [str(rep), ...])}`` over every degree.
     """
     out = {}
     prev_image = []
     for n in range(gens.top_degree() + 1):
-        basis_n, cols = _image_columns(gens, d, n)
+        basis_n, cols = _public_image_columns(gens, d, n)
         kernel = kernel_from_columns(cols, len(basis_n))
         stack = Echelon()
         for row in prev_image:

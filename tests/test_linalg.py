@@ -1,10 +1,15 @@
-"""Exact rank, echelon, and kernel routines, cross-checked two ways."""
+"""Exact rank, echelon, and kernel routines, cross-checked against the
+reduced echelon form over Fraction in ``fraction_linalg``."""
 
 import random
 from fractions import Fraction
 
+import pytest
+
+import fraction_linalg as oracle
+from secclasses.algebra import InexactCoefficient
 from secclasses.linalg import (Echelon, IntegerEliminator, kernel_from_columns,
-                               rank, rref)
+                               rank)
 
 
 def F(a, b=1):
@@ -39,7 +44,7 @@ def test_integer_and_fraction_routes_agree():
     rng = random.Random(3)
     for _ in range(50):
         rows = _random_rows(rng, rng.randint(1, 8), rng.randint(1, 8))
-        ech = Echelon()
+        ech = oracle.Echelon()
         for r in rows:
             ech.add(dict(r))
         assert rank(rows) == ech.rank
@@ -61,7 +66,7 @@ def test_rank_invariant_under_permutation():
 
 def test_rref_rows_are_monic_and_reduced():
     rows = [{0: F(2), 1: F(4), 2: F(2)}, {0: F(1), 1: F(3)}, {2: F(5)}]
-    pivots, prows = rref(rows)
+    pivots, prows = oracle.rref(rows)
     assert pivots == sorted(pivots)
     for c, row in zip(pivots, prows):
         assert row[c] == 1
@@ -94,9 +99,68 @@ def test_kernel_vectors_annihilate():
 
 
 def test_echelon_reduce_is_idempotent():
-    ech = Echelon()
+    ech = oracle.Echelon()
     ech.add({0: F(1), 1: F(2)})
     ech.add({1: F(1), 2: F(3)})
     residual = ech.reduce({0: F(2), 1: F(5), 2: F(3)})
     assert ech.reduce(residual) == residual
     assert ech.add({0: F(1), 1: F(2)}) is None
+
+
+def _random_rational_rows(rng, nrows, ncols):
+    """Rows with rational entries, negative leads, zero rows and repeats."""
+    rows = []
+    for _ in range(nrows):
+        pick = rng.random()
+        if pick < 0.1:
+            rows.append({})
+        elif pick < 0.2 and rows:
+            row = rng.choice(rows)
+            scale = F(rng.choice([-3, -1, 2]), rng.randint(1, 3))
+            rows.append({j: scale * v for j, v in row.items()})
+        else:
+            row = {j: F(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 4))
+                   for j in range(ncols) if rng.random() < 0.45}
+            rows.append(row)
+    return rows
+
+
+def test_echelon_residuals_equal_the_fraction_oracle():
+    rng = random.Random(11)
+    for _ in range(300):
+        rows = _random_rational_rows(rng, rng.randint(1, 10), rng.randint(1, 8))
+        ech, ref = Echelon(), oracle.Echelon()
+        for row in rows:
+            got, want = ech.add(dict(row)), ref.add(dict(row))
+            assert got == want
+            if got is not None:
+                assert all(type(v) is int or v.denominator != 1
+                           for v in got.values())
+        assert ech.rank == ref.rank
+
+
+def test_integer_kernel_spans_the_oracle_kernel():
+    rng = random.Random(13)
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        columns = _random_rational_rows(rng, ncols, nrows)
+        got = kernel_from_columns(columns, ncols)
+        want = oracle.kernel_from_columns(columns, ncols)
+        assert len(got) == len(want) == ncols - rank(columns)
+        for g, w in zip(got, want):
+            # same free column, and the same span up to each free column
+            assert max(g) == max(w)
+            assert all(type(v) is int for v in g.values())
+        for k in range(1, len(got) + 1):
+            assert rank(got[:k] + want[:k]) == k
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: Echelon().add({0: 0.1, 1: 1}), id="echelon-add"),
+    pytest.param(lambda: IntegerEliminator().add({0: F(1), 1: 2.0}), id="integer-add"),
+    pytest.param(lambda: kernel_from_columns([{0: 0.5}, {0: 1}], 2), id="kernel"),
+    pytest.param(lambda: rank([{0: 0.5}]), id="rank"),
+])
+def test_inexact_entries_rejected(call):
+    with pytest.raises(InexactCoefficient):
+        call()
