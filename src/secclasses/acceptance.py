@@ -121,12 +121,12 @@ def criterion_vey_oracle() -> tuple[bool, str]:
     """Per-degree Vey counts equal brute-force cohomology dims, q = 1..7.
 
     Two independent routes: the index predicate enumeration versus exact
-    linear algebra on every degree slice.  Budget: 120 s.
+    ranks of d on every degree slice (no representatives).  Budget: 120 s.
     """
     start = time.perf_counter()
     for q in range(1, 8):
         gens, d = weil_complex(q)
-        report = cohomology(gens, d)
+        report = cohomology(gens, d, representatives=False)
         counts = vey_counts_by_degree(q)
         if report.by_degree[0].dim != 1:
             return False, f"H^0(W_{q}) != Q"

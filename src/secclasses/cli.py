@@ -3,7 +3,9 @@
 Every command emits a deterministic report in one of three formats:
 a plain table (default), a schema-versioned JSON envelope, or flat CSV.
 Exit codes: 0 success, 2 usage error, 3 dimension budget exceeded,
-4 internal invariant violation (including selftest failures).
+4 invariant violation (one of the package's own exceptions, such as
+``NotACocycle``, or a selftest failure).  Any other exception is a bug
+and propagates with its traceback.
 
 No color is ever emitted, so NO_COLOR is honored trivially; no network
 access and no environment variables are required.
@@ -15,12 +17,13 @@ import argparse
 import sys
 
 from . import acceptance
-from .dga import cohomology
-from .frames import certify_projective_family, certify_sphere_family, \
-    projective_base_model, sphere_base_model
+from .algebra import GeneratorMismatch, InexactCoefficient
+from .dga import DegreeMismatch, NotACocycle, cohomology
+from .frames import IndexOutOfRange, certify_projective_family, \
+    certify_sphere_family, projective_base_model, sphere_base_model
 from .models import independence_certificate
 from .reporting import FORMATS, envelope, rat, render
-from .weil import spherical_rigid_classes, vey_basis, weil_complex
+from .weil import OddCodimension, spherical_rigid_classes, vey_basis, weil_complex
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -29,15 +32,19 @@ EXIT_INTERNAL = 4
 
 DEFAULT_MAX_DIM = 10 ** 6
 
+# the package's own exceptions: an input or an invariant was violated
+INVARIANT_VIOLATIONS = (DegreeMismatch, GeneratorMismatch, IndexOutOfRange,
+                        InexactCoefficient, NotACocycle, OddCodimension)
+
 
 class BudgetExceeded(RuntimeError):
     pass
 
 
-def _check_budget(dimension: int, max_dim: int, what: str):
+def _check_budget(dimension: int, max_dim: int, what: str, unit: str = "monomials"):
     if dimension > max_dim:
         raise BudgetExceeded(
-            f"{what} has {dimension} monomials, over the budget of {max_dim}; "
+            f"{what} has {dimension} {unit}, over the budget of {max_dim}; "
             f"raise --max-dim to proceed")
 
 
@@ -72,7 +79,9 @@ def cmd_cohomology(args) -> str:
     gens, d = weil_complex(args.q, framed=args.framed)
     _check_budget(gens.dimension(), args.max_dim,
                   f"the codimension-{args.q} complex")
-    report = cohomology(gens, d, args.max_degree)
+    max_degree = gens.top_degree() if args.max_degree is None else args.max_degree
+    _check_budget(max_degree + 1, args.max_dim, "the report", "rows")
+    report = cohomology(gens, d, max_degree, args.representatives)
     rows = []
     for n in range(report.max_degree + 1):
         s = report.by_degree[n]
@@ -250,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--representatives", action="store_true")
     p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
-                   help="largest admissible total monomial count")
+                   help="largest admissible total monomial count, and "
+                        "number of report rows (max degree + 1)")
     add_format(p)
 
     p = sub.add_parser("pontrjagin", help="independence certificate")
@@ -312,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BUDGET
-    except Exception as exc:  # internal invariant violation
+    except INVARIANT_VIOLATIONS as exc:
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
     return EXIT_OK

@@ -5,16 +5,21 @@ rule; ``d(d(g)) = 0`` is checked on every generator at construction.  Degree
 slices are finite thanks to truncation, so cohomology reduces to exact
 rank computations degree by degree.
 
-Within a degree the matrices of d are direct sums of small blocks: over
-all degrees of W_6, 1920 monomials fall into 1381 blocks of at most 6
-monomials.  Cohomology finds the blocks from the matrices themselves and
-eliminates each on its own, on Python ints from the differential to the
-last pivot: every coefficient of d on the Weil and frame models is an
-integer, the elimination is fraction-free, and a ``Fraction`` is made
-only where a kept representative needs one.  A representative is the
-residual of a kernel vector modulo the image and the earlier kernel
-vectors, made monic at its lead; it depends only on those spans, so it is
-the same as that of one reduced elimination over the whole degree.
+Cohomology dimensions come from ranks,
+``dim H^n = chain_dim_n - rank d_n - rank d_{n-1}``, computed on Python
+ints from the differential to the last pivot: every coefficient of d on
+the Weil and frame models is an integer, and the elimination is
+fraction-free.  Without representatives, rank d_n is one elimination of
+the degree's columns.  Representatives are searched only when asked
+for; the matrices of d are then split into their blocks
+(over all degrees of W_6, 1920 monomials fall into 1381 blocks of at most
+6 monomials), and each block gives its kernel, and so its share of the
+rank.  A representative is the residual of a kernel vector modulo the
+image and the earlier kernel vectors, made monic at its lead, with a
+``Fraction`` only where it needs one; it depends only on those spans, so
+it is the same as that of one reduced elimination over the whole degree.
+Their number must equal the rank formula's dimension, a cross-check of
+the two routes.
 
 Coboundary tests (:func:`classes_mod_image`, behind :func:`class_nonzero`
 and the frame certificates) never build a whole degree either.  A closure
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Element, GeneratorSet, Mono, basis_of_degree, merge_exterior
-from .linalg import Echelon, IntegerEliminator, kernel_from_columns
+from .linalg import Echelon, IntegerEliminator, kernel_from_columns, rank
 
 
 class DegreeMismatch(ValueError):
@@ -206,9 +211,14 @@ class Differential:
 
 @dataclass(frozen=True)
 class DegreeSlice:
+    """One degree of a cohomology report.
+
+    ``representatives`` is None when the report was computed without them,
+    so that reading it then fails loudly rather than reading as no classes.
+    """
     chain_dim: int
     dim: int
-    representatives: tuple[Element, ...]
+    representatives: tuple[Element, ...] | None
 
 
 @dataclass(frozen=True)
@@ -269,59 +279,87 @@ def _blocks(n_cols: int, cols, prev_image) -> list[list[int]]:
     return list(blocks.values())
 
 
-def cohomology(gens: GeneratorSet, d: Differential,
-               max_degree: int | None = None) -> CohomologyReport:
-    """Exact cohomology dimensions and representatives up to ``max_degree``.
+def _representatives(gens: GeneratorSet, basis_n, cols, prev_image):
+    """The rank of d_n and the degree-n representatives, block by block.
 
-    ``max_degree`` defaults to the top degree of the finite complex.
-    Representatives are reduced-echelon kernel vectors not in the image,
-    chosen with a deterministic pivot rule, so output is reproducible.
-
-    Each degree is eliminated block by block (see :func:`_blocks`), with
-    local indices kept in ascending global order.  The i-th kernel vector
-    of a block spans, with the earlier ones, the kernel vectors supported
-    up to its free column, and its monic residual modulo the image and
-    those vectors depends only on these spans.  The matrices are block
-    diagonal, so every representative is exactly the one a single reduced
-    elimination over the whole degree would give; representatives come out
-    sorted by their free column, the largest index of their kernel vector,
-    as that elimination emits them.  A block whose kernel dimension equals
-    its image rank carries no class and gets no representative search.
+    The rank is read off the block kernels (columns minus kernel vectors),
+    so the columns are eliminated once.  The i-th kernel vector of a block
+    spans, with the earlier ones, the kernel vectors supported up to its
+    free column, and its monic residual modulo the image and those vectors
+    depends only on these spans.  The matrices are block diagonal, so every
+    representative is exactly the one a single reduced elimination over the
+    whole degree would give; they come out sorted by their free column, the
+    largest index of their kernel vector, as that elimination emits them.
+    A block whose kernel dimension equals its image rank carries no class
+    and gets no representative search.
     """
+    blocks = _blocks(len(basis_n), cols, prev_image)
+    where = {j: (b, local) for b, block in enumerate(blocks)
+             for local, j in enumerate(block)}
+    images: list[list[dict]] = [[] for _ in blocks]
+    for vec in prev_image:
+        images[where[next(iter(vec))][0]].append(
+            {where[j][1]: c for j, c in vec.items()})
+    rank_n = len(basis_n)
+    reps = []
+    for block, image in zip(blocks, images):
+        kernel = kernel_from_columns([cols[j] for j in block], len(block))
+        rank_n -= len(kernel)
+        stack = Echelon()
+        for row in image:
+            stack.add(row)
+        if len(kernel) == stack.rank:
+            continue
+        for vec in kernel:
+            residual = stack.add(vec)
+            if residual is not None:  # keyed by its free column
+                reps.append((block[max(vec)], Element(
+                    gens, {basis_n[block[j]]: c for j, c in residual.items()})))
+    reps.sort(key=lambda r: r[0])
+    return rank_n, tuple(r for _, r in reps)
+
+
+def cohomology(gens: GeneratorSet, d: Differential, max_degree: int | None = None,
+               representatives: bool = True) -> CohomologyReport:
+    """Exact cohomology dimensions up to ``max_degree``, and representatives
+    when ``representatives`` is true (else every slice's are None).
+
+    ``max_degree`` defaults to the top degree of the finite complex; the
+    degrees above the top one are empty and are not enumerated.  Each
+    dimension is ``chain_dim - rank d_n - rank d_{n-1}``.  Without
+    representatives, rank d_n comes from one fraction-free elimination of
+    the degree's columns; the matrices are block diagonal and elimination
+    never mixes blocks, so that costs what a per-block one would.  With
+    them, rank d_n comes from the block kernels of :func:`_representatives`,
+    whose reduced-echelon residuals are chosen with a deterministic pivot
+    rule, so output is reproducible; their number must equal the dimension,
+    which cross-checks the residual route against the rank route.
+    """
+    top = gens.top_degree()
     if max_degree is None:
-        max_degree = gens.top_degree()
+        max_degree = top
         if max_degree is None:
             raise ValueError("complex is infinite; pass an explicit max_degree")
+    last = max_degree if top is None else min(max_degree, top)
     by_degree: dict[int, DegreeSlice] = {}
+    prev_rank = 0
     prev_image: list[dict] = []
-    for n in range(max_degree + 1):
+    for n in range(last + 1):
         basis_n, cols = _image_columns(gens, d, n)
-        blocks = _blocks(len(basis_n), cols, prev_image)
-        where = {j: (b, local) for b, block in enumerate(blocks)
-                 for local, j in enumerate(block)}
-        images: list[list[dict]] = [[] for _ in blocks]
-        for vec in prev_image:
-            images[where[next(iter(vec))][0]].append(
-                {where[j][1]: c for j, c in vec.items()})
-        dim = 0
-        reps = []
-        for block, image in zip(blocks, images):
-            kernel = kernel_from_columns([cols[j] for j in block], len(block))
-            stack = Echelon()
-            for row in image:
-                stack.add(row)
-            classes = len(kernel) - stack.rank
-            if not classes:
-                continue
-            dim += classes
-            for vec in kernel:
-                residual = stack.add(vec)
-                if residual is not None:  # keyed by its free column
-                    reps.append((block[max(vec)], Element(
-                        gens, {basis_n[block[j]]: c for j, c in residual.items()})))
-        reps.sort(key=lambda r: r[0])
-        by_degree[n] = DegreeSlice(len(basis_n), dim, tuple(r for _, r in reps))
-        prev_image = [c for c in cols if c]
+        reps = None
+        if representatives:
+            rank_n, reps = _representatives(gens, basis_n, cols, prev_image)
+            prev_image = [c for c in cols if c]
+        else:
+            rank_n = rank(c for c in cols if c)
+        dim = len(basis_n) - rank_n - prev_rank
+        if reps is not None and len(reps) != dim:
+            raise RuntimeError(
+                f"degree {n}: {len(reps)} representatives but rank gives dim {dim}")
+        by_degree[n] = DegreeSlice(len(basis_n), dim, reps)
+        prev_rank = rank_n
+    by_degree |= dict.fromkeys(range(last + 1, max_degree + 1),
+                               DegreeSlice(0, 0, () if representatives else None))
     return CohomologyReport(max_degree, by_degree)
 
 

@@ -4,13 +4,15 @@ import csv
 import hashlib
 import io
 import json
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from secclasses import acceptance
+from secclasses import acceptance, cli
 from secclasses.cli import main
+from secclasses.dga import NotACocycle
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schemas" / "report.v1.json")
@@ -79,6 +81,45 @@ def test_cohomology_negative_max_degree_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["cohomology", "--q", "2", "--max-degree", "-3"])
     assert exc.value.code == 2
+
+
+def test_cohomology_huge_max_degree_exit_3(capsys):
+    # the report's rows count against --max-dim before any degree is built;
+    # the small cases come first, so a missing guard fails before the
+    # huge report would be built
+    code, _, err = run(capsys, "cohomology", "--q", "1", "--max-degree", "9",
+                       "--max-dim", "9")
+    assert code == 3 and "10 rows" in err
+    code, _, _ = run(capsys, "cohomology", "--q", "1", "--max-degree", "8",
+                     "--max-dim", "9")
+    assert code == 0
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cohomology", "--q", "1",
+                         "--max-degree", "100000000")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert "100000001 rows" in err and "budget" in err
+
+
+def test_package_exceptions_exit_4(capsys, monkeypatch):
+    def raise_not_a_cocycle(args):
+        raise NotACocycle("d(x) != 0")
+
+    monkeypatch.setattr(cli, "cmd_vey", raise_not_a_cocycle)
+    code, out, err = run(capsys, "vey", "--q", "1")
+    assert code == 4
+    assert out == ""
+    assert "NotACocycle" in err
+
+
+def test_other_exceptions_propagate_as_bugs(monkeypatch):
+    def raise_key_error(args):
+        raise KeyError("a bug")
+
+    monkeypatch.setattr(cli, "cmd_vey", raise_key_error)
+    with pytest.raises(KeyError, match="a bug"):
+        main(["vey", "--q", "1"])
 
 
 def test_vey_negative_max_degree_exit_2():
@@ -236,16 +277,24 @@ def test_selftest_contract(capsys):
 @pytest.mark.parametrize("argv, digest", [
     ("vey --q 9 --format csv",
      "4e8514a3cf455d10398f979f6719c074f945883e74fdd1121eef552557775fdf"),
+    ("cohomology --q 2 --max-degree 100 --format csv",
+     "b7f82961d5dfd2f651c71fb54c86dde09f8c1a42e1b65faf51636d82e42f3362"),
     ("cohomology --q 5 --representatives --format json",
      "910a60f2257e313e7ae5ba38afac94bf8a2ab3809386cc3cc9747b717f03de1a"),
     ("cohomology --q 6 --no-framed --representatives --format json",
      "2667d8ccf4485ad73d0fc1aad1f69f82a5499fe8f31fd3283f775b6e8c09750f"),
+    ("cohomology --q 6 --max-degree 20",
+     "ec50ca2187fe93672f5b17388b056c483a18dbc940c387637759632a58f76af6"),
     ("cohomology --q 6 --representatives --format json",
      "cd79c8fb612864237b158e2c453c8bd0fcea0a6185827ad294a89f065be438f7"),
+    ("cohomology --q 7 --no-framed --format csv",
+     "1e80981d2455735fdc593f9b9e646acb2b59eef1746319dbe6f786e377096932"),
     ("cohomology --q 8 --no-framed --representatives --format json",
      "c3c1a94b252cd12f25e8613ae0e87a9c5700ebb4970c78403d8534aeb9b3c0b2"),
     ("cohomology --q 8 --representatives --format json",
      "b9ba325b9e5641774ca126692ea2f6ed4f44c325521a8756cf78ca6170177cd9"),
+    ("cohomology --q 9 --format json",
+     "8da722c93932f13afeb3269571c5b57bac41f4e7389327fcf9b00f8eb12ef3f9"),
     ("pontrjagin --q 14 --format json",
      "417a1ac9957c01ff0a71ef08419a458d04c3b35e04dfe3aa76dec0d3e3ba66a2"),
     ("frame --case 2k --k 5 --format json",

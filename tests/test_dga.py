@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from secclasses.algebra import Element, GeneratorSet, basis_of_degree
-from secclasses import frames
+from secclasses import dga, frames, linalg
 from secclasses.dga import (DegreeMismatch, Differential, NotACocycle,
                             _touched_image, class_nonzero,
                             classes_mod_image, cohomology)
@@ -192,20 +192,81 @@ def _frame(build):
     return model.gens, model.d
 
 
-@pytest.mark.parametrize("complex_", [
+BLOCK_CASES = [
     *[pytest.param(lambda q=q, f=f: weil_complex(q, framed=f),
                    id=f"W{q}-{'framed' if f else 'unframed'}")
       for q in range(1, 6) for f in (True, False)],
     pytest.param(_transgression_model, id="transgression"),
     pytest.param(lambda: _frame(projective_base_model), id="projective-k2"),
     pytest.param(lambda: _frame(sphere_base_model), id="sphere-k2"),
-])
+]
+
+
+@pytest.mark.parametrize("complex_", BLOCK_CASES)
 def test_block_cohomology_matches_global_elimination(complex_):
     gens, d = complex_()
     report = cohomology(gens, d)
     got = {n: (s.dim, [str(r) for r in s.representatives])
            for n, s in report.by_degree.items()}
     assert got == global_cohomology(gens, d)
+
+
+@pytest.mark.parametrize("complex_", BLOCK_CASES)
+def test_rank_route_matches_representative_route_and_oracle(complex_):
+    gens, d = complex_()
+    ranks = cohomology(gens, d, representatives=False).by_degree
+    reps = cohomology(gens, d).by_degree
+    oracle = global_cohomology(gens, d)
+    assert ranks.keys() == reps.keys() == oracle.keys()
+    for n, s in ranks.items():
+        assert (s.chain_dim, s.dim) == (reps[n].chain_dim, reps[n].dim)
+        assert (s.chain_dim, s.dim) == (len(basis_of_degree(gens, n)), oracle[n][0])
+        assert s.representatives is None
+
+
+def test_degrees_above_the_top_are_not_enumerated(monkeypatch):
+    gens, d = weil_complex(2)
+    top = gens.top_degree()
+    full = cohomology(gens, d).by_degree
+    seen = []
+
+    def recording(g, n):
+        seen.append(n)
+        return basis_of_degree(g, n)
+
+    monkeypatch.setattr(dga, "basis_of_degree", recording)
+    for representatives, empty in ((True, ()), (False, None)):
+        seen.clear()
+        report = cohomology(gens, d, top + 50, representatives)
+        assert max(seen) == top + 1  # the target basis of d_top
+        assert report.max_degree == top + 50
+        assert list(report.by_degree) == list(range(top + 51))
+        for n, s in report.by_degree.items():
+            if n > top:
+                assert (s.chain_dim, s.dim, s.representatives) == (0, 0, empty)
+            else:
+                assert (s.chain_dim, s.dim) == (full[n].chain_dim, full[n].dim)
+
+
+def test_a_dropped_residual_fails_the_rank_cross_check(monkeypatch):
+    # the first residual returned in any complex is the unit class in
+    # degree 0, where no image rows come first
+    gens, d = weil_complex(3)
+    original = linalg.Echelon.add
+    dropped = []
+
+    def drop_one(self, row):
+        residual = original(self, row)
+        if residual is not None and not dropped:
+            dropped.append(residual)
+            return None
+        return residual
+
+    monkeypatch.setattr(linalg.Echelon, "add", drop_one)
+    with pytest.raises(RuntimeError, match="representatives but rank gives dim"):
+        cohomology(gens, d)
+    assert dropped
+    cohomology(gens, d, representatives=False)  # the rank route uses no Echelon
 
 
 def _poly_differential_model():
