@@ -9,17 +9,13 @@ Cohomology dimensions come from ranks,
 ``dim H^n = chain_dim_n - rank d_n - rank d_{n-1}``, computed on Python
 ints from the differential to the last pivot: every coefficient of d on
 the Weil and frame models is an integer, and the elimination is
-fraction-free.  Without representatives, rank d_n is one elimination of
-the degree's columns.  Representatives are searched only when asked
-for; the matrices of d are then split into their blocks
-(over all degrees of W_6, 1920 monomials fall into 1381 blocks of at most
-6 monomials), and each block gives its kernel, and so its share of the
-rank.  A representative is the residual of a kernel vector modulo the
-image and the earlier kernel vectors, made monic at its lead, with a
-``Fraction`` only where it needs one; it depends only on those spans, so
-it is the same as that of one reduced elimination over the whole degree.
-Their number must equal the rank formula's dimension, a cross-check of
-the two routes.
+fraction-free.  Rank d_n is one elimination of the degree's columns.
+Representatives are searched only when asked for, and only in degrees
+with classes, by a second elimination over the whole degree: a
+representative is the residual of a kernel vector modulo the image and
+the earlier kernel vectors, made monic at its lead, with a ``Fraction``
+only where it needs one.  Their number must equal the rank formula's
+dimension, a cross-check of the two eliminations.
 
 Coboundary tests (:func:`classes_mod_image`, behind :func:`class_nonzero`
 and the frame certificates) never build a whole degree either.  A closure
@@ -36,6 +32,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,10 +101,8 @@ class Differential:
                 key = b_ext[0] if b_ext else n_ext + next(
                     j for j, e in enumerate(b_exps) if e)
                 self._terms_by_variable.setdefault(key, []).append((g, term))
-        for name, img in zip([n for n, _ in gens.exterior], self.ext_images):
-            if not self(img).is_zero():
-                raise ValueError(f"d(d(g)) != 0 on generator {name}")
-        for name, img in zip([n for n, _, _ in gens.poly], self.poly_images):
+        names = [n for n, _ in gens.exterior] + [n for n, _, _ in gens.poly]
+        for name, img in zip(names, self.ext_images + self.poly_images):
             if not self(img).is_zero():
                 raise ValueError(f"d(d(g)) != 0 on generator {name}")
 
@@ -204,10 +199,6 @@ class Differential:
                 out.add((r_ext, r_exps[:j] + (e,) + r_exps[j + 1:]))
         return out
 
-    def is_square_zero(self) -> bool:
-        """True iff d(d(g)) = 0 for every generator (always, post-construction)."""
-        return all(self(img).is_zero() for img in self.ext_images + self.poly_images)
-
 
 @dataclass(frozen=True)
 class DegreeSlice:
@@ -221,17 +212,38 @@ class DegreeSlice:
     representatives: tuple[Element, ...] | None
 
 
+@dataclass(frozen=True, eq=False)
+class _Slices(Mapping):
+    """Degrees 0..max_degree, read only: the ``computed`` slices, then
+    ``empty`` for every degree above them, answered without being stored."""
+    computed: dict[int, DegreeSlice]
+    max_degree: int
+    empty: DegreeSlice
+
+    def __getitem__(self, n: int) -> DegreeSlice:
+        if type(n) is int and len(self.computed) <= n <= self.max_degree:
+            return self.empty
+        return self.computed[n]
+
+    def __iter__(self):
+        return iter(range(self.max_degree + 1))
+
+    def __len__(self) -> int:
+        return self.max_degree + 1
+
+
 @dataclass(frozen=True)
 class CohomologyReport:
     max_degree: int
-    by_degree: dict[int, DegreeSlice]
+    by_degree: _Slices
 
     def dims(self) -> dict[int, int]:
-        return {n: s.dim for n, s in self.by_degree.items() if s.dim}
+        return {n: s.dim for n, s in self.by_degree.computed.items() if s.dim}
 
     def euler_characteristics(self) -> tuple[int, int]:
-        chain = sum((-1) ** n * s.chain_dim for n, s in self.by_degree.items())
-        cohom = sum((-1) ** n * s.dim for n, s in self.by_degree.items())
+        computed = self.by_degree.computed.items()
+        chain = sum((-1) ** n * s.chain_dim for n, s in computed)
+        cohom = sum((-1) ** n * s.dim for n, s in computed)
         return chain, cohom
 
 
@@ -244,79 +256,20 @@ def _image_columns(gens: GeneratorSet, d: Differential, n: int):
     return basis_n, cols
 
 
-def _blocks(n_cols: int, cols, prev_image) -> list[list[int]]:
-    """Connected components of the degree-n basis, each in ascending order.
-
-    Two basis indices are joined when they share a target of d_n (both
-    ``cols`` entries hit one row) or both appear in one image vector of
-    d_{n-1}.  The complex is the direct sum of these blocks in degree n.
-    """
-    parent = list(range(n_cols))
-
-    def find(j: int) -> int:
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        return j
-
-    def join(a: int, b: int):
-        a, b = find(a), find(b)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-
-    owner: dict[int, int] = {}
-    for j, col in enumerate(cols):
-        for i in col:
-            if owner.setdefault(i, j) != j:
-                join(owner[i], j)
-    for vec in prev_image:
-        first, *rest = vec
-        for j in rest:
-            join(first, j)
-    blocks: dict[int, list[int]] = {}
-    for j in range(n_cols):
-        blocks.setdefault(find(j), []).append(j)
-    return list(blocks.values())
-
-
 def _representatives(gens: GeneratorSet, basis_n, cols, prev_image):
-    """The rank of d_n and the degree-n representatives, block by block.
-
-    The rank is read off the block kernels (columns minus kernel vectors),
-    so the columns are eliminated once.  The i-th kernel vector of a block
-    spans, with the earlier ones, the kernel vectors supported up to its
-    free column, and its monic residual modulo the image and those vectors
-    depends only on these spans.  The matrices are block diagonal, so every
-    representative is exactly the one a single reduced elimination over the
-    whole degree would give; they come out sorted by their free column, the
-    largest index of their kernel vector, as that elimination emits them.
-    A block whose kernel dimension equals its image rank carries no class
-    and gets no representative search.
-    """
-    blocks = _blocks(len(basis_n), cols, prev_image)
-    where = {j: (b, local) for b, block in enumerate(blocks)
-             for local, j in enumerate(block)}
-    images: list[list[dict]] = [[] for _ in blocks]
-    for vec in prev_image:
-        images[where[next(iter(vec))][0]].append(
-            {where[j][1]: c for j, c in vec.items()})
-    rank_n = len(basis_n)
+    """The degree-n representatives, from one elimination over the degree:
+    the nonzero monic residuals of the kernel vectors, in the order of
+    their free columns, each modulo the image of d_{n-1} (``prev_image``)
+    and the earlier kernel vectors."""
+    stack = Echelon()
+    for row in prev_image:
+        stack.add(row)
     reps = []
-    for block, image in zip(blocks, images):
-        kernel = kernel_from_columns([cols[j] for j in block], len(block))
-        rank_n -= len(kernel)
-        stack = Echelon()
-        for row in image:
-            stack.add(row)
-        if len(kernel) == stack.rank:
-            continue
-        for vec in kernel:
-            residual = stack.add(vec)
-            if residual is not None:  # keyed by its free column
-                reps.append((block[max(vec)], Element(
-                    gens, {basis_n[block[j]]: c for j, c in residual.items()})))
-    reps.sort(key=lambda r: r[0])
-    return rank_n, tuple(r for _, r in reps)
+    for vec in kernel_from_columns(cols, len(cols)):
+        residual = stack.add(vec)
+        if residual is not None:
+            reps.append(Element(gens, {basis_n[j]: c for j, c in residual.items()}))
+    return tuple(reps)
 
 
 def cohomology(gens: GeneratorSet, d: Differential, max_degree: int | None = None,
@@ -325,15 +278,13 @@ def cohomology(gens: GeneratorSet, d: Differential, max_degree: int | None = Non
     when ``representatives`` is true (else every slice's are None).
 
     ``max_degree`` defaults to the top degree of the finite complex; the
-    degrees above the top one are empty and are not enumerated.  Each
-    dimension is ``chain_dim - rank d_n - rank d_{n-1}``.  Without
-    representatives, rank d_n comes from one fraction-free elimination of
-    the degree's columns; the matrices are block diagonal and elimination
-    never mixes blocks, so that costs what a per-block one would.  With
-    them, rank d_n comes from the block kernels of :func:`_representatives`,
-    whose reduced-echelon residuals are chosen with a deterministic pivot
-    rule, so output is reproducible; their number must equal the dimension,
-    which cross-checks the residual route against the rank route.
+    degrees above the top one are empty and are neither enumerated nor
+    stored.  Each dimension is ``chain_dim - rank d_n - rank d_{n-1}``,
+    rank d_n from one fraction-free elimination of the degree's columns.
+    The residuals of :func:`_representatives`, in the degrees with
+    classes, follow a deterministic pivot rule, so output is reproducible;
+    their number must equal the dimension, a cross-check of the two
+    eliminations.
     """
     top = gens.top_degree()
     if max_degree is None:
@@ -341,26 +292,25 @@ def cohomology(gens: GeneratorSet, d: Differential, max_degree: int | None = Non
         if max_degree is None:
             raise ValueError("complex is infinite; pass an explicit max_degree")
     last = max_degree if top is None else min(max_degree, top)
-    by_degree: dict[int, DegreeSlice] = {}
+    computed: dict[int, DegreeSlice] = {}
     prev_rank = 0
     prev_image: list[dict] = []
     for n in range(last + 1):
         basis_n, cols = _image_columns(gens, d, n)
+        image = [c for c in cols if c]
+        rank_n = rank(image)
+        dim = len(basis_n) - rank_n - prev_rank
         reps = None
         if representatives:
-            rank_n, reps = _representatives(gens, basis_n, cols, prev_image)
-            prev_image = [c for c in cols if c]
-        else:
-            rank_n = rank(c for c in cols if c)
-        dim = len(basis_n) - rank_n - prev_rank
-        if reps is not None and len(reps) != dim:
-            raise RuntimeError(
-                f"degree {n}: {len(reps)} representatives but rank gives dim {dim}")
-        by_degree[n] = DegreeSlice(len(basis_n), dim, reps)
+            reps = _representatives(gens, basis_n, cols, prev_image) if dim else ()
+            if len(reps) != dim:
+                raise RuntimeError(
+                    f"degree {n}: {len(reps)} representatives but rank gives dim {dim}")
+            prev_image = image
+        computed[n] = DegreeSlice(len(basis_n), dim, reps)
         prev_rank = rank_n
-    by_degree |= dict.fromkeys(range(last + 1, max_degree + 1),
-                               DegreeSlice(0, 0, () if representatives else None))
-    return CohomologyReport(max_degree, by_degree)
+    empty = DegreeSlice(0, 0, () if representatives else None)
+    return CohomologyReport(max_degree, _Slices(computed, max_degree, empty))
 
 
 def _touched_image(d: Differential, support) -> list[dict[Mono, int | Fraction]]:

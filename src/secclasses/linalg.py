@@ -136,10 +136,13 @@ class Echelon(IntegerEliminator):
         """
         r = _integer_row(row)[0]
         # a pivot row has no entries before its lead, so cancelling the
-        # columns in ascending order never reopens one already cancelled
-        for c in sorted(self.pivots):
-            if c in r:
-                r = _cancel(r, self.pivots[c], c)
+        # pivot columns the row has in ascending order never reopens one
+        # already cancelled; pivots the row lacks are never visited
+        pivots = self.pivots
+        c = min((j for j in r if j in pivots), default=None)
+        while c is not None:
+            r = _cancel(r, pivots[c], c)
+            c = min((j for j in r if j > c and j in pivots), default=None)
         if not r:
             return None
         lead = min(r)

@@ -279,6 +279,8 @@ def test_selftest_contract(capsys):
      "4e8514a3cf455d10398f979f6719c074f945883e74fdd1121eef552557775fdf"),
     ("cohomology --q 2 --max-degree 100 --format csv",
      "b7f82961d5dfd2f651c71fb54c86dde09f8c1a42e1b65faf51636d82e42f3362"),
+    ("cohomology --q 3 --max-degree 30 --representatives --format csv",
+     "5e3a9c344c4a45509268ff50447eb4c6f329a30ea26bc54a29305d51ebdc54ce"),
     ("cohomology --q 5 --representatives --format json",
      "910a60f2257e313e7ae5ba38afac94bf8a2ab3809386cc3cc9747b717f03de1a"),
     ("cohomology --q 6 --no-framed --representatives --format json",

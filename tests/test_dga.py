@@ -1,6 +1,7 @@
 """Differential contracts, Leibniz behavior, and exact cohomology."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -196,7 +197,9 @@ BLOCK_CASES = [
     *[pytest.param(lambda q=q, f=f: weil_complex(q, framed=f),
                    id=f"W{q}-{'framed' if f else 'unframed'}")
       for q in range(1, 6) for f in (True, False)],
+    pytest.param(lambda: weil_complex(6), id="W6-framed"),
     pytest.param(_transgression_model, id="transgression"),
+    pytest.param(lambda: _koszul_model(), id="koszul"),  # defined below
     pytest.param(lambda: _frame(projective_base_model), id="projective-k2"),
     pytest.param(lambda: _frame(sphere_base_model), id="sphere-k2"),
 ]
@@ -246,6 +249,16 @@ def test_degrees_above_the_top_are_not_enumerated(monkeypatch):
                 assert (s.chain_dim, s.dim, s.representatives) == (0, 0, empty)
             else:
                 assert (s.chain_dim, s.dim) == (full[n].chain_dim, full[n].dim)
+
+
+def test_a_huge_max_degree_stores_only_the_computed_degrees():
+    gens, d = weil_complex(1)
+    start = time.perf_counter()
+    report = cohomology(gens, d, 10**9)
+    assert time.perf_counter() - start < 1
+    assert report.by_degree[10**9] == dga.DegreeSlice(0, 0, ())
+    assert report.dims() == cohomology(gens, d).dims()
+    assert report.euler_characteristics() == cohomology(gens, d).euler_characteristics()
 
 
 def test_a_dropped_residual_fails_the_rank_cross_check(monkeypatch):

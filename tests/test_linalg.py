@@ -139,6 +139,25 @@ def test_echelon_residuals_equal_the_fraction_oracle():
         assert ech.rank == ref.rank
 
 
+def test_echelon_on_large_sparse_rows_equals_the_fraction_oracle():
+    # about 30 blocks of up to 6 columns, interleaved over 200 columns, rows
+    # added in shuffled order: most stored pivots are absent from each row
+    rng = random.Random(23)
+    for _ in range(5):
+        free = rng.sample(range(200), 200)
+        rows = []
+        for _ in range(30):
+            size = rng.randint(1, 6)
+            block, free = free[:size], free[size:]
+            for row in _random_rational_rows(rng, rng.randint(1, 8), size):
+                rows.append({block[j]: v for j, v in row.items()})
+        rng.shuffle(rows)
+        ech, ref = Echelon(), oracle.Echelon()
+        for row in rows:
+            assert ech.add(dict(row)) == ref.add(dict(row))
+        assert ech.rank == ref.rank
+
+
 def test_integer_kernel_spans_the_oracle_kernel():
     rng = random.Random(13)
     for _ in range(300):
