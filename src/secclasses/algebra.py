@@ -311,19 +311,27 @@ def _poly_parts_by_degree(gens: GeneratorSet, budget: int) -> dict[int, list[tup
     return out
 
 
+def poly_parts(gens: GeneratorSet, n: int) -> dict[int, list[tuple[int, ...]]]:
+    """The polynomial exponent tuples of degree <= n, at least, bucketed by
+    degree, each bucket in lexicographic order.
+
+    A bounded ring shares one enumeration across every n; an unbounded one
+    needs polynomial parts up to n.
+    """
+    budget = gens.truncation or _max_poly_degree_capped(gens)
+    return _poly_parts_by_degree(gens, n if budget is None else budget)
+
+
 @lru_cache(maxsize=None)
 def basis_of_degree(gens: GeneratorSet, n: int) -> tuple[Mono, ...]:
     """All monomials of total degree ``n`` in canonical order.
 
-    Exterior index tuples run lexicographically, and for each the
-    polynomial exponent tuples run lexicographically.
+    Exterior index tuples run lexicographically (:func:`subsets`), and for
+    each the polynomial exponent tuples of :func:`poly_parts` follow.
     """
     if n < 0:
         return ()
-    # A bounded ring shares one enumeration across every n; an unbounded
-    # one needs polynomial parts up to n.
-    budget = gens.truncation or _max_poly_degree_capped(gens)
-    poly = _poly_parts_by_degree(gens, n if budget is None else budget)
+    poly = poly_parts(gens, n)
     out: list[Mono] = []
     for ext in subsets(range(gens.n_exterior)):
         d = sum(gens.exterior[i][1] for i in ext)

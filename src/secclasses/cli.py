@@ -9,6 +9,9 @@ and propagates with its traceback.
 
 No color is ever emitted, so NO_COLOR is honored trivially; no network
 access and no environment variables are required.
+
+``acceptance``, ``frames`` and ``models`` are imported by the commands
+that use them, so ``cohomology``, ``vey`` and ``catalog`` never load them.
 """
 
 from __future__ import annotations
@@ -16,14 +19,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import acceptance
 from .algebra import GeneratorMismatch, InexactCoefficient
 from .dga import DegreeMismatch, NotACocycle, cohomology
-from .frames import IndexOutOfRange, certify_projective_family, \
-    certify_sphere_family, projective_base_model, sphere_base_model
-from .models import independence_certificate
 from .reporting import FORMATS, envelope, rat, render
-from .weil import OddCodimension, spherical_rigid_classes, vey_basis, weil_complex
+from .weil import (IndexOutOfRange, OddCodimension, spherical_rigid_classes,
+                   spherical_rigid_count, vey_basis, weil_complex)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -114,6 +114,7 @@ def cmd_cohomology(args) -> str:
 
 
 def cmd_pontrjagin(args) -> str:
+    from .models import independence_certificate
     report = independence_certificate(args.q)
     rows = []
     for b in report.blocks:
@@ -149,6 +150,8 @@ def cmd_pontrjagin(args) -> str:
 
 
 def cmd_frame(args) -> str:
+    from .frames import (certify_projective_family, certify_sphere_family,
+                         projective_base_model, sphere_base_model)
     if args.case == "2k":
         model = projective_base_model(args.k)
     else:
@@ -189,6 +192,8 @@ def cmd_frame(args) -> str:
 
 
 def cmd_catalog(args) -> str:
+    _check_budget(spherical_rigid_count(args.q), args.max_dim,
+                  f"the codimension-{args.q} spherical family", "classes")
     entries = [e for e in spherical_rigid_classes(args.q) if e.degree == args.dim]
     entries.sort(key=lambda e: (e.degree, e.label()))
     rows = []
@@ -218,6 +223,7 @@ def cmd_catalog(args) -> str:
 
 
 def cmd_selftest(args) -> tuple[str, int]:
+    from . import acceptance
     results = acceptance.run_all()
     lines = []
     for name, ok, detail in results:
@@ -277,6 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="distinguishing classes by dimension")
     p.add_argument("--q", type=int, required=True, help="even codimension >= 4")
     p.add_argument("--dim", type=int, required=True, help="manifold dimension")
+    p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
+                   help="largest admissible number of family classes, "
+                        "counted before any is listed")
     add_format(p)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")

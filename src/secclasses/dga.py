@@ -10,6 +10,18 @@ Cohomology dimensions come from ranks,
 ints from the differential to the last pivot: every coefficient of d on
 the Weil and frame models is an integer, and the elimination is
 fraction-free.  Rank d_n is one elimination of the degree's columns.
+
+The columns come from index arithmetic on the exterior tensor polynomial
+layout of the basis, with no monomial built (:class:`_Layout`).  Degree n
+is a run of blocks, one per exterior subset E in :func:`subsets` order,
+each holding the polynomial parts of degree n - deg E, so y_E c^x sits
+at the block's offset plus the position of x in its bucket.  The Leibniz
+terms of each subset E, with their Koszul signs and target subsets, are
+merged once per call, and one table per (bucket, exponent shift) maps
+each position to the position of x + shift, or drops it when x + shift
+breaks a cap or the truncation.  Images of polynomial generators use the
+same tables, with the exponent x_j as a multiplier.
+
 Representatives are searched only when asked for, and only in degrees
 with classes, by a second elimination over the whole degree: a
 representative is the residual of a kernel vector modulo the image and
@@ -36,7 +48,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Element, GeneratorSet, Mono, basis_of_degree, merge_exterior
+from .algebra import (Element, GeneratorSet, Mono, basis_of_degree, merge_exterior,
+                      poly_parts, subsets)
 from .linalg import Echelon, IntegerEliminator, kernel_from_columns, rank
 
 
@@ -231,6 +244,18 @@ class _Slices(Mapping):
     def __len__(self) -> int:
         return self.max_degree + 1
 
+    def __eq__(self, other) -> bool:
+        """Equal to a ``_Slices`` slice by slice over the stored degrees,
+        then once for the degrees both answer with their empty slices;
+        compared as a mapping with any other ``Mapping``."""
+        if not isinstance(other, _Slices):
+            return Mapping.__eq__(self, other)
+        stored = max(len(self.computed), len(other.computed))
+        return (self.max_degree == other.max_degree
+                and all(self[n] == other[n]
+                        for n in range(min(stored, self.max_degree + 1)))
+                and (stored > self.max_degree or self.empty == other.empty))
+
 
 @dataclass(frozen=True)
 class CohomologyReport:
@@ -247,13 +272,103 @@ class CohomologyReport:
         return chain, cohom
 
 
-def _image_columns(gens: GeneratorSet, d: Differential, n: int):
-    """Coordinates of d(m) for the degree-n basis, over the degree-(n+1) basis."""
-    basis_n = basis_of_degree(gens, n)
-    index = {m: i for i, m in enumerate(basis_of_degree(gens, n + 1))}
-    cols = [{index[mm]: c for mm, c in d._monomial_image(m).items()}
-            for m in basis_n]
-    return basis_n, cols
+def _block_offsets(ext_degrees, parts, n: int) -> tuple[list[int], int]:
+    """Where each exterior subset's block starts in the degree-n basis, and
+    the size of that basis."""
+    offsets = []
+    total = 0
+    for e in ext_degrees:
+        offsets.append(total)
+        total += len(parts.get(n - e, ()))
+    return offsets, total
+
+
+class _Layout:
+    """The degrees 0..``top`` of a complex laid out by index arithmetic.
+
+    In the order of :func:`basis_of_degree`, y_E c^x of degree n has row
+    ``offsets[n][0][E] + pos[x]``, E being a subset id and ``pos[x]`` the
+    position of x in its :func:`poly_parts` bucket.  ``images[E]`` lists
+    the terms (T, b, c0, linear) of d(y_E c^x) =
+    sum (c0 + sum_j c_j x_j) y_T c^(x + b), so a polynomial generator's
+    image shifts by its term minus c_j, with x_j as the multiplier.
+    ``pos`` holds exactly the valid polynomial parts, so the one lookup
+    ``pos.get(x + b)`` in :meth:`_shift` also drops the products that
+    break a cap or the truncation.
+    """
+
+    def __init__(self, gens: GeneratorSet, d: Differential, top: int):
+        ext = subsets(range(gens.n_exterior))
+        self.ext_degrees = [sum(gens.exterior[i][1] for i in E) for E in ext]
+        self.parts = poly_parts(gens, top)
+        self.pos = {x: i for bucket in self.parts.values()
+                    for i, x in enumerate(bucket)}
+        self.offsets = [_block_offsets(self.ext_degrees, self.parts, n)
+                        for n in range(top + 1)]
+        ext_id = {E: i for i, E in enumerate(ext)}
+        # a subset of degree top or more is never the source of a column
+        self.images = [self._subset_image(d, E, ext_id) if e < top else ()
+                       for E, e in zip(ext, self.ext_degrees)]
+        self._tables: dict = {}
+
+    @staticmethod
+    def _subset_image(d: Differential, E, ext_id) -> list[tuple]:
+        """The terms ``(T, b, c0, ((j, c_j), ...))`` of d(y_E c^x), T being
+        a subset id; one term per (T, b), none whose coefficient is 0."""
+        raw = []
+        for p, g in enumerate(E):
+            for b_ext, b_exps, _, b_c in d._ext_terms[g]:
+                raw.append((E[:p] + E[p + 1:], b_ext, b_exps, None,
+                            -b_c if p & 1 else b_c))
+        sign = -1 if len(E) & 1 else 1
+        for j, image in enumerate(d._poly_terms):
+            for b_ext, b_exps, _, b_c in image:
+                b = b_exps[:j] + (b_exps[j] - 1,) + b_exps[j + 1:]
+                raw.append((E, b_ext, b, j, sign * b_c))
+        terms: dict[tuple, dict] = {}
+        for r_ext, b_ext, b, j, c in raw:
+            merged = merge_exterior(r_ext, b_ext)
+            if merged is not None:
+                parity, T = merged
+                coeffs = terms.setdefault((ext_id[T], b), {})
+                coeffs[j] = coeffs.get(j, 0) + (-c if parity else c)
+        return [(T, b, coeffs.pop(None, 0),
+                 tuple((j, c) for j, c in coeffs.items() if c))
+                for (T, b), coeffs in terms.items() if any(coeffs.values())]
+
+    def _shift(self, k: int, b) -> list[tuple[int, int]]:
+        """``(i, pos[x + b])`` for the parts x of bucket k whose shift is valid."""
+        table = self._tables.get((k, b))
+        if table is None:
+            pos = self.pos
+            table = self._tables[k, b] = [
+                (i, p) for i, x in enumerate(self.parts[k])
+                if (p := pos.get(tuple(map(operator.add, x, b)))) is not None]
+        return table
+
+    def columns(self, n: int) -> tuple[int, list[dict[int, int | Fraction]]]:
+        """The size of the degree-n basis, and the coordinates of d on it
+        over the degree-(n+1) basis, one column per basis monomial."""
+        offsets, chain_dim = self.offsets[n]
+        targets = self.offsets[n + 1][0]
+        cols: list[dict] = [{} for _ in range(chain_dim)]
+        for sid, e in enumerate(self.ext_degrees):
+            bucket = self.parts.get(n - e)
+            if not bucket:
+                continue
+            base = offsets[sid]
+            for T, b, c0, linear in self.images[sid]:
+                row = targets[T]
+                if linear:
+                    for i, p in self._shift(n - e, b):
+                        x = bucket[i]
+                        c = c0 + sum(c_j * x[j] for j, c_j in linear)
+                        if c:
+                            cols[base + i][row + p] = c
+                else:
+                    for i, p in self._shift(n - e, b):
+                        cols[base + i][row + p] = c0
+        return chain_dim, cols
 
 
 def _representatives(gens: GeneratorSet, basis_n, cols, prev_image):
@@ -278,10 +393,13 @@ def cohomology(gens: GeneratorSet, d: Differential, max_degree: int | None = Non
     when ``representatives`` is true (else every slice's are None).
 
     ``max_degree`` defaults to the top degree of the finite complex; the
-    degrees above the top one are empty and are neither enumerated nor
+    degrees above the top one are empty and are neither laid out nor
     stored.  Each dimension is ``chain_dim - rank d_n - rank d_{n-1}``,
-    rank d_n from one fraction-free elimination of the degree's columns.
-    The residuals of :func:`_representatives`, in the degrees with
+    rank d_n from one fraction-free elimination of the degree's columns,
+    which :class:`_Layout` computes by index arithmetic up to degree
+    ``min(max_degree, top) + 1``.  Monomials are built only to name the
+    representatives, by :func:`basis_of_degree` in the degrees with
+    classes; the rank route builds none.  The residuals of :func:`_representatives`, in the degrees with
     classes, follow a deterministic pivot rule, so output is reproducible;
     their number must equal the dimension, a cross-check of the two
     eliminations.
@@ -292,22 +410,24 @@ def cohomology(gens: GeneratorSet, d: Differential, max_degree: int | None = Non
         if max_degree is None:
             raise ValueError("complex is infinite; pass an explicit max_degree")
     last = max_degree if top is None else min(max_degree, top)
+    layout = _Layout(gens, d, last + 1)
     computed: dict[int, DegreeSlice] = {}
     prev_rank = 0
     prev_image: list[dict] = []
     for n in range(last + 1):
-        basis_n, cols = _image_columns(gens, d, n)
+        chain_dim, cols = layout.columns(n)
         image = [c for c in cols if c]
         rank_n = rank(image)
-        dim = len(basis_n) - rank_n - prev_rank
+        dim = chain_dim - rank_n - prev_rank
         reps = None
         if representatives:
-            reps = _representatives(gens, basis_n, cols, prev_image) if dim else ()
+            reps = _representatives(gens, basis_of_degree(gens, n), cols,
+                                    prev_image) if dim else ()
             if len(reps) != dim:
                 raise RuntimeError(
                     f"degree {n}: {len(reps)} representatives but rank gives dim {dim}")
             prev_image = image
-        computed[n] = DegreeSlice(len(basis_n), dim, reps)
+        computed[n] = DegreeSlice(chain_dim, dim, reps)
         prev_rank = rank_n
     empty = DegreeSlice(0, 0, () if representatives else None)
     return CohomologyReport(max_degree, _Slices(computed, max_degree, empty))

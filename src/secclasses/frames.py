@@ -31,12 +31,8 @@ from .algebra import Element, GeneratorSet, Mono, basis_of_degree, subsets
 from .dga import DegreeMismatch, Differential, NotACocycle
 from .models import (BundleMap, Factor, ModelRing, canonical_bundle,
                      product_model, sphere_model)
-from .weil import VeyIndex, weil_complex
+from .weil import IndexOutOfRange, VeyIndex, weil_complex
 from . import dga
-
-
-class IndexOutOfRange(ValueError):
-    """A twisting index addresses a generator the complex does not have."""
 
 
 def fiber_primitive_count(q: int) -> int:

@@ -23,6 +23,10 @@ class OddCodimension(ValueError):
     """Spherical rigid families are only defined for even codimension >= 4."""
 
 
+class IndexOutOfRange(ValueError):
+    """A twisting index addresses a generator the complex does not have."""
+
+
 def weil_complex(q: int, framed: bool = True) -> tuple[GeneratorSet, Differential]:
     """The codimension-q complex (generators, differential).
 
@@ -164,6 +168,15 @@ class RigidFamilyEntry:
 
     def label(self) -> str:
         return self.vey.label()
+
+
+def spherical_rigid_count(q: int) -> int:
+    """The number of entries :func:`spherical_rigid_classes` lists, without
+    listing them: 2^(B-1) in family A, B = floor((q+2)/4), plus 1 in
+    family B when q = 2 mod 4."""
+    if q % 2 == 1 or q < 4:
+        raise OddCodimension("families are defined for even codimension >= 4")
+    return (1 << ((q + 2) // 4 - 1)) + (q % 4 == 2)
 
 
 def spherical_rigid_classes(q: int) -> list[RigidFamilyEntry]:

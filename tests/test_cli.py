@@ -4,13 +4,17 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from secclasses import acceptance, cli
+import secclasses
+from secclasses import acceptance, cli, frames, models, weil
 from secclasses.cli import main
 from secclasses.dga import NotACocycle
 
@@ -111,6 +115,40 @@ def test_package_exceptions_exit_4(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert "NotACocycle" in err
+
+
+def test_index_out_of_range_is_one_class_re_exported_from_frames():
+    assert frames.IndexOutOfRange is weil.IndexOutOfRange
+    assert secclasses.IndexOutOfRange is weil.IndexOutOfRange
+    assert weil.IndexOutOfRange in cli.INVARIANT_VIOLATIONS
+
+
+def test_cohomology_loads_no_frames_models_or_acceptance():
+    # a fresh interpreter, since this one has imported every module
+    src = Path(secclasses.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = ("import contextlib, io, json, sys\n"
+            "from secclasses.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['cohomology', '--q', '2']) == 0\n"
+            "print(json.dumps([m for m in sys.modules if m.startswith('secclasses')]))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded = set(json.loads(out))
+    assert "secclasses.dga" in loaded
+    assert not loaded & {"secclasses.frames", "secclasses.models",
+                         "secclasses.acceptance"}
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from secclasses import *", namespace)
+    missing = [n for n in secclasses.__all__ if n not in namespace]
+    assert not missing
+    assert namespace["CharacteristicMap"] is frames.CharacteristicMap
+    assert namespace["independence_certificate"] is models.independence_certificate
+    with pytest.raises(AttributeError):
+        secclasses.no_such_name
 
 
 def test_other_exceptions_propagate_as_bugs(monkeypatch):
@@ -220,6 +258,23 @@ def test_catalog_empty(capsys):
     assert payload["results"]["family_rank"] == 0
 
 
+def test_catalog_budget_exit_3(capsys):
+    # the family is counted before it is listed; the small budgets come
+    # first, so a missing guard fails before the huge family would be built
+    code, _, err = run(capsys, "catalog", "--q", "14", "--dim", "51",
+                       "--max-dim", "8")
+    assert code == 3 and "9 classes" in err
+    code, _, _ = run(capsys, "catalog", "--q", "14", "--dim", "51",
+                     "--max-dim", "9")
+    assert code == 0
+    start = time.perf_counter()
+    code, out, err = run(capsys, "catalog", "--q", "200", "--dim", "11")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert f"{2 ** 49} classes" in err and "budget" in err
+
+
 def test_catalog_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["catalog", "--q", "5", "--dim", "11"])
@@ -289,6 +344,8 @@ def test_selftest_contract(capsys):
      "ec50ca2187fe93672f5b17388b056c483a18dbc940c387637759632a58f76af6"),
     ("cohomology --q 6 --representatives --format json",
      "cd79c8fb612864237b158e2c453c8bd0fcea0a6185827ad294a89f065be438f7"),
+    ("cohomology --q 7 --representatives --format csv",
+     "68e11da0acdc7fb863f5c4921819ba864eda143c4e28812769e3655fcee9f3ed"),
     ("cohomology --q 7 --no-framed --format csv",
      "1e80981d2455735fdc593f9b9e646acb2b59eef1746319dbe6f786e377096932"),
     ("cohomology --q 8 --no-framed --representatives --format json",
@@ -297,6 +354,8 @@ def test_selftest_contract(capsys):
      "b9ba325b9e5641774ca126692ea2f6ed4f44c325521a8756cf78ca6170177cd9"),
     ("cohomology --q 9 --format json",
      "8da722c93932f13afeb3269571c5b57bac41f4e7389327fcf9b00f8eb12ef3f9"),
+    ("cohomology --q 9 --no-framed --format json",
+     "f367a1f15b96d517d8a05aab4688c99a862a24809d687033d234b10ca24e8ad3"),
     ("pontrjagin --q 14 --format json",
      "417a1ac9957c01ff0a71ef08419a458d04c3b35e04dfe3aa76dec0d3e3ba66a2"),
     ("frame --case 2k --k 5 --format json",

@@ -200,6 +200,7 @@ BLOCK_CASES = [
     pytest.param(lambda: weil_complex(6), id="W6-framed"),
     pytest.param(_transgression_model, id="transgression"),
     pytest.param(lambda: _koszul_model(), id="koszul"),  # defined below
+    pytest.param(lambda: _linear_coefficient_model(), id="linear-coefficients"),
     pytest.param(lambda: _frame(projective_base_model), id="projective-k2"),
     pytest.param(lambda: _frame(sphere_base_model), id="sphere-k2"),
 ]
@@ -227,21 +228,58 @@ def test_rank_route_matches_representative_route_and_oracle(complex_):
         assert s.representatives is None
 
 
+@pytest.mark.parametrize("complex_", BLOCK_CASES)
+def test_layout_columns_equal_the_leibniz_oracle(complex_):
+    gens, d = complex_()
+    top = gens.top_degree()
+    layout = dga._Layout(gens, d, top + 1)
+    for n in range(top + 1):
+        basis_n, cols = _public_image_columns(gens, d, n)
+        assert layout.columns(n) == (len(basis_n), cols), n
+
+
+def test_layout_columns_on_an_unbounded_complex():
+    # no truncation and an uncapped generator: the parts are laid out up
+    # to max_degree + 1 only
+    gens = GeneratorSet((("x", 1), ("y", 3)), (("p", 2, None), ("q", 2, 2)))
+    x, q = gens.generator("x"), gens.generator("q")
+    d = Differential(gens, {"p": x * q, "y": q * q})
+    assert gens.top_degree() is None
+    layout = dga._Layout(gens, d, 13)
+    for n in range(13):
+        basis_n, cols = _public_image_columns(gens, d, n)
+        assert layout.columns(n) == (len(basis_n), cols), n
+    ranks = cohomology(gens, d, 12, representatives=False).by_degree
+    reps = cohomology(gens, d, 12).by_degree
+    assert [(s.chain_dim, s.dim) for s in ranks.values()] == \
+        [(s.chain_dim, s.dim) for s in reps.values()]
+
+
 def test_degrees_above_the_top_are_not_enumerated(monkeypatch):
     gens, d = weil_complex(2)
     top = gens.top_degree()
     full = cohomology(gens, d).by_degree
-    seen = []
+    laid_out, enumerated = [], []
+    block_offsets = dga._block_offsets
 
-    def recording(g, n):
-        seen.append(n)
+    def recording_offsets(ext_degrees, parts, n):
+        laid_out.append(n)
+        return block_offsets(ext_degrees, parts, n)
+
+    def recording_basis(g, n):
+        enumerated.append(n)
         return basis_of_degree(g, n)
 
-    monkeypatch.setattr(dga, "basis_of_degree", recording)
+    monkeypatch.setattr(dga, "_block_offsets", recording_offsets)
+    monkeypatch.setattr(dga, "basis_of_degree", recording_basis)
     for representatives, empty in ((True, ()), (False, None)):
-        seen.clear()
+        laid_out.clear()
+        enumerated.clear()
         report = cohomology(gens, d, top + 50, representatives)
-        assert max(seen) == top + 1  # the target basis of d_top
+        assert laid_out == list(range(top + 2))  # top + 1: the targets of d_top
+        # monomials are built only to name representatives
+        assert enumerated == ([n for n in full if full[n].dim]
+                              if representatives else [])
         assert report.max_degree == top + 50
         assert list(report.by_degree) == list(range(top + 51))
         for n, s in report.by_degree.items():
@@ -259,6 +297,28 @@ def test_a_huge_max_degree_stores_only_the_computed_degrees():
     assert report.by_degree[10**9] == dga.DegreeSlice(0, 0, ())
     assert report.dims() == cohomology(gens, d).dims()
     assert report.euler_characteristics() == cohomology(gens, d).euler_characteristics()
+
+
+def test_huge_reports_compare_without_listing_their_degrees():
+    gens, d = weil_complex(1)
+    start = time.perf_counter()
+    a, b = cohomology(gens, d, 10**9), cohomology(gens, d, 10**9)
+    assert a == b and a.by_degree == b.by_degree
+    assert cohomology(gens, d, 10**9 - 1) != a
+    assert cohomology(gens, d, 10**9, representatives=False) != a
+    assert time.perf_counter() - start < 1
+    empty = a.by_degree.empty
+    changed = {**a.by_degree.computed, 3: dga.DegreeSlice(1, 0, ())}
+    assert dga._Slices(changed, 10**9, empty) != a.by_degree
+    # a stored empty slice is the same mapping as one answered without storing
+    padded = {**a.by_degree.computed, 4: empty}
+    assert dga._Slices(padded, 10**9, empty) == a.by_degree
+    assert a.by_degree == dga._Slices(padded, 10**9, empty)
+    # against any other mapping, equality is that of the mappings
+    small = cohomology(gens, d, 10).by_degree
+    assert small == dict(small.items()) and dict(small.items()) == small
+    assert small != {**small, 10: dga.DegreeSlice(0, 1, ())}
+    assert small != cohomology(gens, d, 11).by_degree
 
 
 def test_a_dropped_residual_fails_the_rank_cross_check(monkeypatch):
@@ -304,6 +364,16 @@ def _koszul_model():
                         (("p", 2, None), ("q", 2, 2)), truncation=6)
     x, q = gens.generator("x"), gens.generator("q")
     return gens, Differential(gens, {"p": x * q, "y": q * q})
+
+
+def _linear_coefficient_model():
+    """d(p) = x*p, d(q) = x*q and d(y) = y*x: in d(y p^a q^b) the term
+    from y and those from p and q land on x*y*p^a*q^b, with coefficient
+    a + b - 1, which vanishes at a + b = 1."""
+    gens = GeneratorSet((("x", 1), ("y", 1)),
+                        (("p", 2, None), ("q", 2, 3)), truncation=6)
+    x, y, p, q = (gens.generator(n) for n in "xypq")
+    return gens, Differential(gens, {"p": x * p, "q": x * q, "y": y * x})
 
 
 def _two_step_model():
