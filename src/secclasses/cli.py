@@ -150,15 +150,15 @@ def cmd_pontrjagin(args) -> str:
 
 
 def cmd_frame(args) -> str:
-    from .frames import (certify_projective_family, certify_sphere_family,
-                         projective_base_model, sphere_base_model)
+    from . import frames
     if args.case == "2k":
-        model = projective_base_model(args.k)
+        build, certify = frames.projective_base_model, frames._projective_certificate
     else:
-        model = sphere_base_model(args.k)
+        build, certify = frames.sphere_base_model, frames._sphere_certificate
+    # one model serves the budget check and the certificate
+    model = build(args.k)
     _check_budget(model.dimension(), args.max_dim, "the frame model")
-    cert = (certify_projective_family(args.k) if args.case == "2k"
-            else certify_sphere_family(args.k))
+    cert = certify(model)
     rows = [{
         "class": c.source,
         "degree": "" if c.degree is None else c.degree,

@@ -19,7 +19,8 @@ at the block's offset plus the position of x in its bucket.  The Leibniz
 terms of each subset E, with their Koszul signs and target subsets, are
 merged once per call, and one table per (bucket, exponent shift) maps
 each position to the position of x + shift, or drops it when x + shift
-breaks a cap or the truncation.  Images of polynomial generators use the
+breaks a cap or the truncation; a part is one integer there, so a shift
+is one addition and one lookup.  Images of polynomial generators use the
 same tables, with the exponent x_j as a multiplier.
 
 Representatives are searched only when asked for, and only in degrees
@@ -30,14 +31,16 @@ only where it needs one.  Their number must equal the rank formula's
 dimension, a cross-check of the two eliminations.
 
 Coboundary tests (:func:`classes_mod_image`, behind :func:`class_nonzero`
-and the frame certificates) never build a whole degree either.  A closure
-search from the cocycles' supports lists the Leibniz predecessors of each
-monomial reached (:meth:`Differential.predecessors`), applies d to each
-once, and follows the new supports until nothing new is found; the rows
-it collects are the block of the image the cocycles touch.  They are
-ranked by the same fraction-free elimination, since the tests need only
-ranks; ``Echelon``, which also returns each row's monic residual, serves
-the cohomology representatives.
+and the frame certificates) use the same layout, once per call, up to the
+cocycles' top degree.  For each degree n of their support, the columns
+of d_{n-1} are inverted to a target -> sources index, and a closure
+search on those row indices takes every source with an entry at a
+reached target and follows its targets until nothing new is found; the
+columns it takes are the block of the image the cocycles touch.  The
+blocks of every degree are ranked in one fraction-free elimination, each
+degree in its own index range, since the tests need only ranks;
+``Echelon``, which also returns each row's monic residual, serves the
+cohomology representatives.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ class Differential:
     """
 
     __slots__ = ("gens", "ext_images", "poly_images", "_ext_terms",
-                 "_poly_terms", "_weights", "_caps", "_terms_by_variable")
+                 "_poly_terms", "_weights", "_caps")
 
     def __init__(self, gens: GeneratorSet, images: dict[str, Element] | None = None):
         self.gens = gens
@@ -103,17 +106,6 @@ class Differential:
         caps = [cap for _, _, cap in gens.poly]
         self._caps = (tuple(math.inf if cap is None else cap for cap in caps)
                       if any(cap is not None for cap in caps) else None)
-        # Each generator-image term, keyed by one variable it needs: its
-        # first exterior index, else n_exterior + its first polynomial
-        # position.  Generator degrees are positive, so no term is constant.
-        n_ext = gens.n_exterior
-        self._terms_by_variable: dict[int, list] = {}
-        for g, image in enumerate(self._ext_terms + self._poly_terms):
-            for term in image:
-                b_ext, b_exps = term[0], term[1]
-                key = b_ext[0] if b_ext else n_ext + next(
-                    j for j, e in enumerate(b_exps) if e)
-                self._terms_by_variable.setdefault(key, []).append((g, term))
         names = [n for n, _ in gens.exterior] + [n for n, _, _ in gens.poly]
         for name, img in zip(names, self.ext_images + self.poly_images):
             if not self(img).is_zero():
@@ -122,11 +114,6 @@ class Differential:
     def __call__(self, x: Element) -> Element:
         """Apply the differential via the graded Leibniz rule, in one pass."""
         return Element(self.gens, self._leibniz(x.terms.items()))
-
-    def _monomial_image(self, m: Mono) -> dict[Mono, int | Fraction]:
-        """The terms of d(m); a coefficient is an int when the generator
-        images have integral coefficients, as in every Weil and frame model."""
-        return {mm: c for mm, c in self._leibniz(((m, 1),)).items() if c}
 
     def _leibniz(self, terms) -> dict:
         """d of the linear combination ``terms`` of ``(monomial, coeff)``
@@ -173,44 +160,6 @@ class Differential:
                     add(ext, exps[:j] + (e - 1,) + exps[j + 1:],
                         deg - weights[j], coeff * sign * e, image)
         return acc
-
-    def predecessors(self, t: Mono) -> set[Mono]:
-        """Every monomial m whose image d(m) can have ``t`` in its support.
-
-        By the Leibniz rule every term of d(m) is, up to sign, (m / g) * b
-        for a generator g of m and a term b of d(g).  So m = (t / b) * g
-        for some g with d(g) != 0 and some term b of d(g) dividing t.  A
-        candidate is dropped when g would repeat an exterior index of
-        t / b, or when a polynomial g would break its cap or the
-        truncation; every other candidate is a monomial of degree
-        deg(t) - 1.  Cancellation in d(m) may still remove t, so this
-        is a superset of the true predecessors.
-        """
-        t_ext, t_exps = t
-        t_deg = sum(map(operator.mul, t_exps, self._weights))
-        trunc = self.gens.truncation
-        caps = self._caps
-        n_ext = self.gens.n_exterior
-        out: set[Mono] = set()
-        # a term b divides t only if t has the variable b is keyed by
-        keys = [*t_ext, *(n_ext + j for j, e in enumerate(t_exps) if e)]
-        for key in keys:
-            for g, (b_ext, b_exps, b_deg, _) in self._terms_by_variable.get(key, ()):
-                if not (all(map(operator.le, b_exps, t_exps))
-                        and all(i in t_ext for i in b_ext)):
-                    continue
-                r_ext = tuple(i for i in t_ext if i not in b_ext)
-                r_exps = tuple(map(operator.sub, t_exps, b_exps))
-                if g < n_ext:
-                    if g not in r_ext:
-                        out.add((tuple(sorted(r_ext + (g,))), r_exps))
-                    continue
-                j = g - n_ext
-                e = r_exps[j] + 1
-                if caps and e > caps[j] or trunc and t_deg - b_deg + self._weights[j] > trunc:
-                    continue
-                out.add((r_ext, r_exps[:j] + (e,) + r_exps[j + 1:]))
-        return out
 
 
 @dataclass(frozen=True)
@@ -262,6 +211,9 @@ class CohomologyReport:
     max_degree: int
     by_degree: _Slices
 
+    # equal reports compare equal, but ``_Slices`` holds a dict and has no hash
+    __hash__ = None
+
     def dims(self) -> dict[int, int]:
         return {n: s.dim for n, s in self.by_degree.computed.items() if s.dim}
 
@@ -287,27 +239,41 @@ class _Layout:
     """The degrees 0..``top`` of a complex laid out by index arithmetic.
 
     In the order of :func:`basis_of_degree`, y_E c^x of degree n has row
-    ``offsets[n][0][E] + pos[x]``, E being a subset id and ``pos[x]`` the
-    position of x in its :func:`poly_parts` bucket.  ``images[E]`` lists
-    the terms (T, b, c0, linear) of d(y_E c^x) =
+    ``offsets[n][0][E] + pos[code(x)]``, E being a subset id and
+    ``pos[code(x)]`` the position of x in its :func:`poly_parts` bucket.
+    ``images[E]`` lists the terms (T, b, c0, linear) of d(y_E c^x) =
     sum (c0 + sum_j c_j x_j) y_T c^(x + b), so a polynomial generator's
     image shifts by its term minus c_j, with x_j as the multiplier.
-    ``pos`` holds exactly the valid polynomial parts, so the one lookup
-    ``pos.get(x + b)`` in :meth:`_shift` also drops the products that
-    break a cap or the truncation.
+
+    ``code(x)`` is x as one integer, digit j in radix 2 M_j + 2, M_j the
+    largest exponent of generator j in a part.  code(x + b) = code(x) +
+    code(b), and for b_j in [-1, M_j] every digit of x + b is in [-1, 2 M_j],
+    where no two vectors share a code.  So the one lookup
+    ``pos.get(code(x) + code(b))`` in :meth:`_shift` also drops the
+    products that break a cap or the truncation.
     """
 
     def __init__(self, gens: GeneratorSet, d: Differential, top: int):
+        self.gens = gens
         ext = subsets(range(gens.n_exterior))
         self.ext_degrees = [sum(gens.exterior[i][1] for i in E) for E in ext]
         self.parts = poly_parts(gens, top)
-        self.pos = {x: i for bucket in self.parts.values()
-                    for i, x in enumerate(bucket)}
+        self.most = [max(e) for e in zip(*(x for bucket in self.parts.values()
+                                           for x in bucket))]
+        self.radix = []
+        r = 1
+        for m in self.most:
+            self.radix.append(r)
+            r *= 2 * m + 2
+        self.codes = {k: [self._code(x) for x in bucket]
+                      for k, bucket in self.parts.items()}
+        self.pos = {c: i for codes in self.codes.values()
+                    for i, c in enumerate(codes)}
         self.offsets = [_block_offsets(self.ext_degrees, self.parts, n)
                         for n in range(top + 1)]
-        ext_id = {E: i for i, E in enumerate(ext)}
+        self.ext_id = {E: i for i, E in enumerate(ext)}
         # a subset of degree top or more is never the source of a column
-        self.images = [self._subset_image(d, E, ext_id) if e < top else ()
+        self.images = [self._subset_image(d, E, self.ext_id) if e < top else ()
                        for E, e in zip(ext, self.ext_degrees)]
         self._tables: dict = {}
 
@@ -336,14 +302,28 @@ class _Layout:
                  tuple((j, c) for j, c in coeffs.items() if c))
                 for (T, b), coeffs in terms.items() if any(coeffs.values())]
 
+    def _code(self, x) -> int:
+        return sum(map(operator.mul, x, self.radix))
+
+    def row(self, m: Mono) -> tuple[int, int]:
+        """The degree of ``m``, a monomial of the complex of degree at most
+        ``top``, and its row in that degree's basis."""
+        ext, x = m
+        sid = self.ext_id[ext]
+        n = self.ext_degrees[sid] + self.gens.poly_degree(x)
+        return n, self.offsets[n][0][sid] + self.pos[self._code(x)]
+
     def _shift(self, k: int, b) -> list[tuple[int, int]]:
-        """``(i, pos[x + b])`` for the parts x of bucket k whose shift is valid."""
+        """``(i, pos[code(x + b)])`` for the parts x of bucket k whose shift
+        is valid; none when some b_j exceeds M_j."""
         table = self._tables.get((k, b))
         if table is None:
             pos = self.pos
+            cb = self._code(b)
             table = self._tables[k, b] = [
-                (i, p) for i, x in enumerate(self.parts[k])
-                if (p := pos.get(tuple(map(operator.add, x, b)))) is not None]
+                (i, p) for i, c in enumerate(self.codes[k])
+                if (p := pos.get(c + cb)) is not None
+            ] if all(map(operator.le, b, self.most)) else []
         return table
 
     def columns(self, n: int) -> tuple[int, list[dict[int, int | Fraction]]]:
@@ -433,53 +413,76 @@ def cohomology(gens: GeneratorSet, d: Differential, max_degree: int | None = Non
     return CohomologyReport(max_degree, _Slices(computed, max_degree, empty))
 
 
-def _touched_image(d: Differential, support) -> list[dict[Mono, int | Fraction]]:
-    """The nonzero images d(m) of the block of d that ``support`` touches.
 
-    A closure search: every monomial reached is a target, each target's
-    predecessors are differentiated once, and the support of every new
-    image joins the targets until nothing new is found.  Every m whose
-    d(m) meets a reached target is found, and the rest of the image lives
-    on targets that are never reached, so a vector supported on ``support``
-    is in the image of d iff it is in the span of these rows.  The rows
-    come in the canonical order of their source monomials (``Mono`` tuple
-    order is the order of :func:`basis_of_degree` within a degree).
+
+def _touched_columns(layout: _Layout, n: int,
+                     support) -> list[dict[int, int | Fraction]]:
+    """The nonzero columns of d_{n-1} in the block of the image that the
+    degree-n rows ``support`` touch, in the order of their sources.
+
+    The closure search of the module docstring.  A taken column has all
+    its entries at reached targets and the others have none there, so a
+    vector supported on ``support`` is in the image of d_{n-1} iff it is
+    in the span of the taken columns.  The whole-degree columns and their
+    target -> sources index live only for this call.
     """
-    targets = set(support)
-    frontier = list(targets)
-    images: dict[Mono, dict[Mono, int | Fraction]] = {}
+    if n == 0:
+        return []
+    _, cols = layout.columns(n - 1)
+    sources: dict[int, list[int]] = {}
+    for s, col in enumerate(cols):
+        for t in col:
+            sources.setdefault(t, []).append(s)
+    reached = set(support)
+    frontier = list(reached)
+    taken: set[int] = set()
     while frontier:
-        for m in d.predecessors(frontier.pop()):
-            if m in images:
-                continue
-            dm = images[m] = d._monomial_image(m)
-            for mm in dm.keys() - targets:
-                targets.add(mm)
-                frontier.append(mm)
-    return [images[m] for m in sorted(images) if images[m]]
+        for s in sources.get(frontier.pop(), ()):
+            if s not in taken:
+                taken.add(s)
+                new = cols[s].keys() - reached
+                reached |= new
+                frontier.extend(new)
+    return [cols[s] for s in sorted(taken)]
 
 
 def classes_mod_image(d: Differential, cocycles) -> tuple[list[bool], bool]:
     """Whether each cocycle is not a coboundary, and whether the cocycles
     are jointly linearly independent modulo coboundaries.
 
-    Exact: the image rows come from :func:`_touched_image` on the union of
-    the cocycles' supports and are ranked by fraction-free elimination.
-    The caller checks that the inputs are cocycles.
+    Exact: the blocks of :func:`_touched_columns` on one :class:`_Layout`,
+    ranked in one fraction-free elimination with row r of degree n at
+    index ``last[n] - r``.  So each degree has its own index range (the
+    image of d is graded), and a row's pivot is its last target, which
+    keeps the elimination short on the frame models.  The caller checks
+    that the inputs are cocycles.
     """
+    gens = d.gens
     cocycles = list(cocycles)
-    support = set().union(*(x.terms for x in cocycles))
-    rows = _touched_image(d, support)
-    index = {m: i for i, m in enumerate(sorted(support.union(*rows)))}
+    for x in cocycles:
+        for m in x.terms:
+            if not gens.mono_valid(m):
+                raise ValueError(f"{m} is not a monomial of the complex")
+    layout = _Layout(gens, d, max((gens.mono_degree(m) for x in cocycles
+                                   for m in x.terms), default=0))
+    terms = [[(*layout.row(m), c) for m, c in x.terms.items()] for x in cocycles]
+    degrees = sorted({n for row in terms for n, _, _ in row})
+    last: dict[int, int] = {}
+    size = 0
+    for n in degrees:
+        size += layout.offsets[n][1]
+        last[n] = size - 1
     image = IntegerEliminator()
-    for row in rows:
-        image.add({index[m]: c for m, c in row.items()})
+    for n in degrees:
+        support = {r for row in terms for k, r, _ in row if k == n}
+        for col in _touched_columns(layout, n, support):
+            image.add({last[n] - t: c for t, c in col.items()})
+    coords = [{last[n] - r: c for n, r, c in row} for row in terms]
     joint = image.copy()
     nonzero, independent = [], True
-    for x in cocycles:
-        coords = {index[m]: c for m, c in x.terms.items()}
-        nonzero.append(image.copy().add(coords))
-        independent = joint.add(coords) and independent
+    for row in coords:
+        nonzero.append(image.copy().add(row))
+        independent = joint.add(row) and independent
     return nonzero, independent
 
 

@@ -213,36 +213,32 @@ class FrameCertificate:
 def _certify(model: FrameModel, elements, labels) -> tuple[list[CertifiedClass], bool]:
     """Cocycle check, individual nonvanishing, joint independence mod image.
 
-    Every class must be a combination of monomials of the model's basis:
-    the closure search in :func:`dga.classes_mod_image` starts from the
-    support and is complete only for monomials of the ring.  The cached
-    basis of each degree is sorted, so the check is a binary search.
-    The entries come back in the order of ``labels``.
+    Every class must be a combination of monomials of the model's basis,
+    checked by a binary search in the cached, sorted basis of each degree.
+    The nonzero classes of every degree then go to one
+    :func:`dga.classes_mod_image` call, so the model is laid out once and
+    ranked in one elimination.  The entries come back in the order of
+    ``labels``.
     """
-    entries = []
     by_degree: dict[int, list[tuple[str, Element]]] = {}
     for label, x in zip(labels, elements):
         if x.is_zero():
-            entries.append(CertifiedClass(label, "0", None, False))
             continue
         if not model.d(x).is_zero():
             raise NotACocycle(f"{label} maps to a non-cocycle")
         by_degree.setdefault(x.degree(), []).append((label, x))
-    joint = True
-    for n in sorted(by_degree):
+    for n, classes in by_degree.items():
         basis_n = basis_of_degree(model.gens, n)
-        for label, x in by_degree[n]:
+        for label, x in classes:
             for m in x.terms:
                 i = bisect_left(basis_n, m)
                 if i == len(basis_n) or basis_n[i] != m:
                     raise ValueError(f"{label} has a term {m} outside the model")
-        nonzero, independent = dga.classes_mod_image(
-            model.d, [x for _, x in by_degree[n]])
-        joint = joint and independent
-        entries.extend(CertifiedClass(label, str(x), n, nz)
-                       for (label, x), nz in zip(by_degree[n], nonzero))
-    order = {lbl: k for k, lbl in enumerate(labels)}
-    entries.sort(key=lambda e: order[e.source])
+    nonzero, joint = dga.classes_mod_image(model.d, [x for x in elements if x])
+    nonzero = iter(nonzero)
+    entries = [CertifiedClass(label, str(x), x.degree(), next(nonzero)) if x
+               else CertifiedClass(label, "0", None, False)
+               for label, x in zip(labels, elements)]
     return entries, joint
 
 
@@ -261,8 +257,13 @@ def certify_projective_family(k: int) -> FrameCertificate:
     I runs over index sets (2 = 2i_1 < 2i_2 < ...) within the fiber
     primitives; the images are p_1-image^k times u_{i_1}...u_{i_l}.
     """
-    model = projective_base_model(k)
-    q = 2 * k
+    return _projective_certificate(projective_base_model(k))
+
+
+def _projective_certificate(model: FrameModel) -> FrameCertificate:
+    """:func:`certify_projective_family` on ``projective_base_model(k)``."""
+    q = model.q
+    k = q // 2
     delta = CharacteristicMap(model)
     gens_w = delta.source_gens
     veys = [VeyIndex(tuple(2 * i for i in (1,) + rest), (2,) * k)
@@ -293,8 +294,13 @@ def certify_sphere_family(k: int) -> FrameCertificate:
     The class y_2 c_2^{2k-1} maps to zero here (p_1 pulls back to zero),
     which is reported as an expected-zero entry.
     """
-    model = sphere_base_model(k)
-    q = 4 * k - 2
+    return _sphere_certificate(sphere_base_model(k))
+
+
+def _sphere_certificate(model: FrameModel) -> FrameCertificate:
+    """:func:`certify_sphere_family` on ``sphere_base_model(k)``."""
+    q = model.q
+    k = (q + 2) // 4
     delta = CharacteristicMap(model)
     gens_w = delta.source_gens
     veys = [VeyIndex(tuple(2 * i for i in (k,) + rest), (2 * k,))

@@ -360,8 +360,12 @@ def test_selftest_contract(capsys):
      "417a1ac9957c01ff0a71ef08419a458d04c3b35e04dfe3aa76dec0d3e3ba66a2"),
     ("frame --case 2k --k 5 --format json",
      "9c5d8772402ff057fb525ae06a7962387c40415f99d08894e1b60090a79abb4c"),
+    ("frame --case 2k --k 6 --format json",
+     "644a8518127000df049aa2a8f7f54fc67674c72b21abdf733982c6a8500e2ad9"),
     ("frame --case 4k2 --k 3 --format json",
      "5530aac3710ceaa4cefb6423546bf1d116e6f7aea6f64ef6c23d49804c52c1a5"),
+    ("frame --case 4k2 --k 5 --format json",
+     "ec1a565517610d11df1ab03fb680e3751e517f11204466fec27fe9fbb32fc45d"),
     ("catalog --q 14 --dim 51 --format json",
      "11d4da103954f75db5a92964c3b10a18ef7a4d25cf54f2a99de66db2573a9154"),
 ])

@@ -2,6 +2,7 @@
 
 import random
 import time
+from collections.abc import Hashable
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,12 @@ import pytest
 from secclasses.algebra import Element, GeneratorSet, basis_of_degree
 from secclasses import dga, frames, linalg
 from secclasses.dga import (DegreeMismatch, Differential, NotACocycle,
-                            _touched_image, class_nonzero,
-                            classes_mod_image, cohomology)
+                            class_nonzero, classes_mod_image, cohomology)
 from secclasses.frames import (certify_projective_family, certify_sphere_family,
                                permanence_family, projective_base_model,
                                sphere_base_model)
 from secclasses.linalg import rank
+from closure_oracle import predecessors, touched_image
 from fraction_linalg import Echelon, kernel_from_columns
 from secclasses.weil import weil_complex
 
@@ -241,9 +242,7 @@ def test_layout_columns_equal_the_leibniz_oracle(complex_):
 def test_layout_columns_on_an_unbounded_complex():
     # no truncation and an uncapped generator: the parts are laid out up
     # to max_degree + 1 only
-    gens = GeneratorSet((("x", 1), ("y", 3)), (("p", 2, None), ("q", 2, 2)))
-    x, q = gens.generator("x"), gens.generator("q")
-    d = Differential(gens, {"p": x * q, "y": q * q})
+    gens, d = _unbounded_model()
     assert gens.top_degree() is None
     layout = dga._Layout(gens, d, 13)
     for n in range(13):
@@ -253,6 +252,18 @@ def test_layout_columns_on_an_unbounded_complex():
     reps = cohomology(gens, d, 12).by_degree
     assert [(s.chain_dim, s.dim) for s in ranks.values()] == \
         [(s.chain_dim, s.dim) for s in reps.values()]
+
+
+def test_layout_columns_drop_an_image_term_beyond_a_cap():
+    # d(y) = p^3 is given outside the ring (p is capped at 1), so the
+    # Leibniz rule drops every product with it; by digits alone, p + p^3
+    # would carry into the digit of q and read as the code of q
+    gens = GeneratorSet((("y", 5),), (("p", 2, 1), ("q", 2, 2)))
+    d = Differential(gens, {"y": Element(gens, {((), (3, 0)): 1})})
+    layout = dga._Layout(gens, d, 10)
+    for n in range(10):
+        basis_n, cols = _public_image_columns(gens, d, n)
+        assert layout.columns(n) == (len(basis_n), cols), n
 
 
 def test_degrees_above_the_top_are_not_enumerated(monkeypatch):
@@ -287,6 +298,15 @@ def test_degrees_above_the_top_are_not_enumerated(monkeypatch):
                 assert (s.chain_dim, s.dim, s.representatives) == (0, 0, empty)
             else:
                 assert (s.chain_dim, s.dim) == (full[n].chain_dim, full[n].dim)
+
+
+def test_cohomology_reports_are_unhashable_and_compare_equal():
+    gens, d = weil_complex(1)
+    report = cohomology(gens, d)
+    assert report == cohomology(gens, d)
+    assert not isinstance(report, Hashable)
+    with pytest.raises(TypeError):
+        hash(report)
 
 
 def test_a_huge_max_degree_stores_only_the_computed_degrees():
@@ -401,7 +421,7 @@ def test_predecessors_are_complete_and_valid(complex_):
     gens, d = complex_()
     for n in range(gens.top_degree() + 1):
         below = set(basis_of_degree(gens, n - 1))
-        preds = {t: d.predecessors(t) for t in basis_of_degree(gens, n)}
+        preds = {t: predecessors(d, t) for t in basis_of_degree(gens, n)}
         for t, ms in preds.items():
             assert ms <= below, (gens.mono_str(t), ms - below)
         for m in below:
@@ -412,23 +432,30 @@ def test_predecessors_are_complete_and_valid(complex_):
 def test_predecessors_drop_cap_truncation_and_exterior_repeats():
     gens, d = _poly_differential_model()
     # t = x*p*q: p * (t / (x*q)) = p^2 breaks the cap of p
-    assert d.predecessors(((0,), (1, 1))) == set()
+    assert predecessors(d, ((0,), (1, 1))) == set()
     # t = x*q^5: p * q^4 breaks the truncation; y * (t / q^3) stays
-    assert d.predecessors(((0,), (0, 5))) == {((0, 1), (0, 2))}  # x*y*q^2
+    assert predecessors(d, ((0,), (0, 5))) == {((0, 1), (0, 2))}  # x*y*q^2
     # t = y*q^3: y * (t / q^3) would repeat y
-    assert d.predecessors(((1,), (0, 3))) == set()
+    assert predecessors(d, ((1,), (0, 3))) == set()
 
 
 def global_classes_mod_image(d, cocycles):
-    """Oracle: membership against the whole degree-(n-1) image at once,
-    reduced in one Fraction ``Echelon``.  All cocycles share one degree."""
+    """Oracle: membership against the whole image of d in every degree of
+    the cocycles' support at once, reduced in one Fraction ``Echelon``.
+
+    The image of d is graded, so each degree n of the support gets its
+    own coordinates and the rows of all of d_{n-1}; a cocycle of several
+    degrees is then a coboundary iff each of its homogeneous parts is.
+    """
     gens = d.gens
-    n = cocycles[0].degree()
-    index = {m: i for i, m in enumerate(basis_of_degree(gens, n))}
+    degrees = sorted({gens.mono_degree(m) for x in cocycles for m in x.terms})
+    index = {m: i for i, m in enumerate(
+        m for n in degrees for m in basis_of_degree(gens, n))}
     image = Echelon()
-    for m in basis_of_degree(gens, n - 1):
-        dm = d(Element(gens, {m: Fraction(1)}))
-        image.add({index[mm]: c for mm, c in dm.terms.items()})
+    for n in degrees:
+        for m in basis_of_degree(gens, n - 1):
+            dm = d(Element(gens, {m: Fraction(1)}))
+            image.add({index[mm]: c for mm, c in dm.terms.items()})
     joint = Echelon()
     joint.pivots = {c: dict(row) for c, row in image.pivots.items()}
     nonzero, independent = [], True
@@ -462,7 +489,7 @@ def _random_in_degree(gens, rng, n):
                           for _ in range(rng.randint(1, 3))})
 
 
-@pytest.mark.parametrize("complex_", [
+RANDOM_COCYCLE_CASES = [
     pytest.param(lambda: weil_complex(2), id="W2-framed"),
     pytest.param(lambda: weil_complex(3), id="W3-framed"),
     pytest.param(lambda: weil_complex(3, framed=False), id="W3-unframed"),
@@ -470,7 +497,10 @@ def _random_in_degree(gens, rng, n):
     pytest.param(lambda: _frame(sphere_base_model), id="sphere-k2"),
     pytest.param(_koszul_model, id="koszul"),
     pytest.param(_two_step_model, id="two-step"),
-])
+]
+
+
+@pytest.mark.parametrize("complex_", RANDOM_COCYCLE_CASES)
 def test_membership_matches_global_elimination_on_random_cocycles(complex_):
     # random combinations of representatives plus random coboundaries d(y),
     # and the coboundaries alone, which must report zero
@@ -496,11 +526,78 @@ def test_membership_matches_global_elimination_on_random_cocycles(complex_):
                 assert not class_nonzero(gens, d, y)
 
 
+def _unbounded_model():
+    """No truncation and an uncapped generator: the complex has no top
+    degree, so the layout goes only up to the cocycles' top degree."""
+    gens = GeneratorSet((("x", 1), ("y", 3)), (("p", 2, None), ("q", 2, 2)))
+    x, q = gens.generator("x"), gens.generator("q")
+    return gens, Differential(gens, {"p": x * q, "y": q * q})
+
+
+@pytest.mark.parametrize("complex_", [
+    *RANDOM_COCYCLE_CASES, pytest.param(_unbounded_model, id="unbounded")])
+def test_membership_across_degrees_matches_the_graded_oracle(complex_):
+    # cocycles of several degrees in one call, an inhomogeneous cocycle,
+    # and the degree-0 unit class, whose degree has no sources
+    gens, d = complex_()
+    top = gens.top_degree()
+    slices = cohomology(gens, d, 9 if top is None else None).by_degree
+    rng = random.Random(67)
+
+    def random_cocycle(n):
+        x = d(_random_in_degree(gens, rng, n - 1)) if n else gens.zero()
+        for rep in slices[n].representatives:
+            x = x + rep.scale(rng.randint(-2, 2))
+        return x
+
+    unit = gens.unit().scale(3)
+    assert classes_mod_image(d, [unit]) == ([True], True)
+    degrees = list(slices)
+    for _ in range(10):
+        picked = rng.sample(degrees, min(4, len(degrees)))
+        cocycles = [x for n in picked if (x := random_cocycle(n))]
+        mixed = random_cocycle(rng.choice(degrees)) + random_cocycle(rng.choice(degrees))
+        for xs in (cocycles, [unit, *cocycles], [mixed], [mixed, *cocycles[:2]]):
+            xs = [x for x in xs if x]
+            if xs:
+                assert classes_mod_image(d, xs) == global_classes_mod_image(d, xs)
+        if mixed:
+            assert class_nonzero(gens, d, mixed) == \
+                global_classes_mod_image(d, [mixed])[0][0]
+
+
+def test_membership_lays_out_each_degree_of_the_support_once(monkeypatch):
+    # the degree-0 unit class has no sources, so only degree 3 needs d_2
+    gens, d = weil_complex(2)
+    laid_out = []
+    columns = dga._Layout.columns
+
+    def recording_columns(self, n):
+        laid_out.append(n)
+        return columns(self, n)
+
+    monkeypatch.setattr(dga._Layout, "columns", recording_columns)
+    y1c1 = gens.monomial((0,), (1, 0))
+    assert classes_mod_image(d, [gens.unit(), y1c1, y1c1.scale(2)]) == \
+        ([True, True, True], False)
+    assert laid_out == [2]
+
+
+def test_membership_rejects_a_monomial_outside_the_complex():
+    gens, d = _koszul_model()
+    for exps in ((0, 3),   # breaks the cap of q
+                 (3, 1),   # breaks the truncation, each exponent in range
+                 (-1, 2), (1,)):
+        x = Element(gens, {((), exps): 1})
+        with pytest.raises(ValueError, match="not a monomial of the complex"):
+            classes_mod_image(d, [x])
+
+
 def test_membership_on_a_cocycle_spanning_two_blocks():
     gens, d = weil_complex(3)
 
     def block(x):
-        return set(x.terms).union(*_touched_image(d, x.terms))
+        return set(x.terms).union(*touched_image(d, x.terms))
 
     for s in cohomology(gens, d).by_degree.values():
         reps = s.representatives
@@ -528,8 +625,11 @@ def test_membership_on_a_cocycle_spanning_two_blocks():
 def test_closure_follows_images_beyond_the_support():
     gens, d = _two_step_model()
     s = gens.generator("s")
-    assert d.predecessors(next(iter(s.terms))) == {((0,), (0, 0))}  # u only
-    assert len(_touched_image(d, s.terms)) == 2  # d(u) and then d(w)
+    assert predecessors(d, next(iter(s.terms))) == {((0,), (0, 0))}  # u only
+    assert len(touched_image(d, s.terms)) == 2  # d(u) and then d(w)
+    layout = dga._Layout(gens, d, 4)
+    assert dga._touched_columns(layout, 4, {layout.row(m)[1] for m in s.terms}) == \
+        [c for c in layout.columns(3)[1] if c]  # the same two rows
     assert classes_mod_image(d, [s]) == ([False], False)
     assert not class_nonzero(gens, d, s)
     assert global_classes_mod_image(d, [s]) == ([False], False)
