@@ -22,6 +22,8 @@ Equality of elements is structural equality of their canonical term maps.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -147,6 +149,12 @@ class GeneratorSet:
                 raise ValueError(f"cap for {name} must be nonnegative")
         if self.truncation < 0:
             raise ValueError("truncation must be nonnegative")
+        # derived once for mono_mul; not fields, so not compared or hashed
+        caps = [cap for _, _, cap in self.poly]
+        object.__setattr__(self, "_caps", tuple(
+            math.inf if cap is None else cap for cap in caps)
+            if any(cap is not None for cap in caps) else None)
+        object.__setattr__(self, "_weights", tuple(deg for _, deg, _ in self.poly))
 
     # -- basic queries -------------------------------------------------
 
@@ -162,7 +170,7 @@ class GeneratorSet:
         return ((), (0,) * self.n_poly)
 
     def poly_degree(self, exps: tuple[int, ...]) -> int:
-        return sum(e * self.poly[j][1] for j, e in enumerate(exps) if e)
+        return sum(map(operator.mul, exps, self._weights))
 
     def mono_degree(self, m: Mono) -> int:
         ext, exps = m
@@ -191,10 +199,9 @@ class GeneratorSet:
         if merged is None:
             return None
         parity, ext = merged
-        exps = tuple(x + y for x, y in zip(a[1], b[1]))
-        for e, (_, _, cap) in zip(exps, self.poly):
-            if cap is not None and e > cap:
-                return None
+        exps = tuple(map(operator.add, a[1], b[1]))
+        if self._caps and not all(map(operator.le, exps, self._caps)):
+            return None
         if self.truncation and self.poly_degree(exps) > self.truncation:
             return None
         return (-1 if parity else 1), (ext, exps)
@@ -453,9 +460,6 @@ class Element:
     def __eq__(self, other) -> bool:
         return (isinstance(other, Element) and self.gens == other.gens
                 and self.terms == other.terms)
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
 
     # -- presentation ------------------------------------------------------
 

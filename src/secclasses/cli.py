@@ -2,10 +2,15 @@
 
 Every command emits a deterministic report in one of three formats:
 a plain table (default), a schema-versioned JSON envelope, or flat CSV.
-Exit codes: 0 success, 2 usage error, 3 dimension budget exceeded,
-4 invariant violation (one of the package's own exceptions, such as
-``NotACocycle``, or a selftest failure).  Any other exception is a bug
-and propagates with its traceback.
+A command is one ``cmd_<name>`` function: it builds its records once,
+and :func:`_report` renders them in the chosen format.
+
+Arguments are checked by argparse alone, so a bad value is a usage error
+that names the subcommand and the argument (``secclasses vey: error:
+argument --q: must be >= 1``).  Exit codes: 0 success, 2 usage error,
+3 dimension budget exceeded, 4 invariant violation (one of the package's
+own exceptions, such as ``NotACocycle``, or a selftest failure).  Any
+other exception is a bug and propagates with its traceback.
 
 No color is ever emitted, so NO_COLOR is honored trivially; no network
 access and no environment variables are required.
@@ -48,31 +53,29 @@ def _check_budget(dimension: int, max_dim: int, what: str, unit: str = "monomial
             f"raise --max-dim to proceed")
 
 
+def _report(args, params, results, title, columns, rows, notes) -> str:
+    return render(args.format, envelope(args.command, params, results),
+                  title, columns, rows, notes)
+
+
 def cmd_vey(args) -> str:
     classes = vey_basis(args.q, args.min_degree, args.max_degree)
     if args.rigid_only:
         classes = [v for v in classes if v.is_rigid(args.q)]
-    rows = [{
-        "class": v.label(),
-        "degree": v.degree,
-        "rigid": v.is_rigid(args.q),
-        "I": " ".join(map(str, v.I)),
-        "J": " ".join(map(str, v.J)),
-    } for v in classes]
-    results = {
-        "count": len(rows),
-        "unit_class": "excluded from the listing; contributes 1 in degree 0",
-        "classes": [{**r, "I": list(v.I), "J": list(v.J)}
-                    for r, v in zip(rows, classes)],
-    }
+    records = [{"class": v.label(), "degree": v.degree, "rigid": v.is_rigid(args.q),
+                "I": list(v.I), "J": list(v.J)} for v in classes]
+    results = {"count": len(records),
+               "unit_class": "excluded from the listing; contributes 1 in degree 0",
+               "classes": records}
     params = {"q": args.q, "rigid_only": args.rigid_only,
               "min_degree": args.min_degree, "max_degree": args.max_degree}
-    env = envelope("vey", params, results)
     title = f"Vey basis, codimension {args.q}" + \
         (" (rigid only)" if args.rigid_only else "")
-    return render(args.format, env, title,
-                  ["class", "degree", "rigid", "I", "J"], rows,
-                  [f"{len(rows)} classes (unit class excluded)"])
+    rows = [{**r, "I": " ".join(map(str, r["I"])), "J": " ".join(map(str, r["J"]))}
+            for r in records]
+    return _report(args, params, results, title,
+                   ["class", "degree", "rigid", "I", "J"], rows,
+                   [f"{len(rows)} classes (unit class excluded)"])
 
 
 def cmd_cohomology(args) -> str:
@@ -82,35 +85,27 @@ def cmd_cohomology(args) -> str:
     max_degree = gens.top_degree() if args.max_degree is None else args.max_degree
     _check_budget(max_degree + 1, args.max_dim, "the report", "rows")
     report = cohomology(gens, d, max_degree, args.representatives)
-    rows = []
-    for n in range(report.max_degree + 1):
-        s = report.by_degree[n]
-        row = {"degree": n, "chain_dim": s.chain_dim, "dim": s.dim}
-        if args.representatives:
-            row["representatives"] = "; ".join(str(r) for r in s.representatives)
-        rows.append(row)
+    reps = args.representatives
+    records = [{"degree": n, "chain_dim": s.chain_dim, "dim": s.dim,
+                **({"representatives": [str(r) for r in s.representatives]}
+                   if reps else {})}
+               for n, s in report.by_degree.items()]
+    rows = [{**r, "representatives": "; ".join(r["representatives"])}
+            if reps else r for r in records]
+    columns = ["degree", "chain_dim", "dim"] + (["representatives"] if reps else [])
+    nonzero = report.dims()
     results = {
         "total_dimension": gens.dimension(),
         "max_degree": report.max_degree,
-        "dims": {str(n): s.dim for n, s in sorted(report.by_degree.items()) if s.dim},
-        "by_degree": [
-            {"degree": n, "chain_dim": s.chain_dim, "dim": s.dim,
-             **({"representatives": [str(r) for r in s.representatives]}
-                if args.representatives else {})}
-            for n, s in sorted(report.by_degree.items())
-        ],
+        "dims": {str(n): dim for n, dim in nonzero.items()},
+        "by_degree": records,
     }
     params = {"q": args.q, "framed": args.framed, "max_degree": args.max_degree,
-              "representatives": args.representatives, "max_dim": args.max_dim}
-    env = envelope("cohomology", params, results)
+              "representatives": reps, "max_dim": args.max_dim}
     kind = "framed" if args.framed else "unframed"
-    columns = ["degree", "chain_dim", "dim"]
-    if args.representatives:
-        columns.append("representatives")
-    nonzero = {n: s.dim for n, s in report.by_degree.items() if s.dim}
-    return render(args.format, env,
-                  f"Cohomology of the {kind} codimension-{args.q} complex",
-                  columns, rows, [f"nonzero dims: {nonzero}"])
+    return _report(args, params, results,
+                   f"Cohomology of the {kind} codimension-{args.q} complex",
+                   columns, rows, [f"nonzero dims: {nonzero}"])
 
 
 def cmd_pontrjagin(args) -> str:
@@ -138,15 +133,14 @@ def cmd_pontrjagin(args) -> str:
         "passed": report.passed,
         "normalization": report.note,
     }
-    env = envelope("pontrjagin", {"q": args.q}, results)
     notes = [f"degree {b.degree}: rank {b.rank}/{len(b.classes)}"
              + ("" if b.full else "  RANK DEFICIENT") for b in report.blocks]
     notes.append("PASS" if report.passed else "FAIL")
     notes.append(report.note)
-    return render(args.format, env,
-                  f"Pontrjagin independence certificate, q = {args.q}",
-                  ["kind", "degree", "class", "cycle", "value", "rank", "full"],
-                  rows, notes)
+    return _report(args, {"q": args.q}, results,
+                   f"Pontrjagin independence certificate, q = {args.q}",
+                   ["kind", "degree", "class", "cycle", "value", "rank", "full"],
+                   rows, notes)
 
 
 def cmd_frame(args) -> str:
@@ -159,36 +153,19 @@ def cmd_frame(args) -> str:
     model = build(args.k)
     _check_budget(model.dimension(), args.max_dim, "the frame model")
     cert = certify(model)
-    rows = [{
-        "class": c.source,
-        "degree": "" if c.degree is None else c.degree,
-        "image": c.image,
-        "nonzero": c.nonzero,
-        "expected_zero": c.expected_zero,
-    } for c in cert.classes]
-    results = {
-        "q": cert.q,
-        "base": cert.model_label,
-        "model_dimension": cert.model_dimension,
-        "classes": [{
-            "class": c.source,
-            "degree": c.degree,
-            "image": c.image,
-            "nonzero": c.nonzero,
-            "expected_zero": c.expected_zero,
-        } for c in cert.classes],
-        "jointly_independent": cert.jointly_independent,
-        "passed": cert.passed,
-    }
+    columns = ["class", "degree", "image", "nonzero", "expected_zero"]
+    records = [dict(zip(columns, (c.source, c.degree, c.image, c.nonzero,
+                                  c.expected_zero))) for c in cert.classes]
+    results = {"q": cert.q, "base": cert.model_label,
+               "model_dimension": cert.model_dimension, "classes": records,
+               "jointly_independent": cert.jointly_independent, "passed": cert.passed}
     params = {"case": args.case, "k": args.k, "max_dim": args.max_dim}
-    env = envelope("frame", params, results)
     notes = [f"base {cert.model_label}, model dimension {cert.model_dimension}",
              f"jointly independent: {cert.jointly_independent}",
              "PASS" if cert.passed else "FAIL"]
-    return render(args.format, env,
-                  f"Frame-model certificate, case {args.case}, k = {args.k}",
-                  ["class", "degree", "image", "nonzero", "expected_zero"],
-                  rows, notes)
+    return _report(args, params, results,
+                   f"Frame-model certificate, case {args.case}, k = {args.k}",
+                   columns, records, notes)
 
 
 def cmd_catalog(args) -> str:
@@ -196,49 +173,50 @@ def cmd_catalog(args) -> str:
                   f"the codimension-{args.q} spherical family", "classes")
     entries = [e for e in spherical_rigid_classes(args.q) if e.degree == args.dim]
     entries.sort(key=lambda e: (e.degree, e.label()))
-    rows = []
-    for idx, e in enumerate(entries, start=1):
-        rows.append({
-            "class": e.label(),
-            "family": e.family,
-            "degree": e.degree,
-            "pairing": f"l{idx} * <{e.label()}, [S^{args.dim}]>",
-        })
+    rows = [{"class": e.label(), "family": e.family, "degree": e.degree,
+             "pairing": f"l{idx} * <{e.label()}, [S^{args.dim}]>"}
+            for idx, e in enumerate(entries, start=1)]
     rank = len(entries)
     note = (f"Z^{rank}-indexed family: each pairing scales linearly in its "
             "integer parameter, so distinct parameters give distinct "
             "(non-homotopic) foliations" if rank else
             "no spherically supported rigid classes in this degree")
-    results = {
-        "classes": [dict(r) for r in rows],
-        "family_rank": rank,
-        "note": note,
-    }
-    params = {"q": args.q, "dim": args.dim}
-    env = envelope("catalog", params, results)
-    return render(args.format, env,
-                  f"Distinguishing catalog: codimension {args.q}, "
-                  f"manifold dimension {args.dim}",
-                  ["class", "family", "degree", "pairing"], rows, [note])
+    results = {"classes": rows, "family_rank": rank, "note": note}
+    return _report(args, {"q": args.q, "dim": args.dim}, results,
+                   f"Distinguishing catalog: codimension {args.q}, "
+                   f"manifold dimension {args.dim}",
+                   ["class", "family", "degree", "pairing"], rows, [note])
 
 
 def cmd_selftest(args) -> tuple[str, int]:
     from . import acceptance
     results = acceptance.run_all()
-    lines = []
-    for name, ok, detail in results:
-        lines.append(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
     passed = all(ok for _, ok, _ in results)
-    lines.append(f"{sum(ok for _, ok, _ in results)}/{len(results)} criteria passed")
-    text = "\n".join(lines) + "\n"
     if args.format == "json":
-        env = envelope("selftest", {}, {
-            "criteria": [{"name": n, "passed": ok, "detail": d}
-                         for n, ok, d in results],
-            "passed": passed,
-        })
-        text = render("json", env, "", [], [])
+        criteria = [{"name": n, "passed": ok, "detail": d} for n, ok, d in results]
+        text = _report(args, {}, {"criteria": criteria, "passed": passed},
+                       "", [], [], [])
+    else:
+        lines = [f"{'PASS' if ok else 'FAIL'}  {name}: {detail}"
+                 for name, ok, detail in results]
+        lines.append(f"{sum(ok for _, ok, _ in results)}/{len(results)} criteria passed")
+        text = "\n".join(lines) + "\n"
     return text, EXIT_OK if passed else EXIT_INTERNAL
+
+
+def _at_least(low: int, even: bool = False):
+    """An argparse ``type``: an int that is at least ``low``, and even if
+    ``even``; anything else is a usage error naming the argument."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low or even and value % 2:
+            raise argparse.ArgumentTypeError(
+                f"must be {'even and ' if even else ''}>= {low}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,17 +230,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output format (default: table)")
 
     p = sub.add_parser("vey", help="enumerate the Vey basis")
-    p.add_argument("--q", type=int, required=True, help="codimension, >= 1")
+    p.add_argument("--q", type=_at_least(1), required=True, help="codimension, >= 1")
     p.add_argument("--rigid-only", action="store_true")
     p.add_argument("--min-degree", type=int, default=None)
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--max-degree", type=_at_least(0), default=None)
     add_format(p)
 
     p = sub.add_parser("cohomology", help="exact cohomology of a complex")
-    p.add_argument("--q", type=int, required=True, help="codimension, >= 1")
+    p.add_argument("--q", type=_at_least(1), required=True, help="codimension, >= 1")
     p.add_argument("--framed", action=argparse.BooleanOptionalAction,
                    default=True, help="framed complex (default) or unframed")
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--max-degree", type=_at_least(0), default=None)
     p.add_argument("--representatives", action="store_true")
     p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
                    help="largest admissible total monomial count, and "
@@ -270,19 +248,21 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sub.add_parser("pontrjagin", help="independence certificate")
-    p.add_argument("--q", type=int, required=True, help="codimension, >= 2")
+    p.add_argument("--q", type=_at_least(2), required=True, help="codimension, >= 2")
     add_format(p)
 
     p = sub.add_parser("frame", help="frame-model certificates")
     p.add_argument("--case", choices=("2k", "4k2"), required=True,
                    help="2k: (CP^2)^k base, q = 2k; 4k2: S^{4k} base, q = 4k-2")
-    p.add_argument("--k", type=int, required=True, help="family parameter, >= 2")
+    p.add_argument("--k", type=_at_least(2), required=True,
+                   help="family parameter, >= 2")
     p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
     add_format(p)
 
     p = sub.add_parser("catalog", help="distinguishing classes by dimension")
-    p.add_argument("--q", type=int, required=True, help="even codimension >= 4")
-    p.add_argument("--dim", type=int, required=True, help="manifold dimension")
+    p.add_argument("--q", type=_at_least(4, even=True), required=True,
+                   help="even codimension >= 4")
+    p.add_argument("--dim", type=_at_least(1), required=True, help="manifold dimension")
     p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
                    help="largest admissible number of family classes, "
                         "counted before any is listed")
@@ -295,46 +275,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so that a replaced cmd_<command> is the one run
+    command = globals()[f"cmd_{args.command}"]
     try:
-        if args.command == "vey":
-            if args.q < 1:
-                parser.error("--q must be >= 1")
-            if args.max_degree is not None and args.max_degree < 0:
-                parser.error("--max-degree must be >= 0")
-            sys.stdout.write(cmd_vey(args))
-        elif args.command == "cohomology":
-            if args.q < 1:
-                parser.error("--q must be >= 1")
-            if args.max_degree is not None and args.max_degree < 0:
-                parser.error("--max-degree must be >= 0")
-            sys.stdout.write(cmd_cohomology(args))
-        elif args.command == "pontrjagin":
-            if args.q < 2:
-                parser.error("--q must be >= 2")
-            sys.stdout.write(cmd_pontrjagin(args))
-        elif args.command == "frame":
-            if args.k < 2:
-                parser.error("--k must be >= 2")
-            sys.stdout.write(cmd_frame(args))
-        elif args.command == "catalog":
-            if args.q < 4 or args.q % 2:
-                parser.error("--q must be even and >= 4")
-            if args.dim < 1:
-                parser.error("--dim must be >= 1")
-            sys.stdout.write(cmd_catalog(args))
-        elif args.command == "selftest":
-            text, code = cmd_selftest(args)
-            sys.stdout.write(text)
-            return code
+        out = command(args)
     except BudgetExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BUDGET
     except INVARIANT_VIOLATIONS as exc:
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
-    return EXIT_OK
+    text, code = out if isinstance(out, tuple) else (out, EXIT_OK)
+    sys.stdout.write(text)
+    return code
 
 
 def main_entry():

@@ -45,7 +45,6 @@ cohomology representatives.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -69,11 +68,13 @@ class Differential:
 
     ``images`` maps generator names to elements; omitted names get zero.
     Each image must be homogeneous of degree ``deg(gen) + 1`` (or zero),
-    and the composite ``d(d(g))`` must vanish for every generator.
+    and the composite ``d(d(g))`` must vanish for every generator.  The
+    images are kept as ``ext_images`` and ``poly_images``, in generator
+    order, and d of an element follows from them by the graded Leibniz
+    rule, each product formed by :meth:`GeneratorSet.mono_mul`.
     """
 
-    __slots__ = ("gens", "ext_images", "poly_images", "_ext_terms",
-                 "_poly_terms", "_weights", "_caps")
+    __slots__ = ("gens", "ext_images", "poly_images")
 
     def __init__(self, gens: GeneratorSet, images: dict[str, Element] | None = None):
         self.gens = gens
@@ -91,75 +92,46 @@ class Differential:
                     f"d({name}) must have degree {degree + 1}, got {img.degree()}")
             return img
 
-        def image_terms(img: Element):
-            return tuple((ext, exps, gens.poly_degree(exps),
-                          c.numerator if c.denominator == 1 else c)
-                         for (ext, exps), c in img.terms.items())
-
         self.ext_images = tuple(take(n, d) for n, d in gens.exterior)
         self.poly_images = tuple(take(n, d) for n, d, _ in gens.poly)
         if images:
             raise KeyError(f"images given for unknown generators: {sorted(images)}")
-        self._ext_terms = tuple(map(image_terms, self.ext_images))
-        self._poly_terms = tuple(map(image_terms, self.poly_images))
-        self._weights = tuple(deg for _, deg, _ in gens.poly)
-        caps = [cap for _, _, cap in gens.poly]
-        self._caps = (tuple(math.inf if cap is None else cap for cap in caps)
-                      if any(cap is not None for cap in caps) else None)
         names = [n for n, _ in gens.exterior] + [n for n, _, _ in gens.poly]
         for name, img in zip(names, self.ext_images + self.poly_images):
             if not self(img).is_zero():
                 raise ValueError(f"d(d(g)) != 0 on generator {name}")
 
     def __call__(self, x: Element) -> Element:
-        """Apply the differential via the graded Leibniz rule, in one pass."""
-        return Element(self.gens, self._leibniz(x.terms.items()))
-
-    def _leibniz(self, terms) -> dict:
-        """d of the linear combination ``terms`` of ``(monomial, coeff)``
-        pairs, as one accumulator that may hold cancelled zeros.
+        """Apply the differential via the graded Leibniz rule, in one pass.
 
         A generator g of a monomial contributes the monomial with one g
         removed, times d(g) at the right end, times the exponent of g and
         (-1)^k, k being the number of exterior generators standing before g
-        (all of them when g is polynomial).  The products go straight into
-        the accumulator, and truncation and caps are checked as each is
-        formed.
+        (all of them when g is polynomial).
         """
-        acc: dict[Mono, int | Fraction] = {}
-        trunc = self.gens.truncation
-        caps = self._caps
-        weights = self._weights
+        acc: dict[Mono, Fraction] = {}
+        mono_mul = self.gens.mono_mul
 
-        def add(r_ext, r_exps, r_deg, c, image):
-            for b_ext, b_exps, b_deg, b_c in image:
-                if trunc and r_deg + b_deg > trunc:
-                    continue
-                merged = merge_exterior(r_ext, b_ext)
-                if merged is None:
-                    continue
-                parity, ext = merged
-                exps = tuple(map(operator.add, r_exps, b_exps))
-                if caps and not all(map(operator.le, exps, caps)):
-                    continue
-                m = (ext, exps)
-                v = c * b_c
-                acc[m] = acc.get(m, 0) - v if parity else acc.get(m, 0) + v
+        def add(rest: Mono, c, image: Element):
+            for b, b_c in image.terms.items():
+                r = mono_mul(rest, b)
+                if r is not None:
+                    sign, m = r
+                    acc[m] = acc.get(m, 0) + (c * b_c if sign > 0 else -c * b_c)
 
-        for (ext, exps), coeff in terms:
-            deg = sum(map(operator.mul, exps, weights))
+        for (ext, exps), coeff in x.terms.items():
             for pos, idx in enumerate(ext):
-                image = self._ext_terms[idx]
+                image = self.ext_images[idx]
                 if image:
-                    add(ext[:pos] + ext[pos + 1:], exps, deg,
+                    add((ext[:pos] + ext[pos + 1:], exps),
                         -coeff if pos & 1 else coeff, image)
             sign = -1 if len(ext) & 1 else 1
             for j, e in enumerate(exps):
-                image = self._poly_terms[j] if e else None
+                image = self.poly_images[j] if e else None
                 if image:
-                    add(ext, exps[:j] + (e - 1,) + exps[j + 1:],
-                        deg - weights[j], coeff * sign * e, image)
-        return acc
+                    add((ext, exps[:j] + (e - 1,) + exps[j + 1:]),
+                        coeff * sign * e, image)
+        return Element(self.gens, acc)
 
 
 @dataclass(frozen=True)
@@ -272,23 +244,29 @@ class _Layout:
         self.offsets = [_block_offsets(self.ext_degrees, self.parts, n)
                         for n in range(top + 1)]
         self.ext_id = {E: i for i, E in enumerate(ext)}
+        # the terms (b_ext, b_exps, c) of each d(g), c an int where integral
+        ext_terms, poly_terms = (
+            [[(*b, c.numerator if c.denominator == 1 else c)
+              for b, c in image.terms.items()] for image in images]
+            for images in (d.ext_images, d.poly_images))
         # a subset of degree top or more is never the source of a column
-        self.images = [self._subset_image(d, E, self.ext_id) if e < top else ()
+        self.images = [self._subset_image(E, ext_terms, poly_terms, self.ext_id)
+                       if e < top else ()
                        for E, e in zip(ext, self.ext_degrees)]
         self._tables: dict = {}
 
     @staticmethod
-    def _subset_image(d: Differential, E, ext_id) -> list[tuple]:
+    def _subset_image(E, ext_terms, poly_terms, ext_id) -> list[tuple]:
         """The terms ``(T, b, c0, ((j, c_j), ...))`` of d(y_E c^x), T being
         a subset id; one term per (T, b), none whose coefficient is 0."""
         raw = []
         for p, g in enumerate(E):
-            for b_ext, b_exps, _, b_c in d._ext_terms[g]:
+            for b_ext, b_exps, b_c in ext_terms[g]:
                 raw.append((E[:p] + E[p + 1:], b_ext, b_exps, None,
                             -b_c if p & 1 else b_c))
         sign = -1 if len(E) & 1 else 1
-        for j, image in enumerate(d._poly_terms):
-            for b_ext, b_exps, _, b_c in image:
+        for j, image in enumerate(poly_terms):
+            for b_ext, b_exps, b_c in image:
                 b = b_exps[:j] + (b_exps[j] - 1,) + b_exps[j + 1:]
                 raw.append((E, b_ext, b, j, sign * b_c))
         terms: dict[tuple, dict] = {}

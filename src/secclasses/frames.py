@@ -242,13 +242,14 @@ def _certify(model: FrameModel, elements, labels) -> tuple[list[CertifiedClass],
     return entries, joint
 
 
-def projective_base_model(k: int, include_euler: bool = False) -> FrameModel:
-    """Frame model of the canonical rank-2k sum over (CP^2)^k."""
+def projective_base_model(k: int) -> FrameModel:
+    """Frame model of the canonical rank-2k sum over (CP^2)^k, without the
+    Euler transgression (see the README's notes on frame certificates)."""
     if k < 2:
         raise ValueError("the projective family starts at k = 2")
     base = product_model([Factor("cp2", 1)] * k)
     return build_frame_model(base, canonical_bundle(base), 2 * k,
-                             include_euler=include_euler)
+                             include_euler=False)
 
 
 def certify_projective_family(k: int) -> FrameCertificate:

@@ -53,10 +53,6 @@ class Factor:
         return 2 if self.kind == "cp2" else 1
 
     @property
-    def fundamental_degree(self) -> int:
-        return 4 if self.kind == "cp2" else 4 * self.index
-
-    @property
     def rank(self) -> int:
         # fiber dimension of the canonical bundle carried by the factor
         return 2 if self.kind == "cp2" else 4 * self.index - 2

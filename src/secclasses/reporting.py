@@ -55,7 +55,7 @@ def render_table(title: str, columns: list[str], rows: list[dict],
     widths = {c: len(c) for c in columns}
     body = []
     for row in rows:
-        cells = {c: str(row.get(c, "")) for c in columns}
+        cells = {c: "" if row.get(c) is None else str(row[c]) for c in columns}
         for c, text in cells.items():
             widths[c] = max(widths[c], len(text))
         body.append(cells)

@@ -43,10 +43,6 @@ def weil_complex(q: int, framed: bool = True) -> tuple[GeneratorSet, Differentia
     return gens, Differential(gens, images)
 
 
-def weil_top_degree(q: int) -> int:
-    return q * q + 2 * q
-
-
 @dataclass(frozen=True, order=True)
 class VeyIndex:
     """The pair (I, J) indexing a monomial y_I c_J.

@@ -2,8 +2,9 @@
 
 It finds the block of the image of d that a support touches from Leibniz
 predecessors and monomial images, with no index arithmetic: it reads the
-differential's generator-image terms and ``Differential._leibniz``, and
-shares no code with ``dga._Layout``.
+differential's generator images (``ext_images``, ``poly_images``) and
+applies ``d`` to one monomial at a time, and shares no code with
+``dga._Layout``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from secclasses.algebra import Mono
+from secclasses.algebra import Element, Mono
 from secclasses.dga import Differential
 
 
@@ -21,12 +22,11 @@ def _terms_by_variable(d: Differential) -> dict[int, list]:
     Generator degrees are positive, so no term is constant."""
     n_ext = d.gens.n_exterior
     out: dict[int, list] = {}
-    for g, image in enumerate(d._ext_terms + d._poly_terms):
-        for term in image:
-            b_ext, b_exps = term[0], term[1]
+    for g, image in enumerate(d.ext_images + d.poly_images):
+        for b_ext, b_exps in image.terms:
             key = b_ext[0] if b_ext else n_ext + next(
                 j for j, e in enumerate(b_exps) if e)
-            out.setdefault(key, []).append((g, term))
+            out.setdefault(key, []).append((g, b_ext, b_exps))
     return out
 
 
@@ -43,16 +43,14 @@ def predecessors(d: Differential, t: Mono) -> set[Mono]:
     is a superset of the true predecessors.
     """
     t_ext, t_exps = t
-    t_deg = sum(map(operator.mul, t_exps, d._weights))
-    trunc = d.gens.truncation
-    caps = d._caps
-    n_ext = d.gens.n_exterior
+    gens = d.gens
+    n_ext = gens.n_exterior
     by_variable = _terms_by_variable(d)
     out: set[Mono] = set()
     # a term b divides t only if t has the variable b is keyed by
     keys = [*t_ext, *(n_ext + j for j, e in enumerate(t_exps) if e)]
     for key in keys:
-        for g, (b_ext, b_exps, b_deg, _) in by_variable.get(key, ()):
+        for g, b_ext, b_exps in by_variable.get(key, ()):
             if not (all(map(operator.le, b_exps, t_exps))
                     and all(i in t_ext for i in b_ext)):
                 continue
@@ -63,10 +61,10 @@ def predecessors(d: Differential, t: Mono) -> set[Mono]:
                     out.add((tuple(sorted(r_ext + (g,))), r_exps))
                 continue
             j = g - n_ext
-            e = r_exps[j] + 1
-            if caps and e > caps[j] or trunc and t_deg - b_deg + d._weights[j] > trunc:
-                continue
-            out.add((r_ext, r_exps[:j] + (e,) + r_exps[j + 1:]))
+            m = (r_ext, r_exps[:j] + (r_exps[j] + 1,) + r_exps[j + 1:])
+            # a cap or the truncation may forbid the extra factor g
+            if gens.mono_valid(m):
+                out.add(m)
     return out
 
 
@@ -88,7 +86,7 @@ def touched_image(d: Differential, support) -> list[dict[Mono, int | Fraction]]:
         for m in predecessors(d, frontier.pop()):
             if m in images:
                 continue
-            dm = images[m] = {mm: c for mm, c in d._leibniz(((m, 1),)).items() if c}
+            dm = images[m] = d(Element(d.gens, {m: 1})).terms
             for mm in dm.keys() - targets:
                 targets.add(mm)
                 frontier.append(mm)

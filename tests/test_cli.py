@@ -57,6 +57,25 @@ def test_vey_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, argument", [
+    ("vey --q 0", "--q"),
+    ("vey --q 4 --max-degree -1", "--max-degree"),
+    ("cohomology --q 2 --max-degree -3", "--max-degree"),
+    ("pontrjagin --q 1", "--q"),
+    ("frame --case 2k --k 1", "--k"),
+    ("catalog --q 5 --dim 11", "--q"),
+    ("catalog --q 6 --dim 0", "--dim"),
+    ("cohomology --q two", "--q"),
+])
+def test_usage_error_names_subcommand_and_argument(capsys, argv, argument):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    command = argv.split()[0]
+    assert f"secclasses {command}: error: argument {argument}: " in \
+        capsys.readouterr().err
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -368,6 +387,20 @@ def test_selftest_contract(capsys):
      "ec1a565517610d11df1ab03fb680e3751e517f11204466fec27fe9fbb32fc45d"),
     ("catalog --q 14 --dim 51 --format json",
      "11d4da103954f75db5a92964c3b10a18ef7a4d25cf54f2a99de66db2573a9154"),
+    # table and CSV bytes: the expected-zero row of this frame report has
+    # no degree, an empty cell in both
+    ("frame --case 4k2 --k 3",
+     "7300039f344d9ccdc743a97e5bd8dbd68831e967345bbe4a678f26e50fc907e6"),
+    ("frame --case 4k2 --k 3 --format csv",
+     "a714dd9eab978ddb9e8ab747e531677221cec89c7e563fc4d19d2e3eda4a0fb9"),
+    ("pontrjagin --q 6",
+     "d05787759441e3b594d05e8de2387ce48ac3f52dfb5d93be20785c4901e63569"),
+    ("vey --q 4 --rigid-only",
+     "74e8fee7ba15c68b789d8e7b20edebe7ae9896ee96460b2076050c513531f70b"),
+    ("catalog --q 14 --dim 51",
+     "030b0c91fbf6a8181144fb48888d91c629960e2e432711baf99268d3a1448a00"),
+    ("cohomology --q 3 --representatives",
+     "10cf27cf349aed5ec05b38cea129f3e93a3c6996312bc5136f6964e5b814e6bd"),
 ])
 def test_golden_output_sha256(capsys, argv, digest):
     # pins the enumeration order of every family behind these reports
