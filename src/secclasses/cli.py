@@ -31,7 +31,6 @@ from .weil import (IndexOutOfRange, OddCodimension, spherical_rigid_classes,
                    spherical_rigid_count, vey_basis, weil_complex)
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
@@ -146,13 +145,18 @@ def cmd_pontrjagin(args) -> str:
 def cmd_frame(args) -> str:
     from . import frames
     if args.case == "2k":
-        build, certify = frames.projective_base_model, frames._projective_certificate
+        reduce, build, certify = (frames.projective_reduced_model,
+                                  frames.projective_base_model,
+                                  frames._projective_certificate)
     else:
-        build, certify = frames.sphere_base_model, frames._sphere_certificate
-    # one model serves the budget check and the certificate
-    model = build(args.k)
-    _check_budget(model.dimension(), args.max_dim, "the frame model")
-    cert = certify(model)
+        reduce, build, certify = (frames.sphere_reduced_model,
+                                  frames.sphere_base_model,
+                                  frames._sphere_certificate)
+    # the budget counts the reduced model, the one laid out, and is checked
+    # before the full model is built
+    reduced = gens, _ = reduce(args.k)
+    _check_budget(gens.dimension(), args.max_dim, "the reduced frame model")
+    cert = certify(build(args.k), reduced)
     columns = ["class", "degree", "image", "nonzero", "expected_zero"]
     records = [dict(zip(columns, (c.source, c.degree, c.image, c.nonzero,
                                   c.expected_zero))) for c in cert.classes]
@@ -242,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=True, help="framed complex (default) or unframed")
     p.add_argument("--max-degree", type=_at_least(0), default=None)
     p.add_argument("--representatives", action="store_true")
-    p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
+    p.add_argument("--max-dim", type=_at_least(0), default=DEFAULT_MAX_DIM,
                    help="largest admissible total monomial count, and "
                         "number of report rows (max degree + 1)")
     add_format(p)
@@ -256,14 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="2k: (CP^2)^k base, q = 2k; 4k2: S^{4k} base, q = 4k-2")
     p.add_argument("--k", type=_at_least(2), required=True,
                    help="family parameter, >= 2")
-    p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
+    p.add_argument("--max-dim", type=_at_least(0), default=DEFAULT_MAX_DIM,
+                   help="largest admissible monomial count of the reduced "
+                        "model the certificate is computed in")
     add_format(p)
 
     p = sub.add_parser("catalog", help="distinguishing classes by dimension")
     p.add_argument("--q", type=_at_least(4, even=True), required=True,
                    help="even codimension >= 4")
     p.add_argument("--dim", type=_at_least(1), required=True, help="manifold dimension")
-    p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
+    p.add_argument("--max-dim", type=_at_least(0), default=DEFAULT_MAX_DIM,
                    help="largest admissible number of family classes, "
                         "counted before any is listed")
     add_format(p)

@@ -196,14 +196,20 @@ class CohomologyReport:
         return chain, cohom
 
 
-def _block_offsets(ext_degrees, parts, n: int) -> tuple[list[int], int]:
-    """Where each exterior subset's block starts in the degree-n basis, and
-    the size of that basis."""
-    offsets = []
+def _block_offsets(by_degree, parts, n: int) -> tuple[dict[int, int], int]:
+    """Where each exterior subset with a nonempty block starts in the
+    degree-n basis, in subset order, and the size of that basis.
+
+    ``by_degree`` maps an exterior degree to its subset ids, so only the
+    subsets whose degree leaves a polynomial bucket are visited.
+    """
+    blocks = sorted((sid, len(bucket)) for k, bucket in parts.items()
+                    for sid in by_degree.get(n - k, ()))
+    offsets = {}
     total = 0
-    for e in ext_degrees:
-        offsets.append(total)
-        total += len(parts.get(n - e, ()))
+    for sid, size in blocks:
+        offsets[sid] = total
+        total += size
     return offsets, total
 
 
@@ -241,7 +247,10 @@ class _Layout:
                       for k, bucket in self.parts.items()}
         self.pos = {c: i for codes in self.codes.values()
                     for i, c in enumerate(codes)}
-        self.offsets = [_block_offsets(self.ext_degrees, self.parts, n)
+        by_degree: dict[int, list[int]] = {}
+        for sid, e in enumerate(self.ext_degrees):
+            by_degree.setdefault(e, []).append(sid)
+        self.offsets = [_block_offsets(by_degree, self.parts, n)
                         for n in range(top + 1)]
         self.ext_id = {E: i for i, E in enumerate(ext)}
         # the terms (b_ext, b_exps, c) of each d(g), c an int where integral
@@ -310,21 +319,22 @@ class _Layout:
         offsets, chain_dim = self.offsets[n]
         targets = self.offsets[n + 1][0]
         cols: list[dict] = [{} for _ in range(chain_dim)]
-        for sid, e in enumerate(self.ext_degrees):
-            bucket = self.parts.get(n - e)
-            if not bucket:
-                continue
-            base = offsets[sid]
+        for sid, base in offsets.items():
+            k = n - self.ext_degrees[sid]
+            bucket = self.parts[k]
             for T, b, c0, linear in self.images[sid]:
-                row = targets[T]
+                # a subset with no block in degree n + 1 is reached by no shift
+                row = targets.get(T)
+                if row is None:
+                    continue
                 if linear:
-                    for i, p in self._shift(n - e, b):
+                    for i, p in self._shift(k, b):
                         x = bucket[i]
                         c = c0 + sum(c_j * x[j] for j, c_j in linear)
                         if c:
                             cols[base + i][row + p] = c
                 else:
-                    for i, p in self._shift(n - e, b):
+                    for i, p in self._shift(k, b):
                         cols[base + i][row + p] = c0
         return chain_dim, cols
 

@@ -19,13 +19,25 @@ u_I * v * a_1...a_k, whose differential is u_I * a_1^2...a_k^2 on the nose
 because every Pontrjagin image annihilates a_1...a_k).  Nonvanishing is
 therefore certified in the Pontrjagin-transgression model, which is the
 finite computation the degree-filtration argument reduces to.
+
+Each family is ranked in a small sub-DGA S of that model M, onto which M
+has a chain retraction r (r d = d r, r = id on S), so a cocycle of S is a
+coboundary in M iff it is one in S, and likewise for independence modulo
+coboundaries.  Over (CP^2)^k, S = Lambda(u_1..u_{k-1}) tensor
+Q[t]/(t^{k+1}) with d u_i = t^i / i! and t the p_1 image: r averages over
+the signed permutations of the a_j.  Over S^{4k}, S = Lambda(u_k..u_{2k-2})
+tensor Q[s]/(s^2) with d u_k = s: r kills u_1..u_{k-1} and v.  The
+inclusion is checked to commute with d on the generators of S, and each
+certified class to be the image of the element of S built from its
+index.  M itself supplies the dimension and the printed images.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .algebra import Element, GeneratorSet, Mono, basis_of_degree, subsets
 from .dga import DegreeMismatch, Differential, NotACocycle
@@ -100,7 +112,59 @@ def build_frame_model(base: ModelRing, bundle: BundleMap, q: int,
     return FrameModel(q, base, bundle, gens, d, with_v)
 
 
-class CharacteristicMap:
+class _GeneratorMap:
+    """The multiplicative map from the algebra over ``source_gens`` to the
+    one over ``target``, given on generators: the i-th exterior generator
+    goes to ``ext_images[i]`` and the j-th polynomial one to
+    ``poly_images[j]``.  An exterior generator whose image is None has
+    none, and an element involving it raises.  Each power of a
+    polynomial image is computed once per map.
+    """
+
+    _no_image = "has no image"
+
+    def __init__(self, source_gens: GeneratorSet, target: GeneratorSet,
+                 ext_images, poly_images):
+        self.source_gens = source_gens
+        self.target = target
+        self.ext_images: tuple[Element | None, ...] = tuple(ext_images)
+        self.poly_images: tuple[Element, ...] = tuple(poly_images)
+        self._powers: dict[int, list[Element]] = {}
+
+    def _power(self, j: int, e: int) -> Element:
+        """The e-th power of the j-th polynomial image."""
+        powers = self._powers.setdefault(j, [self.target.unit()])
+        while len(powers) <= e:
+            powers.append(powers[-1] * self.poly_images[j])
+        return powers[e]
+
+    def __call__(self, x: Element) -> Element:
+        if x.gens != self.source_gens:
+            raise DegreeMismatch("element does not live over the map's source")
+        acc: dict[Mono, Fraction] = {}
+        for (ext, exps), coeff in x.terms.items():
+            term = self.target.unit().scale(coeff)
+            for pos in ext:
+                img = self.ext_images[pos]
+                if img is None:
+                    raise IndexOutOfRange(
+                        f"{self.source_gens.exterior[pos][0]} {self._no_image}")
+                term = term * img
+                if term.is_zero():
+                    break
+            else:
+                for j, e in enumerate(exps):
+                    if not e:
+                        continue
+                    term = term * self._power(j, e)
+                    if term.is_zero():
+                        break
+            for m, c in term.terms.items():
+                acc[m] = acc.get(m, 0) + c
+        return Element(self.target, acc)
+
+
+class CharacteristicMap(_GeneratorMap):
     """The multiplicative map from the codimension-q Weil complex.
 
     In a model without the Euler transgression the top even generator y_q
@@ -108,10 +172,12 @@ class CharacteristicMap:
     raises.  Everything else is total.
     """
 
+    _no_image = "has no image in a model without the Euler transgression"
+
     def __init__(self, model: FrameModel):
         self.model = model
         q = model.q
-        self.source_gens, self.source_d = weil_complex(q, framed=True)
+        source_gens, self.source_d = weil_complex(q, framed=True)
         zero = model.gens.zero()
         n_u = fiber_primitive_count(q)
         y_images: list[Element | None] = []
@@ -136,58 +202,22 @@ class CharacteristicMap:
                     y_images.append(None)
             else:
                 raise AssertionError(f"unhoused generator y{i}")
-        self.y_images = tuple(y_images)
-        self.c_images = tuple(c_images)
-        self._powers: dict[tuple[int, int], Element] = {}
+        super().__init__(source_gens, model.gens, y_images, c_images)
         self._check_chain_property()
 
     def _check_chain_property(self):
         d = self.model.d
-        for i, img in enumerate(self.y_images, start=1):
+        for i, img in enumerate(self.ext_images, start=1):
             if img is None:
                 continue
-            target = self.c_images[i - 1]
+            target = self.poly_images[i - 1]
             if d(img) != target:
                 raise DegreeMismatch(
                     f"map fails to commute with d on y{i}: "
                     f"d(image) = {d(img)}, image of c{i} = {target}")
-        for i, img in enumerate(self.c_images, start=1):
+        for i, img in enumerate(self.poly_images, start=1):
             if img and not d(img).is_zero():
                 raise DegreeMismatch(f"image of c{i} is not a cocycle")
-
-    def _power(self, j: int, e: int) -> Element:
-        """The image of c_{j+1}^e, computed once per map."""
-        key = (j, e)
-        if key not in self._powers:
-            self._powers[key] = self.c_images[j] ** e
-        return self._powers[key]
-
-    def __call__(self, x: Element) -> Element:
-        if x.gens != self.source_gens:
-            raise DegreeMismatch("element does not live over the Weil complex")
-        gens = self.model.gens
-        acc: dict[Mono, Fraction] = {}
-        for (ext, exps), coeff in x.terms.items():
-            term = gens.unit().scale(coeff)
-            for pos in ext:
-                img = self.y_images[pos]
-                if img is None:
-                    raise IndexOutOfRange(
-                        f"y{pos + 1} has no image in a model without the "
-                        "Euler transgression")
-                term = term * img
-                if term.is_zero():
-                    break
-            else:
-                for j, e in enumerate(exps):
-                    if not e:
-                        continue
-                    term = term * self._power(j, e)
-                    if term.is_zero():
-                        break
-            for m, c in term.terms.items():
-                acc[m] = acc.get(m, 0) + c
-        return Element(gens, acc)
 
 
 @dataclass(frozen=True)
@@ -210,36 +240,117 @@ class FrameCertificate:
     passed: bool
 
 
-def _certify(model: FrameModel, elements, labels) -> tuple[list[CertifiedClass], bool]:
-    """Cocycle check, individual nonvanishing, joint independence mod image.
+def _classes_mod_image(gens: GeneratorSet, d: Differential, elements,
+                       labels) -> tuple[list[bool], bool]:
+    """Cocycle check, then whether each element is nonzero in cohomology and
+    whether they are jointly independent modulo the image of ``d``.
 
-    Every class must be a combination of monomials of the model's basis,
-    checked by a binary search in the cached, sorted basis of each degree.
-    The nonzero classes of every degree then go to one
-    :func:`dga.classes_mod_image` call, so the model is laid out once and
-    ranked in one elimination.  The entries come back in the order of
-    ``labels``.
+    Every element must be a combination of monomials of the basis of
+    ``gens``, checked by a binary search in the cached, sorted basis of
+    each degree.  The nonzero elements of every degree then go to one
+    :func:`dga.classes_mod_image` call, so the complex is laid out once
+    and ranked in one elimination.  A zero element reads as zero.
     """
     by_degree: dict[int, list[tuple[str, Element]]] = {}
     for label, x in zip(labels, elements):
         if x.is_zero():
             continue
-        if not model.d(x).is_zero():
+        if not d(x).is_zero():
             raise NotACocycle(f"{label} maps to a non-cocycle")
         by_degree.setdefault(x.degree(), []).append((label, x))
     for n, classes in by_degree.items():
-        basis_n = basis_of_degree(model.gens, n)
+        basis_n = basis_of_degree(gens, n)
         for label, x in classes:
             for m in x.terms:
                 i = bisect_left(basis_n, m)
                 if i == len(basis_n) or basis_n[i] != m:
                     raise ValueError(f"{label} has a term {m} outside the model")
-    nonzero, joint = dga.classes_mod_image(model.d, [x for x in elements if x])
+    nonzero, joint = dga.classes_mod_image(d, [x for x in elements if x])
     nonzero = iter(nonzero)
-    entries = [CertifiedClass(label, str(x), x.degree(), next(nonzero)) if x
+    return [bool(x) and next(nonzero) for x in elements], joint
+
+
+def _certify(model: FrameModel, elements, labels) -> tuple[list[CertifiedClass], bool]:
+    """:func:`_classes_mod_image` over the whole model, one entry per
+    element in the order of ``labels``."""
+    nonzero, joint = _classes_mod_image(model.gens, model.d, elements, labels)
+    entries = [CertifiedClass(label, str(x), x.degree(), nz) if x
                else CertifiedClass(label, "0", None, False)
-               for label, x in zip(labels, elements)]
+               for label, x, nz in zip(labels, elements, nonzero)]
     return entries, joint
+
+
+def projective_reduced_model(k: int) -> tuple[GeneratorSet, Differential]:
+    """S = Lambda(u_1..u_{k-1}) tensor Q[t]/(t^{k+1}), d u_i = t^i / i!: the
+    sub-DGA of ``projective_base_model(k)`` fixed by the signed
+    permutations of the a_j, with t standing for the p_1 image."""
+    if k < 2:
+        raise ValueError("the projective family starts at k = 2")
+    gens = GeneratorSet(tuple((f"u{i}", 4 * i - 1) for i in range(1, k)),
+                        (("t", 4, k),))
+    t = gens.generator("t")
+    return gens, Differential(gens, {f"u{i}": (t ** i).scale(Fraction(1, factorial(i)))
+                                     for i in range(1, k)})
+
+
+def sphere_reduced_model(k: int) -> tuple[GeneratorSet, Differential]:
+    """S = Lambda(u_k..u_{2k-2}) tensor Q[s]/(s^2), d u_k = s: the
+    sub-DGA of ``sphere_base_model(k)`` left when the free factor
+    Lambda(u_1..u_{k-1}, v), all of whose differentials vanish, is split off."""
+    if k < 2:
+        raise ValueError("the sphere family starts at k = 2")
+    gens = GeneratorSet(tuple((f"u{i}", 4 * i - 1) for i in range(k, 2 * k - 1)),
+                        (("s", 4 * k, 1),))
+    return gens, Differential(gens, {f"u{k}": gens.generator("s")})
+
+
+def _inclusion(model: FrameModel, reduced, poly_images) -> _GeneratorMap:
+    """The inclusion of ``reduced`` = (gens, d), a sub-DGA S of ``model``:
+    u_i goes to u_i, and the polynomial generators of S to ``poly_images``.
+
+    Checked to be a chain map on generators: each image has the
+    generator's degree, and the image of d_S g is d of the image of g.
+    The relation t^{k+1} = 0 (or s^2 = 0) of S needs no check, since its
+    image lies above the top degree of the base.
+    """
+    gens, d = reduced
+    iota = _GeneratorMap(gens, model.gens,
+                         [model.gens.generator(name) for name, _ in gens.exterior],
+                         poly_images)
+    for name, degree in gens.exterior + tuple((n, deg) for n, deg, _ in gens.poly):
+        g = gens.generator(name)
+        image = iota(g)
+        if image and image.degree() != degree:
+            raise DegreeMismatch(f"the image of {name} has the wrong degree")
+        if iota(d(g)) != model.d(image):
+            raise DegreeMismatch(
+                f"the inclusion fails to commute with d on {name}: image of "
+                f"d({name}) = {iota(d(g))}, d(image) = {model.d(image)}")
+    return iota
+
+
+def _certify_reduced(delta: CharacteristicMap, reduced, poly_images, veys,
+                     lifts) -> tuple[list[CertifiedClass], bool]:
+    """The Vey classes ``veys``, mapped by ``delta`` into its model M,
+    certified in the sub-DGA ``reduced`` of M (README, notes on the
+    frame-model certificates).
+
+    ``lifts`` holds the element of S built from each index; its image
+    under the checked inclusion (:func:`_inclusion`) must be the class's
+    image in M, which names the entry.  M has a chain retraction onto S,
+    so a class is nonzero in M, and the classes are independent modulo
+    coboundaries, exactly when the same holds for their lifts in S.
+    """
+    iota = _inclusion(delta.model, reduced, poly_images)
+    labels = [v.label() for v in veys]
+    images = [delta(v.element(delta.source_gens)) for v in veys]
+    for label, s, x in zip(labels, lifts, images):
+        if iota(s) != x:
+            raise ValueError(f"{label} maps to {x}, which is not the image of "
+                             f"{s} in the reduced model")
+    nonzero, joint = _classes_mod_image(*reduced, lifts, labels)
+    return [CertifiedClass(label, str(x), x.degree(), nz, vey=v)
+            for label, x, nz, v in zip(labels, images, nonzero, veys)], joint
 
 
 def projective_base_model(k: int) -> FrameModel:
@@ -261,17 +372,19 @@ def certify_projective_family(k: int) -> FrameCertificate:
     return _projective_certificate(projective_base_model(k))
 
 
-def _projective_certificate(model: FrameModel) -> FrameCertificate:
-    """:func:`certify_projective_family` on ``projective_base_model(k)``."""
+def _projective_certificate(model: FrameModel, reduced=None) -> FrameCertificate:
+    """:func:`certify_projective_family` on ``projective_base_model(k)``,
+    certified in ``reduced``, by default ``projective_reduced_model(k)``:
+    y_I c_2^k lifts to u_I t^k, and t includes as the p_1 image."""
     q = model.q
     k = q // 2
     delta = CharacteristicMap(model)
-    gens_w = delta.source_gens
+    gens_s, _ = reduced = reduced or projective_reduced_model(k)
     veys = [VeyIndex(tuple(2 * i for i in (1,) + rest), (2,) * k)
             for rest in subsets(range(2, fiber_primitive_count(q) + 1))]
-    elements = [delta(v.element(gens_w)) for v in veys]
-    entries, joint = _certify(model, elements, [v.label() for v in veys])
-    entries = [replace(e, vey=v) for e, v in zip(entries, veys)]
+    lifts = [gens_s.monomial(tuple(i // 2 - 1 for i in v.I), (k,)) for v in veys]
+    entries, joint = _certify_reduced(delta, reduced, [delta.poly_images[1]],
+                                      veys, lifts)
     passed = joint and all(e.nonzero for e in entries)
     return FrameCertificate(q, model.base.label, model.dimension(),
                             tuple(entries), joint, passed)
@@ -298,19 +411,22 @@ def certify_sphere_family(k: int) -> FrameCertificate:
     return _sphere_certificate(sphere_base_model(k))
 
 
-def _sphere_certificate(model: FrameModel) -> FrameCertificate:
-    """:func:`certify_sphere_family` on ``sphere_base_model(k)``."""
+def _sphere_certificate(model: FrameModel, reduced=None) -> FrameCertificate:
+    """:func:`certify_sphere_family` on ``sphere_base_model(k)``, certified
+    in ``reduced``, by default ``sphere_reduced_model(k)``: y_I c_{2k}
+    lifts to u_I s, and s includes as the image of c_{2k}."""
     q = model.q
     k = (q + 2) // 4
     delta = CharacteristicMap(model)
-    gens_w = delta.source_gens
+    gens_s, _ = reduced = reduced or sphere_reduced_model(k)
     veys = [VeyIndex(tuple(2 * i for i in (k,) + rest), (2 * k,))
             for rest in subsets(range(k + 1, fiber_primitive_count(q) + 1))]
-    elements = [delta(v.element(gens_w)) for v in veys]
-    entries, joint = _certify(model, elements, [v.label() for v in veys])
+    lifts = [gens_s.monomial(tuple(i // 2 - k for i in v.I), (1,)) for v in veys]
+    entries, joint = _certify_reduced(delta, reduced, [delta.poly_images[2 * k - 1]],
+                                      veys, lifts)
     vanishing = VeyIndex((2,), (2,) * (2 * k - 1))
-    vanished = delta(vanishing.element(gens_w))
-    entries = tuple(replace(e, vey=v) for e, v in zip(entries, veys)) + (
+    vanished = delta(vanishing.element(delta.source_gens))
+    entries = tuple(entries) + (
         CertifiedClass(vanishing.label(), str(vanished), None,
                        not vanished.is_zero(), expected_zero=True,
                        vey=vanishing),)

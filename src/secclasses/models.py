@@ -186,15 +186,15 @@ def whitney_sum(bundles: list[BundleMap]) -> BundleMap:
     total = ring.unit()
     for b in bundles:
         total = total * b.total_class()
-    p_images: dict[int, Element] = {}
+    p_terms: dict[int, dict] = {}
     for m, c in total.terms.items():
         deg = ring.gens.mono_degree(m)
         if deg == 0:
             continue
         if deg % 4:
             raise AssertionError("total class acquired a non-Pontrjagin degree")
-        i = deg // 4
-        p_images[i] = p_images.get(i, ring.zero()) + Element(ring.gens, {m: c})
+        p_terms.setdefault(deg // 4, {})[m] = c
+    p_images = {i: Element(ring.gens, terms) for i, terms in p_terms.items()}
     euler = ring.unit()
     for b in bundles:
         e = b.euler_image()

@@ -66,6 +66,9 @@ def test_vey_usage_error(capsys):
     ("catalog --q 5 --dim 11", "--q"),
     ("catalog --q 6 --dim 0", "--dim"),
     ("cohomology --q two", "--q"),
+    ("cohomology --q 2 --max-dim -1", "--max-dim"),
+    ("frame --case 2k --k 3 --max-dim -5", "--max-dim"),
+    ("catalog --q 6 --dim 15 --max-dim -1", "--max-dim"),
 ])
 def test_usage_error_names_subcommand_and_argument(capsys, argv, argument):
     with pytest.raises(SystemExit) as exc:
@@ -247,10 +250,21 @@ def test_frame_guard_exit_2(capsys):
 
 
 def test_frame_budget_exit_3(capsys):
+    # the budget counts the reduced model: 2^2 * 4 monomials at k = 3
     code, out, err = run(capsys, "frame", "--case", "2k", "--k", "3",
                          "--max-dim", "10")
     assert code == 3
-    assert "budget" in err
+    assert "16 monomials" in err and "budget" in err
+
+
+def test_frame_2k_k9_answers_at_the_default_budget(capsys):
+    # the full model has 2^8 * 3^9 monomials, over the default budget; the
+    # reduced model the certificate is computed in has 2^8 * 10
+    assert frames.projective_base_model(9).dimension() > cli.DEFAULT_MAX_DIM
+    code, payload, _ = run_json(capsys, "frame", "--case", "2k", "--k", "9")
+    assert code == 0
+    assert payload["results"]["passed"] is True
+    assert payload["results"]["model_dimension"] == 2 ** 8 * 3 ** 9
 
 
 def test_catalog_q4_dim11(capsys):
@@ -385,6 +399,17 @@ def test_selftest_contract(capsys):
      "5530aac3710ceaa4cefb6423546bf1d116e6f7aea6f64ef6c23d49804c52c1a5"),
     ("frame --case 4k2 --k 5 --format json",
      "ec1a565517610d11df1ab03fb680e3751e517f11204466fec27fe9fbb32fc45d"),
+    # recorded on the full-model route, which took 4 to 44 s on each
+    ("frame --case 2k --k 8",
+     "d6942379a418c738c423a9bc93aaa660b14b8a703403c38c936758621120aa24"),
+    ("frame --case 2k --k 8 --format json",
+     "cbb1516ab822281e77d7fdf49b299d659e032114050c9bfbde8421b597ccf915"),
+    ("frame --case 2k --k 9 --max-dim 100000000 --format json",
+     "12f10ac5a6680dbed5f471ff0ad8fe3e75cdfec7ff18fb6b3c62d12672db844a"),
+    ("frame --case 4k2 --k 8 --max-dim 100000000 --format json",
+     "74d9fd8a837d14968652e212680b38ed4527a0503f47712b0b00cb03785f28ba"),
+    ("frame --case 4k2 --k 9 --max-dim 100000000 --format json",
+     "97af8677b45a25d90b6fd1ee222fa95e60848e2a8bf19b7a1a68016c99aab3c4"),
     ("catalog --q 14 --dim 51 --format json",
      "11d4da103954f75db5a92964c3b10a18ef7a4d25cf54f2a99de66db2573a9154"),
     # table and CSV bytes: the expected-zero row of this frame report has

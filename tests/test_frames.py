@@ -1,20 +1,27 @@
 """Frame-bundle Koszul models, characteristic maps, and certificates."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
-from secclasses.algebra import Element
-from secclasses.dga import DegreeMismatch
+from secclasses import dga
+from secclasses.algebra import Element, basis_of_degree
+from secclasses.dga import DegreeMismatch, Differential
 from secclasses.frames import (CharacteristicMap, IndexOutOfRange, _certify,
+                               _certify_reduced, _inclusion,
+                               _projective_certificate, _sphere_certificate,
                                build_frame_model, certify_projective_family,
                                certify_sphere_family, fiber_primitive_count,
                                permanence_family, projective_base_model,
-                               sphere_base_model)
+                               projective_reduced_model, sphere_base_model,
+                               sphere_reduced_model)
 from secclasses.models import (BundleMap, Factor, canonical_bundle, cp2,
                                product_model, sphere_model)
 from secclasses.weil import VeyIndex
+from test_dga import _random_in_degree
 
 
 def test_fiber_primitive_counts():
@@ -204,9 +211,9 @@ def naive_characteristic_map(delta, x):
     for (ext, exps), coeff in x.terms.items():
         term = gens.unit().scale(coeff)
         for pos in ext:
-            term = term * delta.y_images[pos]
+            term = term * delta.ext_images[pos]
         for j, e in enumerate(exps):
-            term = term * delta.c_images[j] ** e
+            term = term * delta.poly_images[j] ** e
         out = out + term
     return out
 
@@ -219,7 +226,7 @@ def test_characteristic_map_matches_naive_route():
     for model in (projective_base_model(2), projective_base_model(3),
                   sphere_base_model(2)):
         delta = CharacteristicMap(model)
-        housed = {i for i, img in enumerate(delta.y_images) if img is not None}
+        housed = {i for i, img in enumerate(delta.ext_images) if img is not None}
         top = VeyIndex((2,), (2,) * (model.q // 2)).element(delta.source_gens)
         samples = [top, top]  # the second call reuses the cached power
         for _ in range(60):
@@ -240,3 +247,143 @@ def test_certify_rejects_a_term_outside_the_model():
     assert model.d(bad).is_zero()
     with pytest.raises(ValueError, match="outside the model"):
         _certify(model, [bad], ["bad"])
+
+
+# -- the reduced models and their inclusion ------------------------------------
+#
+# A certificate is computed in a sub-DGA S of the frame model M.  It is
+# sound because M has a chain retraction r onto S: r d_M = d_S r and
+# r(i(s)) = s for the inclusion i.  The retractions are written out here,
+# per family, and checked on every monomial.
+
+def _projective_bridge(k):
+    """M, S, the inclusion i (t goes to the p_1 image, d_M u_1) and r: Reynolds
+    averaging over the signed permutations of the a_j, read in S.  u_E a^x
+    goes to zero unless every x_j is 0 or 2, and else, with m of them 2, to
+    u_E t^m / (m! C(k, m)), since a_j^3 = 0 makes p_1^m = m! e_m(a_1^2, ...)."""
+    model = projective_base_model(k)
+    reduced = projective_reduced_model(k)
+    iota = _inclusion(model, reduced, [model.d(model.gens.generator("u1"))])
+
+    def r(ext, x):
+        if any(e not in (0, 2) for e in x):
+            return None
+        m = x.count(2)
+        return (ext, (m,)), Fraction(1, factorial(m) * comb(k, m))
+    return model, reduced, iota, r
+
+
+def _sphere_bridge(k):
+    """M, S, the inclusion and r, which kills u_1..u_{k-1} and v: a free
+    factor of M whose generators have zero differential and appear in no
+    generator's image."""
+    model = sphere_base_model(k)
+    reduced = sphere_reduced_model(k)
+    iota = _inclusion(model, reduced, [model.gens.generator("s")])
+    first, v = k - 1, model.gens.n_exterior - 1
+
+    def r(ext, x):
+        if any(p < first or p == v for p in ext):
+            return None
+        return (tuple(p - first for p in ext), x), Fraction(1)
+    return model, reduced, iota, r
+
+
+BRIDGES = [pytest.param(_projective_bridge, id="projective"),
+           pytest.param(_sphere_bridge, id="sphere")]
+
+
+def _retract(r, gens_s, x):
+    out = {}
+    for (ext, exps), c in x.terms.items():
+        image = r(ext, exps)
+        if image is not None:
+            m, scale = image
+            out[m] = out.get(m, 0) + c * scale
+    return Element(gens_s, out)
+
+
+@pytest.mark.parametrize("bridge", BRIDGES)
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_retraction_is_a_chain_map_onto_the_reduced_model(bridge, k):
+    model, (gens_s, d_s), iota, r = bridge(k)
+    for n in range(model.gens.top_degree() + 1):
+        for m in basis_of_degree(model.gens, n):
+            mono = Element(model.gens, {m: 1})
+            assert _retract(r, gens_s, model.d(mono)) == d_s(_retract(r, gens_s, mono)), m
+    for n in range(gens_s.top_degree() + 1):
+        for m in basis_of_degree(gens_s, n):
+            s = Element(gens_s, {m: 1})
+            assert _retract(r, gens_s, iota(s)) == s, m
+
+
+@pytest.mark.parametrize("bridge", BRIDGES)
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_reduced_route_matches_the_full_model_on_random_cocycles(bridge, k):
+    # cocycles of S, mixing representatives and coboundaries, and the
+    # coboundaries alone; their images are invariant cocycles of M
+    model, (gens_s, d_s), iota, _ = bridge(k)
+    rng = random.Random(67 + k)
+    seen = {True: 0, False: 0}
+    for n, s in dga.cohomology(gens_s, d_s).by_degree.items():
+        if n == 0:
+            continue
+        for _ in range(2):
+            cocycles = []
+            for _ in range(rng.randint(1, 3)):
+                x = d_s(_random_in_degree(gens_s, rng, n - 1))
+                for rep in s.representatives:
+                    x = x + rep.scale(rng.randint(-2, 2))
+                if x:
+                    cocycles.append(x)
+            if cocycles:
+                got = dga.classes_mod_image(d_s, cocycles)
+                assert got == dga.classes_mod_image(
+                    model.d, [iota(x) for x in cocycles]), (n, cocycles)
+                for nonzero in got[0]:
+                    seen[nonzero] += 1
+    assert seen[True] and seen[False]
+
+
+@pytest.mark.parametrize("build, certify", [
+    *[pytest.param(lambda k=k: projective_base_model(k), _projective_certificate,
+                   id=f"projective-k{k}") for k in range(2, 6)],
+    *[pytest.param(lambda k=k: sphere_base_model(k), _sphere_certificate,
+                   id=f"sphere-k{k}") for k in range(2, 5)],
+])
+def test_reduced_certificate_matches_the_full_model(build, certify):
+    model = build()
+    cert = certify(model)
+    rigid = [c for c in cert.classes if not c.expected_zero]
+    delta = CharacteristicMap(model)
+    images = [delta(c.vey.element(delta.source_gens)) for c in rigid]
+    entries, joint = _certify(model, images, [c.source for c in rigid])
+    assert [replace(c, vey=None) for c in rigid] == entries
+    assert joint == cert.jointly_independent
+
+
+@pytest.mark.parametrize("k, i", [(3, 2), (4, 2), (4, 3)])
+def test_a_wrong_factorial_fails_the_chain_check(k, i):
+    model = projective_base_model(k)
+    gens_s, d_s = projective_reduced_model(k)
+    t = gens_s.generator("t")
+    images = {f"u{j}": d_s.ext_images[j - 1] for j in range(1, k)}
+    images[f"u{i}"] = t ** i  # d u_i = t^i / i!
+    wrong = (gens_s, Differential(gens_s, images))
+    with pytest.raises(DegreeMismatch, match=f"commute with d on u{i}"):
+        _projective_certificate(model, wrong)
+
+
+def test_a_class_outside_the_reduced_model_is_rejected():
+    # y2 maps to u1, which the sphere's reduced model splits off
+    model = sphere_base_model(2)
+    reduced = sphere_reduced_model(2)
+    delta = CharacteristicMap(model)
+    outside = VeyIndex((2,), (4,))
+    assert delta(outside.element(delta.source_gens)) == \
+        model.gens.monomial((0,), (1,))  # u1 * s
+    lift = reduced[0].monomial((0,), (1,))  # u2 * s
+    with pytest.raises(ValueError, match="not the image"):
+        _certify_reduced(delta, reduced, [model.gens.generator("s")],
+                         [outside], [lift])
+
