@@ -145,18 +145,14 @@ def cmd_pontrjagin(args) -> str:
 def cmd_frame(args) -> str:
     from . import frames
     if args.case == "2k":
-        reduce, build, certify = (frames.projective_reduced_model,
-                                  frames.projective_base_model,
-                                  frames._projective_certificate)
+        reduce, certify = frames.projective_reduced_model, frames.certify_projective_family
     else:
-        reduce, build, certify = (frames.sphere_reduced_model,
-                                  frames.sphere_base_model,
-                                  frames._sphere_certificate)
+        reduce, certify = frames.sphere_reduced_model, frames.certify_sphere_family
     # the budget counts the reduced model, the one laid out, and is checked
     # before the full model is built
-    reduced = gens, _ = reduce(args.k)
-    _check_budget(gens.dimension(), args.max_dim, "the reduced frame model")
-    cert = certify(build(args.k), reduced)
+    _check_budget(reduce(args.k)[0].dimension(), args.max_dim,
+                  "the reduced frame model")
+    cert = certify(args.k)
     columns = ["class", "degree", "image", "nonzero", "expected_zero"]
     records = [dict(zip(columns, (c.source, c.degree, c.image, c.nonzero,
                                   c.expected_zero))) for c in cert.classes]

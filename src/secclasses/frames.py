@@ -240,13 +240,12 @@ class FrameCertificate:
     passed: bool
 
 
-def _classes_mod_image(gens: GeneratorSet, d: Differential, elements,
-                       labels) -> tuple[list[bool], bool]:
+def _classes_mod_image(d: Differential, elements, labels) -> tuple[list[bool], bool]:
     """Cocycle check, then whether each element is nonzero in cohomology and
     whether they are jointly independent modulo the image of ``d``.
 
     Every element must be a combination of monomials of the basis of
-    ``gens``, checked by a binary search in the cached, sorted basis of
+    ``d.gens``, checked by a binary search in the cached, sorted basis of
     each degree.  The nonzero elements of every degree then go to one
     :func:`dga.classes_mod_image` call, so the complex is laid out once
     and ranked in one elimination.  A zero element reads as zero.
@@ -259,7 +258,7 @@ def _classes_mod_image(gens: GeneratorSet, d: Differential, elements,
             raise NotACocycle(f"{label} maps to a non-cocycle")
         by_degree.setdefault(x.degree(), []).append((label, x))
     for n, classes in by_degree.items():
-        basis_n = basis_of_degree(gens, n)
+        basis_n = basis_of_degree(d.gens, n)
         for label, x in classes:
             for m in x.terms:
                 i = bisect_left(basis_n, m)
@@ -273,7 +272,7 @@ def _classes_mod_image(gens: GeneratorSet, d: Differential, elements,
 def _certify(model: FrameModel, elements, labels) -> tuple[list[CertifiedClass], bool]:
     """:func:`_classes_mod_image` over the whole model, one entry per
     element in the order of ``labels``."""
-    nonzero, joint = _classes_mod_image(model.gens, model.d, elements, labels)
+    nonzero, joint = _classes_mod_image(model.d, elements, labels)
     entries = [CertifiedClass(label, str(x), x.degree(), nz) if x
                else CertifiedClass(label, "0", None, False)
                for label, x, nz in zip(labels, elements, nonzero)]
@@ -304,9 +303,11 @@ def sphere_reduced_model(k: int) -> tuple[GeneratorSet, Differential]:
     return gens, Differential(gens, {f"u{k}": gens.generator("s")})
 
 
-def _inclusion(model: FrameModel, reduced, poly_images) -> _GeneratorMap:
-    """The inclusion of ``reduced`` = (gens, d), a sub-DGA S of ``model``:
-    u_i goes to u_i, and the polynomial generators of S to ``poly_images``.
+def _inclusion(delta: CharacteristicMap, reduced, poly_index) -> _GeneratorMap:
+    """The inclusion of ``reduced`` = (gens, d), a sub-DGA S of the model M
+    of ``delta``: u_i goes to u_i, and the j-th polynomial generator of S
+    to ``delta.poly_images[poly_index[j]]``, whose powers it shares with
+    ``delta``, so each is computed once.
 
     Checked to be a chain map on generators: each image has the
     generator's degree, and the image of d_S g is d of the image of g.
@@ -314,9 +315,12 @@ def _inclusion(model: FrameModel, reduced, poly_images) -> _GeneratorMap:
     image lies above the top degree of the base.
     """
     gens, d = reduced
+    model = delta.model
     iota = _GeneratorMap(gens, model.gens,
                          [model.gens.generator(name) for name, _ in gens.exterior],
-                         poly_images)
+                         [delta.poly_images[i] for i in poly_index])
+    iota._powers = {j: delta._powers.setdefault(i, [model.gens.unit()])
+                    for j, i in enumerate(poly_index)}
     for name, degree in gens.exterior + tuple((n, deg) for n, deg, _ in gens.poly):
         g = gens.generator(name)
         image = iota(g)
@@ -329,26 +333,28 @@ def _inclusion(model: FrameModel, reduced, poly_images) -> _GeneratorMap:
     return iota
 
 
-def _certify_reduced(delta: CharacteristicMap, reduced, poly_images, veys,
+def _certify_reduced(delta: CharacteristicMap, reduced, poly_index, veys,
                      lifts) -> tuple[list[CertifiedClass], bool]:
     """The Vey classes ``veys``, mapped by ``delta`` into its model M,
     certified in the sub-DGA ``reduced`` of M (README, notes on the
     frame-model certificates).
 
     ``lifts`` holds the element of S built from each index; its image
-    under the checked inclusion (:func:`_inclusion`) must be the class's
-    image in M, which names the entry.  M has a chain retraction onto S,
-    so a class is nonzero in M, and the classes are independent modulo
-    coboundaries, exactly when the same holds for their lifts in S.
+    under the checked inclusion (:func:`_inclusion`, which sends the
+    polynomial generators of S to the c_i images at ``poly_index``) must
+    be the class's image in M, which names the entry.  M has a chain
+    retraction onto S, so a class is nonzero in M, and the classes are
+    independent modulo coboundaries, exactly when the same holds for
+    their lifts in S.
     """
-    iota = _inclusion(delta.model, reduced, poly_images)
+    iota = _inclusion(delta, reduced, poly_index)
     labels = [v.label() for v in veys]
     images = [delta(v.element(delta.source_gens)) for v in veys]
     for label, s, x in zip(labels, lifts, images):
         if iota(s) != x:
             raise ValueError(f"{label} maps to {x}, which is not the image of "
                              f"{s} in the reduced model")
-    nonzero, joint = _classes_mod_image(*reduced, lifts, labels)
+    nonzero, joint = _classes_mod_image(reduced[1], lifts, labels)
     return [CertifiedClass(label, str(x), x.degree(), nz, vey=v)
             for label, x, nz, v in zip(labels, images, nonzero, veys)], joint
 
@@ -372,19 +378,18 @@ def certify_projective_family(k: int) -> FrameCertificate:
     return _projective_certificate(projective_base_model(k))
 
 
-def _projective_certificate(model: FrameModel, reduced=None) -> FrameCertificate:
+def _projective_certificate(model: FrameModel) -> FrameCertificate:
     """:func:`certify_projective_family` on ``projective_base_model(k)``,
-    certified in ``reduced``, by default ``projective_reduced_model(k)``:
-    y_I c_2^k lifts to u_I t^k, and t includes as the p_1 image."""
+    certified in ``projective_reduced_model(k)``: y_I c_2^k lifts to
+    u_I t^k, and t includes as the p_1 image."""
     q = model.q
     k = q // 2
     delta = CharacteristicMap(model)
-    gens_s, _ = reduced = reduced or projective_reduced_model(k)
+    gens_s, _ = reduced = projective_reduced_model(k)
     veys = [VeyIndex(tuple(2 * i for i in (1,) + rest), (2,) * k)
             for rest in subsets(range(2, fiber_primitive_count(q) + 1))]
     lifts = [gens_s.monomial(tuple(i // 2 - 1 for i in v.I), (k,)) for v in veys]
-    entries, joint = _certify_reduced(delta, reduced, [delta.poly_images[1]],
-                                      veys, lifts)
+    entries, joint = _certify_reduced(delta, reduced, [1], veys, lifts)
     passed = joint and all(e.nonzero for e in entries)
     return FrameCertificate(q, model.base.label, model.dimension(),
                             tuple(entries), joint, passed)
@@ -411,19 +416,18 @@ def certify_sphere_family(k: int) -> FrameCertificate:
     return _sphere_certificate(sphere_base_model(k))
 
 
-def _sphere_certificate(model: FrameModel, reduced=None) -> FrameCertificate:
+def _sphere_certificate(model: FrameModel) -> FrameCertificate:
     """:func:`certify_sphere_family` on ``sphere_base_model(k)``, certified
-    in ``reduced``, by default ``sphere_reduced_model(k)``: y_I c_{2k}
-    lifts to u_I s, and s includes as the image of c_{2k}."""
+    in ``sphere_reduced_model(k)``: y_I c_{2k} lifts to u_I s, and s
+    includes as the image of c_{2k}."""
     q = model.q
     k = (q + 2) // 4
     delta = CharacteristicMap(model)
-    gens_s, _ = reduced = reduced or sphere_reduced_model(k)
+    gens_s, _ = reduced = sphere_reduced_model(k)
     veys = [VeyIndex(tuple(2 * i for i in (k,) + rest), (2 * k,))
             for rest in subsets(range(k + 1, fiber_primitive_count(q) + 1))]
     lifts = [gens_s.monomial(tuple(i // 2 - k for i in v.I), (1,)) for v in veys]
-    entries, joint = _certify_reduced(delta, reduced, [delta.poly_images[2 * k - 1]],
-                                      veys, lifts)
+    entries, joint = _certify_reduced(delta, reduced, [2 * k - 1], veys, lifts)
     vanishing = VeyIndex((2,), (2,) * (2 * k - 1))
     vanished = delta(vanishing.element(delta.source_gens))
     entries = tuple(entries) + (

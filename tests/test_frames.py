@@ -257,13 +257,13 @@ def test_certify_rejects_a_term_outside_the_model():
 # per family, and checked on every monomial.
 
 def _projective_bridge(k):
-    """M, S, the inclusion i (t goes to the p_1 image, d_M u_1) and r: Reynolds
+    """M, S, the inclusion i (t goes to c_2's image, p_1) and r: Reynolds
     averaging over the signed permutations of the a_j, read in S.  u_E a^x
     goes to zero unless every x_j is 0 or 2, and else, with m of them 2, to
     u_E t^m / (m! C(k, m)), since a_j^3 = 0 makes p_1^m = m! e_m(a_1^2, ...)."""
     model = projective_base_model(k)
     reduced = projective_reduced_model(k)
-    iota = _inclusion(model, reduced, [model.d(model.gens.generator("u1"))])
+    iota = _inclusion(CharacteristicMap(model), reduced, [1])
 
     def r(ext, x):
         if any(e not in (0, 2) for e in x):
@@ -279,7 +279,7 @@ def _sphere_bridge(k):
     generator's image."""
     model = sphere_base_model(k)
     reduced = sphere_reduced_model(k)
-    iota = _inclusion(model, reduced, [model.gens.generator("s")])
+    iota = _inclusion(CharacteristicMap(model), reduced, [2 * k - 1])
     first, v = k - 1, model.gens.n_exterior - 1
 
     def r(ext, x):
@@ -364,14 +364,14 @@ def test_reduced_certificate_matches_the_full_model(build, certify):
 
 @pytest.mark.parametrize("k, i", [(3, 2), (4, 2), (4, 3)])
 def test_a_wrong_factorial_fails_the_chain_check(k, i):
-    model = projective_base_model(k)
+    delta = CharacteristicMap(projective_base_model(k))
     gens_s, d_s = projective_reduced_model(k)
     t = gens_s.generator("t")
     images = {f"u{j}": d_s.ext_images[j - 1] for j in range(1, k)}
     images[f"u{i}"] = t ** i  # d u_i = t^i / i!
     wrong = (gens_s, Differential(gens_s, images))
     with pytest.raises(DegreeMismatch, match=f"commute with d on u{i}"):
-        _projective_certificate(model, wrong)
+        _inclusion(delta, wrong, [1])
 
 
 def test_a_class_outside_the_reduced_model_is_rejected():
@@ -384,6 +384,5 @@ def test_a_class_outside_the_reduced_model_is_rejected():
         model.gens.monomial((0,), (1,))  # u1 * s
     lift = reduced[0].monomial((0,), (1,))  # u2 * s
     with pytest.raises(ValueError, match="not the image"):
-        _certify_reduced(delta, reduced, [model.gens.generator("s")],
-                         [outside], [lift])
+        _certify_reduced(delta, reduced, [3], [outside], [lift])
 
