@@ -246,15 +246,10 @@ class GeneratorSet:
         ext_top = sum(d for _, d in self.exterior)
         if not self.poly:
             return ext_top
-        if self.truncation:
-            capped = _max_poly_degree_capped(self)
-            poly_top = self.truncation if capped is None else min(self.truncation, capped)
-        else:
-            capped = _max_poly_degree_capped(self)
-            if capped is None:
-                return None
-            poly_top = capped
-        return ext_top + poly_top
+        capped = _max_poly_degree_capped(self)
+        if not self.truncation:
+            return None if capped is None else ext_top + capped
+        return ext_top + (self.truncation if capped is None else min(self.truncation, capped))
 
     def mono_str(self, m: Mono) -> str:
         ext, exps = m
@@ -408,15 +403,7 @@ class Element:
         return Element(self.gens, out)
 
     def __sub__(self, other: "Element") -> "Element":
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, _ZERO) - c
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        return Element(self.gens, out)
+        return self + (-other)
 
     def __neg__(self) -> "Element":
         return Element(self.gens, {m: -c for m, c in self.terms.items()})

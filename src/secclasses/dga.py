@@ -50,8 +50,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Element, GeneratorSet, Mono, basis_of_degree, merge_exterior,
-                      poly_parts, subsets)
+from .algebra import (Element, GeneratorMismatch, GeneratorSet, Mono, basis_of_degree,
+                      merge_exterior, poly_parts, subsets)
 from .linalg import Echelon, IntegerEliminator, kernel_from_columns, rank
 
 
@@ -109,6 +109,8 @@ class Differential:
         (-1)^k, k being the number of exterior generators standing before g
         (all of them when g is polynomial).
         """
+        if x.gens != self.gens:
+            raise GeneratorMismatch("element does not live over the differential's generators")
         acc: dict[Mono, Fraction] = {}
         mono_mul = self.gens.mono_mul
 
@@ -355,6 +357,11 @@ def _representatives(gens: GeneratorSet, basis_n, cols, prev_image):
     return tuple(reps)
 
 
+def _check_gens(gens: GeneratorSet, d: Differential):
+    if gens != d.gens:
+        raise GeneratorMismatch("the differential lives over a different generator set")
+
+
 def cohomology(gens: GeneratorSet, d: Differential, max_degree: int | None = None,
                representatives: bool = True) -> CohomologyReport:
     """Exact cohomology dimensions up to ``max_degree``, and representatives
@@ -372,6 +379,7 @@ def cohomology(gens: GeneratorSet, d: Differential, max_degree: int | None = Non
     their number must equal the dimension, a cross-check of the two
     eliminations.
     """
+    _check_gens(gens, d)
     top = gens.top_degree()
     if max_degree is None:
         max_degree = top
@@ -476,6 +484,7 @@ def classes_mod_image(d: Differential, cocycles) -> tuple[list[bool], bool]:
 
 def class_nonzero(gens: GeneratorSet, d: Differential, x: Element) -> bool:
     """True iff the cocycle ``x`` is not a coboundary (exact rank test)."""
+    _check_gens(gens, d)
     if x.is_zero():
         return False
     if not d(x).is_zero():

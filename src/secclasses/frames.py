@@ -8,8 +8,7 @@ matching the primitive generators of the rotation group's cohomology.
 
 The characteristic map from the codimension-q Weil complex sends c_{2j} to
 the j-th Pontrjagin image, y_{2j} to u_j, odd-indexed generators to zero,
-and (even q, full models) y_q to v times the Euler image; it commutes with
-the differentials on generators by construction, which is asserted.
+and (even q, full models) y_q to v times the Euler image.
 
 The certificates for the rigid families deliberately drop the Euler
 transgression from the model: the classes y_I c_2^k land in the subalgebra
@@ -26,10 +25,17 @@ coboundary in M iff it is one in S, and likewise for independence modulo
 coboundaries.  Over (CP^2)^k, S = Lambda(u_1..u_{k-1}) tensor
 Q[t]/(t^{k+1}) with d u_i = t^i / i! and t the p_1 image: r averages over
 the signed permutations of the a_j.  Over S^{4k}, S = Lambda(u_k..u_{2k-2})
-tensor Q[s]/(s^2) with d u_k = s: r kills u_1..u_{k-1} and v.  The
-inclusion is checked to commute with d on the generators of S, and each
-certified class to be the image of the element of S built from its
-index.  M itself supplies the dimension and the printed images.
+tensor Q[s]/(s^2) with d u_k = s: r kills u_1..u_{k-1} and v.  Each
+certified class is checked to be the image of the element of S built from
+its index.  M itself supplies the dimension and the printed images.
+
+Both the characteristic map W -> M and the inclusion S -> M are one
+:class:`_GeneratorMap`, given on generators and checked at construction
+to be a chain map: each generator's image has its degree and commutes
+with d.  The inclusion shares the characteristic map's list of powers of
+the p_1 (or p_k) image.  Every certificate passes by one rule
+(:func:`_certificate`): the classes are jointly independent, and each is
+nonzero unless it is expected to vanish, in which case it is zero.
 """
 
 from __future__ import annotations
@@ -39,7 +45,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .algebra import Element, GeneratorSet, Mono, basis_of_degree, subsets
+from .algebra import (Element, GeneratorMismatch, GeneratorSet, Mono, basis_of_degree,
+                      subsets)
 from .dga import DegreeMismatch, Differential, NotACocycle
 from .models import (BundleMap, Factor, ModelRing, canonical_bundle,
                      product_model, sphere_model)
@@ -95,52 +102,55 @@ def build_frame_model(base: ModelRing, bundle: BundleMap, q: int,
     if with_v:
         exterior.append(("v", q - 1))
     gens = GeneratorSet(tuple(exterior), base.gens.poly, base.gens.truncation)
-    images = {}
-    for i in range(1, n_u + 1):
-        img = bundle.p(i)
-        if img:
-            if img.degree() != 4 * i:
-                raise DegreeMismatch(f"p_{i} image has the wrong degree")
-            images[f"u{i}"] = _lift(gens, img)
+    images = {f"u{i}": _lift(gens, bundle.p(i)) for i in range(1, n_u + 1)}
     if with_v:
-        e = bundle.euler_image()
-        if e:
-            if e.degree() != q:
-                raise DegreeMismatch("Euler image must have degree q")
-            images["v"] = _lift(gens, e)
+        images["v"] = _lift(gens, bundle.euler_image())
     d = Differential(gens, images)
     return FrameModel(q, base, bundle, gens, d, with_v)
 
 
 class _GeneratorMap:
-    """The multiplicative map from the algebra over ``source_gens`` to the
-    one over ``target``, given on generators: the i-th exterior generator
-    goes to ``ext_images[i]`` and the j-th polynomial one to
-    ``poly_images[j]``.  An exterior generator whose image is None has
-    none, and an element involving it raises.  Each power of a
-    polynomial image is computed once per map.
+    """The multiplicative map from the DGA of ``source_d`` to that of
+    ``target_d``, given on generators: the i-th exterior generator goes to
+    ``ext_images[i]`` and the j-th polynomial one to ``poly_images[j]``,
+    read from its power list ``poly_powers[j] = [1, image, ...]``, which
+    the map extends in place, so maps given the same list share each power.
+    An exterior generator whose image is None has none, and an element
+    involving it raises.
+
+    Checked at construction to be a chain map on generators: each image
+    has the generator's degree, and the image of d g is d of the image of
+    g.  That is the whole chain property, as both sides are derivations
+    along the map.  Polynomial generators come first, so a wrong
+    polynomial image is named before an exterior generator whose d uses it.
     """
 
     _no_image = "has no image"
 
-    def __init__(self, source_gens: GeneratorSet, target: GeneratorSet,
-                 ext_images, poly_images):
-        self.source_gens = source_gens
-        self.target = target
+    def __init__(self, source_d: Differential, target_d: Differential,
+                 ext_images, poly_powers):
+        self.source_gens = source_d.gens
+        self.source_d = source_d
+        self.target = target_d.gens
         self.ext_images: tuple[Element | None, ...] = tuple(ext_images)
-        self.poly_images: tuple[Element, ...] = tuple(poly_images)
-        self._powers: dict[int, list[Element]] = {}
-
-    def _power(self, j: int, e: int) -> Element:
-        """The e-th power of the j-th polynomial image."""
-        powers = self._powers.setdefault(j, [self.target.unit()])
-        while len(powers) <= e:
-            powers.append(powers[-1] * self.poly_images[j])
-        return powers[e]
+        self.poly_powers: tuple[list[Element], ...] = tuple(poly_powers)
+        self.poly_images = tuple(powers[1] for powers in self.poly_powers)
+        gens = self.source_gens
+        names = tuple((name, deg) for name, deg, _ in gens.poly) + gens.exterior
+        for (name, degree), image in zip(names, self.poly_images + self.ext_images):
+            if image is None:
+                continue
+            if image and image.degree() != degree:
+                raise DegreeMismatch(f"the image of {name} has the wrong degree")
+            mapped, d_image = self(source_d(gens.generator(name))), target_d(image)
+            if mapped != d_image:
+                raise DegreeMismatch(
+                    f"the map fails to commute with d on {name}: image of "
+                    f"d({name}) = {mapped}, d(image) = {d_image}")
 
     def __call__(self, x: Element) -> Element:
         if x.gens != self.source_gens:
-            raise DegreeMismatch("element does not live over the map's source")
+            raise GeneratorMismatch("element does not live over the map's source")
         acc: dict[Mono, Fraction] = {}
         for (ext, exps), coeff in x.terms.items():
             term = self.target.unit().scale(coeff)
@@ -153,10 +163,12 @@ class _GeneratorMap:
                 if term.is_zero():
                     break
             else:
-                for j, e in enumerate(exps):
+                for powers, e in zip(self.poly_powers, exps):
                     if not e:
                         continue
-                    term = term * self._power(j, e)
+                    while len(powers) <= e:
+                        powers.append(powers[-1] * powers[1])
+                    term = term * powers[e]
                     if term.is_zero():
                         break
             for m, c in term.terms.items():
@@ -177,18 +189,11 @@ class CharacteristicMap(_GeneratorMap):
     def __init__(self, model: FrameModel):
         self.model = model
         q = model.q
-        source_gens, self.source_d = weil_complex(q, framed=True)
-        zero = model.gens.zero()
+        unit, zero = model.gens.unit(), model.gens.zero()
         n_u = fiber_primitive_count(q)
+        c_powers = [[unit, zero if i % 2 else _lift(model.gens, model.bundle.p(i // 2))]
+                    for i in range(1, q + 1)]
         y_images: list[Element | None] = []
-        c_images: list[Element] = []
-        for i in range(1, q + 1):
-            if i % 2 == 1:
-                c_images.append(zero)
-                continue
-            j = i // 2
-            img = model.bundle.p(j)
-            c_images.append(_lift(model.gens, img) if img else zero)
         for i in range(1, q + 1):
             if i % 2 == 1:
                 y_images.append(zero)
@@ -202,22 +207,7 @@ class CharacteristicMap(_GeneratorMap):
                     y_images.append(None)
             else:
                 raise AssertionError(f"unhoused generator y{i}")
-        super().__init__(source_gens, model.gens, y_images, c_images)
-        self._check_chain_property()
-
-    def _check_chain_property(self):
-        d = self.model.d
-        for i, img in enumerate(self.ext_images, start=1):
-            if img is None:
-                continue
-            target = self.poly_images[i - 1]
-            if d(img) != target:
-                raise DegreeMismatch(
-                    f"map fails to commute with d on y{i}: "
-                    f"d(image) = {d(img)}, image of c{i} = {target}")
-        for i, img in enumerate(self.poly_images, start=1):
-            if img and not d(img).is_zero():
-                raise DegreeMismatch(f"image of c{i} is not a cocycle")
+        super().__init__(weil_complex(q, framed=True)[1], model.d, y_images, c_powers)
 
 
 @dataclass(frozen=True)
@@ -279,6 +269,16 @@ def _certify(model: FrameModel, elements, labels) -> tuple[list[CertifiedClass],
     return entries, joint
 
 
+def _certificate(model: FrameModel, entries, joint: bool) -> FrameCertificate:
+    """The certificate of ``entries`` over ``model``: it passes when the
+    classes are jointly independent, and every entry is nonzero except the
+    expected-zero ones, which are zero."""
+    entries = tuple(entries)
+    return FrameCertificate(model.q, model.base.label, model.dimension(), entries,
+                            joint, joint and all(e.nonzero != e.expected_zero
+                                                 for e in entries))
+
+
 def projective_reduced_model(k: int) -> tuple[GeneratorSet, Differential]:
     """S = Lambda(u_1..u_{k-1}) tensor Q[t]/(t^{k+1}), d u_i = t^i / i!: the
     sub-DGA of ``projective_base_model(k)`` fixed by the signed
@@ -306,31 +306,16 @@ def sphere_reduced_model(k: int) -> tuple[GeneratorSet, Differential]:
 def _inclusion(delta: CharacteristicMap, reduced, poly_index) -> _GeneratorMap:
     """The inclusion of ``reduced`` = (gens, d), a sub-DGA S of the model M
     of ``delta``: u_i goes to u_i, and the j-th polynomial generator of S
-    to ``delta.poly_images[poly_index[j]]``, whose powers it shares with
-    ``delta``, so each is computed once.
-
-    Checked to be a chain map on generators: each image has the
-    generator's degree, and the image of d_S g is d of the image of g.
-    The relation t^{k+1} = 0 (or s^2 = 0) of S needs no check, since its
-    image lies above the top degree of the base.
+    to ``delta.poly_images[poly_index[j]]``, whose power list it shares
+    with ``delta``, so each power is computed once.  The relation
+    t^{k+1} = 0 (or s^2 = 0) of S needs no check, since its image lies
+    above the top degree of the base.
     """
     gens, d = reduced
     model = delta.model
-    iota = _GeneratorMap(gens, model.gens,
+    return _GeneratorMap(d, model.d,
                          [model.gens.generator(name) for name, _ in gens.exterior],
-                         [delta.poly_images[i] for i in poly_index])
-    iota._powers = {j: delta._powers.setdefault(i, [model.gens.unit()])
-                    for j, i in enumerate(poly_index)}
-    for name, degree in gens.exterior + tuple((n, deg) for n, deg, _ in gens.poly):
-        g = gens.generator(name)
-        image = iota(g)
-        if image and image.degree() != degree:
-            raise DegreeMismatch(f"the image of {name} has the wrong degree")
-        if iota(d(g)) != model.d(image):
-            raise DegreeMismatch(
-                f"the inclusion fails to commute with d on {name}: image of "
-                f"d({name}) = {iota(d(g))}, d(image) = {model.d(image)}")
-    return iota
+                         [delta.poly_powers[i] for i in poly_index])
 
 
 def _certify_reduced(delta: CharacteristicMap, reduced, poly_index, veys,
@@ -340,8 +325,8 @@ def _certify_reduced(delta: CharacteristicMap, reduced, poly_index, veys,
     frame-model certificates).
 
     ``lifts`` holds the element of S built from each index; its image
-    under the checked inclusion (:func:`_inclusion`, which sends the
-    polynomial generators of S to the c_i images at ``poly_index``) must
+    under the inclusion (:func:`_inclusion`, which sends the polynomial
+    generators of S to the c_i images at ``poly_index``) must
     be the class's image in M, which names the entry.  M has a chain
     retraction onto S, so a class is nonzero in M, and the classes are
     independent modulo coboundaries, exactly when the same holds for
@@ -374,25 +359,16 @@ def certify_projective_family(k: int) -> FrameCertificate:
 
     I runs over index sets (2 = 2i_1 < 2i_2 < ...) within the fiber
     primitives; the images are p_1-image^k times u_{i_1}...u_{i_l}.
+    Certified in ``projective_reduced_model(k)``: y_I c_2^k lifts to
+    u_I t^k, and t includes as the p_1 image.
     """
-    return _projective_certificate(projective_base_model(k))
-
-
-def _projective_certificate(model: FrameModel) -> FrameCertificate:
-    """:func:`certify_projective_family` on ``projective_base_model(k)``,
-    certified in ``projective_reduced_model(k)``: y_I c_2^k lifts to
-    u_I t^k, and t includes as the p_1 image."""
-    q = model.q
-    k = q // 2
+    model = projective_base_model(k)
     delta = CharacteristicMap(model)
     gens_s, _ = reduced = projective_reduced_model(k)
     veys = [VeyIndex(tuple(2 * i for i in (1,) + rest), (2,) * k)
-            for rest in subsets(range(2, fiber_primitive_count(q) + 1))]
+            for rest in subsets(range(2, k))]
     lifts = [gens_s.monomial(tuple(i // 2 - 1 for i in v.I), (k,)) for v in veys]
-    entries, joint = _certify_reduced(delta, reduced, [1], veys, lifts)
-    passed = joint and all(e.nonzero for e in entries)
-    return FrameCertificate(q, model.base.label, model.dimension(),
-                            tuple(entries), joint, passed)
+    return _certificate(model, *_certify_reduced(delta, reduced, [1], veys, lifts))
 
 
 def sphere_base_model(k: int) -> FrameModel:
@@ -411,33 +387,23 @@ def certify_sphere_family(k: int) -> FrameCertificate:
 
     I runs over (2k = 2i_1 < 2i_2 < ...); images are s tensor u_{i_1}... .
     The class y_2 c_2^{2k-1} maps to zero here (p_1 pulls back to zero),
-    which is reported as an expected-zero entry.
+    which is reported as an expected-zero entry.  Certified in
+    ``sphere_reduced_model(k)``: y_I c_{2k} lifts to u_I s, and s includes
+    as the image of c_{2k}.
     """
-    return _sphere_certificate(sphere_base_model(k))
-
-
-def _sphere_certificate(model: FrameModel) -> FrameCertificate:
-    """:func:`certify_sphere_family` on ``sphere_base_model(k)``, certified
-    in ``sphere_reduced_model(k)``: y_I c_{2k} lifts to u_I s, and s
-    includes as the image of c_{2k}."""
-    q = model.q
-    k = (q + 2) // 4
+    model = sphere_base_model(k)
     delta = CharacteristicMap(model)
     gens_s, _ = reduced = sphere_reduced_model(k)
     veys = [VeyIndex(tuple(2 * i for i in (k,) + rest), (2 * k,))
-            for rest in subsets(range(k + 1, fiber_primitive_count(q) + 1))]
+            for rest in subsets(range(k + 1, 2 * k - 1))]
     lifts = [gens_s.monomial(tuple(i // 2 - k for i in v.I), (1,)) for v in veys]
     entries, joint = _certify_reduced(delta, reduced, [2 * k - 1], veys, lifts)
     vanishing = VeyIndex((2,), (2,) * (2 * k - 1))
     vanished = delta(vanishing.element(delta.source_gens))
-    entries = tuple(entries) + (
-        CertifiedClass(vanishing.label(), str(vanished), None,
-                       not vanished.is_zero(), expected_zero=True,
-                       vey=vanishing),)
-    passed = (joint and all(e.nonzero for e in entries if not e.expected_zero)
-              and all(not e.nonzero for e in entries if e.expected_zero))
-    return FrameCertificate(q, model.base.label, model.dimension(),
-                            entries, joint, passed)
+    entries.append(CertifiedClass(vanishing.label(), str(vanished), None,
+                                  not vanished.is_zero(), expected_zero=True,
+                                  vey=vanishing))
+    return _certificate(model, entries, joint)
 
 
 def permanence_family(I: tuple[int, ...], J: tuple[int, ...], q: int,
@@ -489,7 +455,4 @@ def permanence_family(I: tuple[int, ...], J: tuple[int, ...], q: int,
         labels.append(seed.label() if not R else
                       f"{seed.label()} twisted by {twisted}")
         elements.append(elem)
-    entries, joint = _certify(model, elements, labels)
-    passed = joint and all(e.nonzero for e in entries)
-    return FrameCertificate(q, model.base.label, gens.dimension(),
-                            tuple(entries), joint, passed)
+    return _certificate(model, *_certify(model, elements, labels))

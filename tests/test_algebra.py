@@ -191,6 +191,15 @@ def test_canonical_form():
     assert x + x == x.scale(2)
 
 
+def test_subtraction_of_distinct_elements():
+    gens, _ = weil_complex(2)
+    y1, c1, c2 = (gens.generator(n) for n in ("y1", "c1", "c2"))
+    x = y1 * c1.scale(Fraction(3, 2)) + y1 * c2
+    y = y1 * c1.scale(Fraction(3, 2)) - y1 * c2.scale(Fraction(1, 3))
+    assert (x - y).terms == {((0,), (0, 1)): Fraction(4, 3)}  # y1*c1 cancels
+    assert (x - y) + y == x
+
+
 def test_degree_and_homogeneity():
     gens, _ = weil_complex(2)
     y1, c1 = gens.generator("y1"), gens.generator("c1")

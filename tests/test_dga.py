@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from secclasses.algebra import Element, GeneratorSet, basis_of_degree
+from secclasses.algebra import Element, GeneratorMismatch, GeneratorSet, basis_of_degree
 from secclasses import dga, frames, linalg
 from secclasses.dga import (DegreeMismatch, Differential, NotACocycle,
                             class_nonzero, classes_mod_image, cohomology)
@@ -38,6 +38,17 @@ def test_apply_d_is_linear():
     x = gens.generator("y1").scale(3) - gens.generator("y2").scale(Fraction(1, 2))
     assert d(x) == d(gens.generator("y1")).scale(3) - \
         d(gens.generator("y2")).scale(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda g2, d2, g3, d3: d3(g2.generator("y2")), id="differential"),
+    pytest.param(lambda g2, d2, g3, d3: cohomology(g3, d2), id="cohomology"),
+    pytest.param(lambda g2, d2, g3, d3: class_nonzero(
+        g2, d3, g3.generator("y1") * g3.generator("c1") ** 3), id="class_nonzero"),
+])
+def test_mismatched_generator_sets_are_rejected(call):
+    with pytest.raises(GeneratorMismatch):
+        call(*weil_complex(2), *weil_complex(3))
 
 
 def test_degree_contract_rejected_at_construction():

@@ -10,9 +10,8 @@ import pytest
 from secclasses import dga
 from secclasses.algebra import Element, basis_of_degree
 from secclasses.dga import DegreeMismatch, Differential
-from secclasses.frames import (CharacteristicMap, IndexOutOfRange, _certify,
-                               _certify_reduced, _inclusion,
-                               _projective_certificate, _sphere_certificate,
+from secclasses.frames import (CertifiedClass, CharacteristicMap, IndexOutOfRange,
+                               _certificate, _certify, _certify_reduced, _inclusion,
                                build_frame_model, certify_projective_family,
                                certify_sphere_family, fiber_primitive_count,
                                permanence_family, projective_base_model,
@@ -74,6 +73,46 @@ def test_degree_mismatch_rejected():
     a = base.gens.generator("a")
     with pytest.raises(DegreeMismatch):
         BundleMap(base, 4, {1: a})  # p_1 image must have degree 4
+
+
+def test_an_euler_image_of_the_wrong_degree_is_rejected():
+    # a rank-2 bundle passes its own check, but in a q = 4 model d v must
+    # have degree 4 and its Euler image a1 has degree 2
+    base = product_model([Factor("cp2", 1), Factor("cp2", 1)])
+    bundle = BundleMap(base, 2, {}, euler=base.gens.generator("a1"))
+    with pytest.raises(DegreeMismatch, match="must have degree"):
+        build_frame_model(base, bundle, 4)
+
+
+def test_characteristic_map_checks_the_chain_property():
+    # d u_1 = 2 p_1 breaks d(delta(y2)) = delta(c2) = p_1
+    model = projective_base_model(2)
+    u1 = model.gens.generator("u1")
+    wrong = replace(model, d=Differential(model.gens,
+                                          {"u1": model.d(u1).scale(2)}))
+    with pytest.raises(DegreeMismatch, match="commute with d on y2"):
+        CharacteristicMap(wrong)
+
+
+def test_an_inclusion_image_of_the_wrong_degree_is_rejected():
+    # t sent to the image of c_4 (degree 8) instead of c_2's (degree 4)
+    delta = CharacteristicMap(projective_base_model(2))
+    with pytest.raises(DegreeMismatch, match="image of t has the wrong degree"):
+        _inclusion(delta, projective_reduced_model(2), [3])
+
+
+@pytest.mark.parametrize("joint, nonzero, expected_zero", [
+    pytest.param(False, (True, True), (False, False), id="not-independent"),
+    pytest.param(True, (True, False), (False, False), id="zero-rigid-class"),
+    pytest.param(True, (True, True), (False, True), id="nonzero-expected-zero"),
+])
+def test_the_certificate_fails_on_each_broken_condition(joint, nonzero, expected_zero):
+    model = projective_base_model(2)
+    entries = [CertifiedClass(f"x{i}", "x", 3, nz, ez)
+               for i, (nz, ez) in enumerate(zip(nonzero, expected_zero))]
+    assert not _certificate(model, entries, joint).passed
+    fixed = [replace(e, nonzero=not e.expected_zero) for e in entries]
+    assert _certificate(model, fixed, True).passed
 
 
 def test_chain_map_property_randomized():
@@ -345,15 +384,15 @@ def test_reduced_route_matches_the_full_model_on_random_cocycles(bridge, k):
     assert seen[True] and seen[False]
 
 
-@pytest.mark.parametrize("build, certify", [
-    *[pytest.param(lambda k=k: projective_base_model(k), _projective_certificate,
+@pytest.mark.parametrize("build, certify, k", [
+    *[pytest.param(projective_base_model, certify_projective_family, k,
                    id=f"projective-k{k}") for k in range(2, 6)],
-    *[pytest.param(lambda k=k: sphere_base_model(k), _sphere_certificate,
+    *[pytest.param(sphere_base_model, certify_sphere_family, k,
                    id=f"sphere-k{k}") for k in range(2, 5)],
 ])
-def test_reduced_certificate_matches_the_full_model(build, certify):
-    model = build()
-    cert = certify(model)
+def test_reduced_certificate_matches_the_full_model(build, certify, k):
+    model = build(k)
+    cert = certify(k)
     rigid = [c for c in cert.classes if not c.expected_zero]
     delta = CharacteristicMap(model)
     images = [delta(c.vey.element(delta.source_gens)) for c in rigid]
