@@ -18,8 +18,8 @@ from .frames import (CharacteristicMap, certify_projective_family,
                      certify_sphere_family, projective_base_model,
                      sphere_base_model)
 from .models import independence_certificate, verify_symmetric_multiple
-from .weil import (VeyIndex, godbillon_vey, spherical_rigid_classes,
-                   vey_counts_by_degree, weil_complex)
+from .weil import (VeyIndex, spherical_rigid_classes, vey_counts_by_degree,
+                   weil_complex)
 
 SEED = 43113
 

@@ -31,16 +31,12 @@ only where it needs one.  Their number must equal the rank formula's
 dimension, a cross-check of the two eliminations.
 
 Coboundary tests (:func:`classes_mod_image`, behind :func:`class_nonzero`
-and the frame certificates) use the same layout, once per call, up to the
-cocycles' top degree.  For each degree n of their support, the columns
-of d_{n-1} are inverted to a target -> sources index, and a closure
-search on those row indices takes every source with an entry at a
-reached target and follows its targets until nothing new is found; the
-columns it takes are the block of the image the cocycles touch.  The
-blocks of every degree are ranked in one fraction-free elimination, each
-degree in its own index range, since the tests need only ranks;
-``Echelon``, which also returns each row's monic residual, serves the
-cohomology representatives.
+and the frame certificates) check that each input is a cocycle of the
+complex, then use the same layout, once per call, up to the cocycles' top
+degree.  Every nonzero column of d_{n-1}, for each degree n of their
+support, is ranked in one fraction-free elimination, each degree in its
+own index range, since the tests need only ranks; ``Echelon``, which also
+returns each row's monic residual, serves the cohomology representatives.
 """
 
 from __future__ import annotations
@@ -409,70 +405,42 @@ def cohomology(gens: GeneratorSet, d: Differential, max_degree: int | None = Non
     return CohomologyReport(max_degree, _Slices(computed, max_degree, empty))
 
 
-
-
-def _touched_columns(layout: _Layout, n: int,
-                     support) -> list[dict[int, int | Fraction]]:
-    """The nonzero columns of d_{n-1} in the block of the image that the
-    degree-n rows ``support`` touch, in the order of their sources.
-
-    The closure search of the module docstring.  A taken column has all
-    its entries at reached targets and the others have none there, so a
-    vector supported on ``support`` is in the image of d_{n-1} iff it is
-    in the span of the taken columns.  The whole-degree columns and their
-    target -> sources index live only for this call.
-    """
-    if n == 0:
-        return []
-    _, cols = layout.columns(n - 1)
-    sources: dict[int, list[int]] = {}
-    for s, col in enumerate(cols):
-        for t in col:
-            sources.setdefault(t, []).append(s)
-    reached = set(support)
-    frontier = list(reached)
-    taken: set[int] = set()
-    while frontier:
-        for s in sources.get(frontier.pop(), ()):
-            if s not in taken:
-                taken.add(s)
-                new = cols[s].keys() - reached
-                reached |= new
-                frontier.extend(new)
-    return [cols[s] for s in sorted(taken)]
-
-
 def classes_mod_image(d: Differential, cocycles) -> tuple[list[bool], bool]:
     """Whether each cocycle is not a coboundary, and whether the cocycles
     are jointly linearly independent modulo coboundaries.
 
-    Exact: the blocks of :func:`_touched_columns` on one :class:`_Layout`,
-    ranked in one fraction-free elimination with row r of degree n at
-    index ``last[n] - r``.  So each degree has its own index range (the
-    image of d is graded), and a row's pivot is its last target, which
-    keeps the elimination short on the frame models.  The caller checks
-    that the inputs are cocycles.
+    Each input must live over ``d.gens`` (else :class:`GeneratorMismatch`),
+    have only monomials of the complex as terms (else ``ValueError``), and
+    be a cocycle (else :class:`NotACocycle`); a zero input reads as zero.
+    Exact: the nonzero columns of d_{n-1}, for each degree n of the
+    support, laid out on one :class:`_Layout` and ranked in one
+    fraction-free elimination with row r of degree n at index
+    ``last[n] - r``.  So each degree has its own index range (the image of
+    d is graded), and a row's pivot is its last target, which keeps the
+    elimination short on the frame models.
     """
     gens = d.gens
     cocycles = list(cocycles)
-    for x in cocycles:
+    for i, x in enumerate(cocycles):
+        if x.gens != gens:
+            raise GeneratorMismatch(
+                f"cocycle {i} does not live over the differential's generators")
         for m in x.terms:
             if not gens.mono_valid(m):
                 raise ValueError(f"{m} is not a monomial of the complex")
+        if dx := d(x):
+            raise NotACocycle(f"cocycle {i}: d(x) = {dx} != 0")
     layout = _Layout(gens, d, max((gens.mono_degree(m) for x in cocycles
                                    for m in x.terms), default=0))
     terms = [[(*layout.row(m), c) for m, c in x.terms.items()] for x in cocycles]
     degrees = sorted({n for row in terms for n, _, _ in row})
-    last: dict[int, int] = {}
-    size = 0
+    image, last, size = IntegerEliminator(), {}, 0
     for n in degrees:
         size += layout.offsets[n][1]
         last[n] = size - 1
-    image = IntegerEliminator()
-    for n in degrees:
-        support = {r for row in terms for k, r, _ in row if k == n}
-        for col in _touched_columns(layout, n, support):
-            image.add({last[n] - t: c for t, c in col.items()})
+        for col in layout.columns(n - 1)[1] if n else ():
+            if col:
+                image.add({last[n] - t: c for t, c in col.items()})
     coords = [{last[n] - r: c for n, r, c in row} for row in terms]
     joint = image.copy()
     nonzero, independent = [], True
@@ -485,8 +453,4 @@ def classes_mod_image(d: Differential, cocycles) -> tuple[list[bool], bool]:
 def class_nonzero(gens: GeneratorSet, d: Differential, x: Element) -> bool:
     """True iff the cocycle ``x`` is not a coboundary (exact rank test)."""
     _check_gens(gens, d)
-    if x.is_zero():
-        return False
-    if not d(x).is_zero():
-        raise NotACocycle(f"d(x) = {d(x)} != 0")
     return classes_mod_image(d, [x])[0][0]

@@ -47,7 +47,7 @@ from math import factorial
 
 from .algebra import (Element, GeneratorMismatch, GeneratorSet, Mono, basis_of_degree,
                       subsets)
-from .dga import DegreeMismatch, Differential, NotACocycle
+from .dga import DegreeMismatch, Differential
 from .models import (BundleMap, Factor, ModelRing, canonical_bundle,
                      product_model, sphere_model)
 from .weil import IndexOutOfRange, VeyIndex, weil_complex
@@ -106,6 +106,8 @@ def build_frame_model(base: ModelRing, bundle: BundleMap, q: int,
     if with_v:
         images["v"] = _lift(gens, bundle.euler_image())
     d = Differential(gens, images)
+    if bundle.rank != q:
+        raise DegreeMismatch(f"a rank-{bundle.rank} bundle has no q = {q} frame model")
     return FrameModel(q, base, bundle, gens, d, with_v)
 
 
@@ -231,22 +233,20 @@ class FrameCertificate:
 
 
 def _classes_mod_image(d: Differential, elements, labels) -> tuple[list[bool], bool]:
-    """Cocycle check, then whether each element is nonzero in cohomology and
-    whether they are jointly independent modulo the image of ``d``.
+    """Whether each element is nonzero in cohomology and whether they are
+    jointly independent modulo the image of ``d``.
 
     Every element must be a combination of monomials of the basis of
     ``d.gens``, checked by a binary search in the cached, sorted basis of
     each degree.  The nonzero elements of every degree then go to one
-    :func:`dga.classes_mod_image` call, so the complex is laid out once
-    and ranked in one elimination.  A zero element reads as zero.
+    :func:`dga.classes_mod_image` call, which checks that they are
+    cocycles, lays the complex out once and ranks it in one elimination.
+    A zero element reads as zero.
     """
     by_degree: dict[int, list[tuple[str, Element]]] = {}
     for label, x in zip(labels, elements):
-        if x.is_zero():
-            continue
-        if not d(x).is_zero():
-            raise NotACocycle(f"{label} maps to a non-cocycle")
-        by_degree.setdefault(x.degree(), []).append((label, x))
+        if x:
+            by_degree.setdefault(x.degree(), []).append((label, x))
     for n, classes in by_degree.items():
         basis_n = basis_of_degree(d.gens, n)
         for label, x in classes:

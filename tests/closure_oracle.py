@@ -1,10 +1,11 @@
-"""The monomial closure search: a reference for ``dga.classes_mod_image``.
+"""The monomial closure search: the block of the image of d that a support
+touches.
 
-It finds the block of the image of d that a support touches from Leibniz
-predecessors and monomial images, with no index arithmetic: it reads the
-differential's generator images (``ext_images``, ``poly_images``) and
-applies ``d`` to one monomial at a time, and shares no code with
-``dga._Layout``.
+The membership tests use it to build cocycles in disjoint blocks.  It
+finds a block from Leibniz predecessors and monomial images, with no
+index arithmetic: it reads the differential's generator images
+(``ext_images``, ``poly_images``) and applies ``d`` to one monomial at a
+time, and shares no code with ``dga._Layout``.
 """
 
 from __future__ import annotations

@@ -406,6 +406,10 @@ def test_selftest_contract(capsys):
      "cbb1516ab822281e77d7fdf49b299d659e032114050c9bfbde8421b597ccf915"),
     ("frame --case 2k --k 9 --max-dim 100000000 --format json",
      "12f10ac5a6680dbed5f471ff0ad8fe3e75cdfec7ff18fb6b3c62d12672db844a"),
+    # the smallest projective S in which some columns of d_{n-1} lie outside
+    # the block the classes touch
+    ("frame --case 2k --k 11 --format json",
+     "345aea88a5bf27a0d9178e4aff054ecd38e23dfca4a792ccf287882165cc8432"),
     ("frame --case 4k2 --k 8 --max-dim 100000000 --format json",
      "74d9fd8a837d14968652e212680b38ed4527a0503f47712b0b00cb03785f28ba"),
     ("frame --case 4k2 --k 9 --max-dim 100000000 --format json",

@@ -578,7 +578,7 @@ def test_membership_across_degrees_matches_the_graded_oracle(complex_):
 
 
 def test_membership_lays_out_each_degree_of_the_support_once(monkeypatch):
-    # the degree-0 unit class has no sources, so only degree 3 needs d_2
+    # the degree-0 unit class has no sources, so only degree 5 needs d_4
     gens, d = weil_complex(2)
     laid_out = []
     columns = dga._Layout.columns
@@ -588,10 +588,10 @@ def test_membership_lays_out_each_degree_of_the_support_once(monkeypatch):
         return columns(self, n)
 
     monkeypatch.setattr(dga._Layout, "columns", recording_columns)
-    y1c1 = gens.monomial((0,), (1, 0))
-    assert classes_mod_image(d, [gens.unit(), y1c1, y1c1.scale(2)]) == \
+    y1c1c1 = gens.monomial((0,), (2, 0))  # a cocycle: d = c1^3 is truncated
+    assert classes_mod_image(d, [gens.unit(), y1c1c1, y1c1c1.scale(2)]) == \
         ([True, True, True], False)
-    assert laid_out == [2]
+    assert laid_out == [4]
 
 
 def test_membership_rejects_a_monomial_outside_the_complex():
@@ -638,9 +638,41 @@ def test_closure_follows_images_beyond_the_support():
     s = gens.generator("s")
     assert predecessors(d, next(iter(s.terms))) == {((0,), (0, 0))}  # u only
     assert len(touched_image(d, s.terms)) == 2  # d(u) and then d(w)
-    layout = dga._Layout(gens, d, 4)
-    assert dga._touched_columns(layout, 4, {layout.row(m)[1] for m in s.terms}) == \
-        [c for c in layout.columns(3)[1] if c]  # the same two rows
     assert classes_mod_image(d, [s]) == ([False], False)
     assert not class_nonzero(gens, d, s)
     assert global_classes_mod_image(d, [s]) == ([False], False)
+
+
+def test_membership_rejects_a_non_cocycle():
+    gens, d = weil_complex(2)
+    y1 = gens.generator("y1")
+    with pytest.raises(NotACocycle, match="cocycle 1"):
+        classes_mod_image(d, [gens.unit(), y1])
+
+
+def test_membership_rejects_an_element_over_another_generator_set():
+    # over the truncation-6 set, d(y1*c1^2) = c1^3 survives, so the element
+    # is no cocycle there, and it must not be read over W_2
+    gens, d = weil_complex(2)
+    other = GeneratorSet(gens.exterior, gens.poly, truncation=6)
+    x = other.monomial((0,), (2, 0))
+    with pytest.raises(GeneratorMismatch, match="cocycle 0"):
+        classes_mod_image(d, [x])
+
+
+def test_membership_checks_generators_then_monomials_then_cocycle():
+    # each element fails the later checks too, and must be named by the
+    # first one: p^4 breaks the truncation of the complex, and d(p) = x*q
+    gens, d = _koszul_model()
+    foreign = GeneratorSet(gens.exterior, gens.poly).monomial((), (4, 0))
+    with pytest.raises(GeneratorMismatch):
+        classes_mod_image(d, [foreign])
+    bad = Element(gens, {((), (0, 3)): 1, ((), (1, 0)): 1})  # q^3 + p
+    with pytest.raises(ValueError, match="not a monomial of the complex"):
+        classes_mod_image(d, [bad])
+
+
+def test_membership_reads_a_zero_element_as_zero():
+    gens, d = weil_complex(2)
+    assert classes_mod_image(d, [gens.zero()]) == ([False], False)
+    assert classes_mod_image(d, [gens.unit(), gens.zero()]) == ([True, False], False)

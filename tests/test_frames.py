@@ -84,6 +84,18 @@ def test_an_euler_image_of_the_wrong_degree_is_rejected():
         build_frame_model(base, bundle, 4)
 
 
+def test_a_bundle_of_another_rank_is_rejected():
+    # a rank-2 bundle over (CP^2)^2 has no q = 5 model, nor a q = 4 one
+    # without the Euler transgression, though each passes the degree checks
+    base = product_model([Factor("cp2", 1), Factor("cp2", 1)])
+    a1 = base.gens.generator("a1")
+    bundle = BundleMap(base, 2, {1: a1 * a1}, euler=a1)
+    with pytest.raises(DegreeMismatch, match="rank-2 bundle"):
+        build_frame_model(base, bundle, 5)
+    with pytest.raises(DegreeMismatch, match="rank-2 bundle"):
+        build_frame_model(base, bundle, 4, include_euler=False)
+
+
 def test_characteristic_map_checks_the_chain_property():
     # d u_1 = 2 p_1 breaks d(delta(y2)) = delta(c2) = p_1
     model = projective_base_model(2)
@@ -279,8 +291,8 @@ def test_characteristic_map_matches_naive_route():
 
 
 def test_certify_rejects_a_term_outside_the_model():
-    # u1*a1^3 breaks the cap a1^3 = 0 of CP^2; d kills it, so only the
-    # basis check stands between it and the closure search
+    # u1*a1^3 breaks the cap a1^3 = 0 of CP^2; d kills it, so the basis
+    # check, not the cocycle check, must catch it
     model = projective_base_model(2)
     bad = Element(model.gens, {((0,), (3, 0)): Fraction(1)})
     assert model.d(bad).is_zero()
