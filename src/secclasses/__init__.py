@@ -15,7 +15,7 @@ from .algebra import (Element, GeneratorMismatch, GeneratorSet, InexactCoefficie
 from .dga import (CohomologyReport, DegreeMismatch, Differential, NotACocycle,
                   class_nonzero, cohomology)
 from .weil import (IndexOutOfRange, OddCodimension, RigidFamilyEntry, VeyIndex,
-                   godbillon_vey, is_rigid, rigid_count_table,
+                   godbillon_vey, rigid_count_table,
                    spherical_rigid_classes, vey_basis, vey_counts_by_degree,
                    weil_complex)
 
@@ -29,8 +29,7 @@ _LAZY = {
                      "PontrjaginMonomial", "admissible_monomials",
                      "canonical_bundle", "cp2", "evaluate_on_cycle",
                      "independence_certificate", "product_model", "pullback",
-                     "sphere_model", "verify_symmetric_multiple",
-                     "whitney_pullback", "x_model"), "models"),
+                     "sphere_model", "verify_symmetric_multiple"), "models"),
 }
 
 
@@ -59,9 +58,8 @@ __all__ = [
     "PontrjaginMonomial", "admissible_monomials", "canonical_bundle", "cp2",
     "evaluate_on_cycle", "independence_certificate", "product_model",
     "pullback", "sphere_model", "verify_symmetric_multiple",
-    "whitney_pullback", "x_model",
     "OddCodimension", "RigidFamilyEntry", "VeyIndex", "godbillon_vey",
-    "is_rigid", "rigid_count_table", "spherical_rigid_classes", "vey_basis",
+    "rigid_count_table", "spherical_rigid_classes", "vey_basis",
     "vey_counts_by_degree", "weil_complex",
     "__version__",
 ]

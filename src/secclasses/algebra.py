@@ -50,6 +50,17 @@ def _exact(c) -> Fraction:
     return Fraction(c)
 
 
+def require_int(name: str, *values) -> None:
+    """Raise ``TypeError`` naming ``name`` unless every value is an int.
+
+    The test is ``type(v) is int``, so a bool or a float that happens to be
+    whole is rejected rather than read as a count, degree or index.
+    """
+    for v in values:
+        if type(v) is not int:
+            raise TypeError(f"{name} must be an int, not {type(v).__name__} {v!r}")
+
+
 def subsets(pool) -> list[tuple]:
     """Every subset of ``pool`` as a tuple in pool order, sorted lexicographically.
 
@@ -140,13 +151,18 @@ class GeneratorSet:
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
         for name, deg in self.exterior:
+            require_int(f"degree of {name}", deg)
             if deg <= 0 or deg % 2 == 0:
                 raise ValueError(f"exterior generator {name} must have odd positive degree")
         for name, deg, cap in self.poly:
+            require_int(f"degree of {name}", deg)
             if deg <= 0 or deg % 2 == 1:
                 raise ValueError(f"polynomial generator {name} must have even positive degree")
-            if cap is not None and cap < 0:
-                raise ValueError(f"cap for {name} must be nonnegative")
+            if cap is not None:
+                require_int(f"cap for {name}", cap)
+                if cap < 0:
+                    raise ValueError(f"cap for {name} must be nonnegative")
+        require_int("truncation", self.truncation)
         if self.truncation < 0:
             raise ValueError("truncation must be nonnegative")
         # derived once for mono_mul; not fields, so not compared or hashed
@@ -325,20 +341,27 @@ def poly_parts(gens: GeneratorSet, n: int) -> dict[int, list[tuple[int, ...]]]:
 
 
 @lru_cache(maxsize=None)
+def exterior_subsets(gens: GeneratorSet) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every exterior index tuple in :func:`subsets` order, with its degree."""
+    return tuple((ext, sum(gens.exterior[i][1] for i in ext))
+                 for ext in subsets(range(gens.n_exterior)))
+
+
+@lru_cache(maxsize=None)
 def basis_of_degree(gens: GeneratorSet, n: int) -> tuple[Mono, ...]:
     """All monomials of total degree ``n`` in canonical order.
 
-    Exterior index tuples run lexicographically (:func:`subsets`), and for
-    each the polynomial exponent tuples of :func:`poly_parts` follow.
+    Exterior index tuples run lexicographically (:func:`exterior_subsets`),
+    and for each the polynomial exponent tuples of :func:`poly_parts` follow.
     """
     if n < 0:
         return ()
     poly = poly_parts(gens, n)
     out: list[Mono] = []
-    for ext in subsets(range(gens.n_exterior)):
-        d = sum(gens.exterior[i][1] for i in ext)
-        if d <= n:
-            out.extend((ext, exps) for exps in poly.get(n - d, ()))
+    for ext, d in exterior_subsets(gens):
+        parts = poly.get(n - d)
+        if parts:
+            out.extend((ext, exps) for exps in parts)
     return tuple(out)
 
 

@@ -13,9 +13,9 @@ fraction-free.  Rank d_n is one elimination of the degree's columns.
 
 The columns come from index arithmetic on the exterior tensor polynomial
 layout of the basis, with no monomial built (:class:`_Layout`).  Degree n
-is a run of blocks, one per exterior subset E in :func:`subsets` order,
-each holding the polynomial parts of degree n - deg E, so y_E c^x sits
-at the block's offset plus the position of x in its bucket.  The Leibniz
+is a run of blocks, one per exterior subset E in :func:`exterior_subsets`
+order, each holding the polynomial parts of degree n - deg E, so y_E c^x
+sits at the block's offset plus the position of x in its bucket.  The Leibniz
 terms of each subset E, with their Koszul signs and target subsets, are
 merged once per call, and one table per (bucket, exponent shift) maps
 each position to the position of x + shift, or drops it when x + shift
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (Element, GeneratorMismatch, GeneratorSet, Mono, basis_of_degree,
-                      merge_exterior, poly_parts, subsets)
+                      exterior_subsets, merge_exterior, poly_parts)
 from .linalg import Echelon, IntegerEliminator, kernel_from_columns, rank
 
 
@@ -231,8 +231,7 @@ class _Layout:
 
     def __init__(self, gens: GeneratorSet, d: Differential, top: int):
         self.gens = gens
-        ext = subsets(range(gens.n_exterior))
-        self.ext_degrees = [sum(gens.exterior[i][1] for i in E) for E in ext]
+        ext, self.ext_degrees = zip(*exterior_subsets(gens))
         self.parts = poly_parts(gens, top)
         self.most = [max(e) for e in zip(*(x for bucket in self.parts.values()
                                            for x in bucket))]
@@ -370,10 +369,10 @@ def cohomology(gens: GeneratorSet, d: Differential, max_degree: int | None = Non
     which :class:`_Layout` computes by index arithmetic up to degree
     ``min(max_degree, top) + 1``.  Monomials are built only to name the
     representatives, by :func:`basis_of_degree` in the degrees with
-    classes; the rank route builds none.  The residuals of :func:`_representatives`, in the degrees with
-    classes, follow a deterministic pivot rule, so output is reproducible;
-    their number must equal the dimension, a cross-check of the two
-    eliminations.
+    classes; the rank route builds none.  The residuals of
+    :func:`_representatives`, in the degrees with classes, follow a
+    deterministic pivot rule, so output is reproducible; their number must
+    equal the dimension, a cross-check of the two eliminations.
     """
     _check_gens(gens, d)
     top = gens.top_degree()

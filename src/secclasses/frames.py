@@ -82,9 +82,6 @@ class FrameModel:
     def dimension(self) -> int:
         return self.gens.dimension()
 
-    def cohomology(self, max_degree: int | None = None):
-        return dga.cohomology(self.gens, self.d, max_degree)
-
     def class_nonzero(self, x: Element) -> bool:
         return dga.class_nonzero(self.gens, self.d, x)
 

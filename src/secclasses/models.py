@@ -2,9 +2,8 @@
 
 The test spaces are finite truncated rings: the projective plane (one
 degree-2 generator with cube zero), even spheres S^{4i} (one generator
-squaring to zero), the (q+2)-truncated Pontrjagin rings X(q), and graded
-tensor products of these.  All generators here are even-degree, so the
-Koszul signs in this module are trivial.
+squaring to zero), and graded tensor products of these.  All generators
+here are even-degree, so the Koszul signs in this module are trivial.
 
 A bundle map assigns to each Pontrjagin slot p_i an element of the ring;
 Whitney sums combine them by multiplying total classes.  Linear
@@ -22,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Element, GeneratorSet, Mono, exponent_vectors
+from .algebra import Element, GeneratorSet, Mono, exponent_vectors, require_int
 from .dga import DegreeMismatch
 from .linalg import IntegerEliminator
 
@@ -39,6 +38,7 @@ class Factor:
     index: int  # sphere: i for S^{4i}; cp2: carries p_1
 
     def __post_init__(self):
+        require_int("factor index", self.index)
         if self.kind not in ("cp2", "sphere"):
             raise ValueError(f"unknown factor kind {self.kind!r}")
         if self.kind == "sphere" and self.index < 1:
@@ -87,10 +87,9 @@ def cp2(name: str = "a") -> ModelRing:
 
 def sphere_model(i: int, name: str = "s") -> ModelRing:
     """S^{4i} with one degree-4i generator squaring to zero."""
-    if i < 1:
-        raise ValueError("sphere models are S^(4i) with i >= 1")
-    gens = GeneratorSet((), ((name, 4 * i, 1),))
-    return ModelRing(gens, ((), (1,)), f"S^{4 * i}", (Factor("sphere", i),))
+    factor = Factor("sphere", i)  # checks i
+    gens = GeneratorSet((), ((name, factor.gen_degree, 1),))
+    return ModelRing(gens, ((), (1,)), factor.label(), (factor,))
 
 
 def product_model(factors: list[Factor] | tuple[Factor, ...]) -> ModelRing:
@@ -107,24 +106,6 @@ def product_model(factors: list[Factor] | tuple[Factor, ...]) -> ModelRing:
     gens = GeneratorSet((), tuple(poly))
     label = " x ".join(f.label() for f in factors)
     return ModelRing(gens, ((), tuple(top)), label, factors)
-
-
-def _pontrjagin_generator_bound(q: int) -> int:
-    # independent Pontrjagin generators of the degree-q ring: p_1..p_{n-1}
-    # when q = 2n (the top one is the Euler square), p_1..p_n when q = 2n+1
-    return q // 2 - 1 if q % 2 == 0 else (q - 1) // 2
-
-
-def x_model(q: int) -> ModelRing:
-    """The Pontrjagin ring in codimension q, truncated above degree q+2."""
-    if q < 1:
-        raise ValueError("q must be positive")
-    bound = min(_pontrjagin_generator_bound(q), (q + 2) // 4)
-    poly = [(f"p{i}", 4 * i, None) for i in range(1, bound + 1)]
-    if q % 2 == 0:
-        poly.append(("e", q, None))
-    gens = GeneratorSet((), tuple(poly), truncation=q + 2)
-    return ModelRing(gens, None, f"X({q})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,12 +270,6 @@ def pullback(mono: PontrjaginMonomial, bundle: BundleMap) -> Element:
         if e:
             out = out * bundle.p(i) ** e
     return out
-
-
-def whitney_pullback(mono: PontrjaginMonomial,
-                     factor_bundles: list[BundleMap]) -> Element:
-    """p(n) of the direct sum of the given factor bundles."""
-    return pullback(mono, whitney_sum(factor_bundles))
 
 
 def evaluate_on_cycle(x: Element, ring: ModelRing) -> Fraction:

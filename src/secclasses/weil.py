@@ -13,9 +13,10 @@ by :func:`spherical_rigid_classes`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-from .algebra import Element, GeneratorSet, exponent_vectors, subsets
+from .algebra import Element, GeneratorSet, exponent_vectors, require_int, subsets
 from .dga import Differential
 
 
@@ -33,6 +34,7 @@ def weil_complex(q: int, framed: bool = True) -> tuple[GeneratorSet, Differentia
     Framed: Lambda(y_1..y_q) tensor Q[c_1..c_q], polynomial degree <= 2q.
     Unframed: only odd-indexed y_i survive (largest odd index <= q).
     """
+    require_int("q", q)
     if q < 1:
         raise ValueError("codimension must be a positive integer")
     ys = range(1, q + 1) if framed else range(1, q + 1, 2)
@@ -55,11 +57,14 @@ class VeyIndex:
     J: tuple[int, ...]
 
     def __post_init__(self):
-        if any(self.I[k] >= self.I[k + 1] for k in range(len(self.I) - 1)):
+        I, J = self.I, self.J
+        require_int("VeyIndex entries", *I, *J)
+        if not all(map(operator.lt, I, I[1:])):
             raise ValueError("I must be strictly increasing")
-        if any(self.J[k] > self.J[k + 1] for k in range(len(self.J) - 1)):
+        if not all(map(operator.le, J, J[1:])):
             raise ValueError("J must be nondecreasing")
-        if any(i < 1 for i in self.I) or any(j < 1 for j in self.J):
+        # both are sorted, so each starts with its least entry
+        if I and I[0] < 1 or J and J[0] < 1:
             raise ValueError("indices start at 1")
 
     @property
@@ -106,12 +111,6 @@ class VeyIndex:
         return gens.monomial(ext, tuple(exps))
 
 
-def is_rigid(v: VeyIndex, q: int) -> bool:
-    if not v.is_member(q):
-        raise ValueError(f"{v.label()} is not a basis member in codimension {q}")
-    return v.I[0] + sum(v.J) >= q + 2
-
-
 def vey_basis(q: int, min_degree: int | None = None,
               max_degree: int | None = None) -> list[VeyIndex]:
     """All Vey indices for codimension q, ordered by (I, J) lexicographically.
@@ -121,6 +120,7 @@ def vey_basis(q: int, min_degree: int | None = None,
     followed by any subset of (i_1, q].  The unit class is excluded;
     report it separately when counting degree 0.
     """
+    require_int("q", q)
     if q < 1:
         raise ValueError("codimension must be a positive integer")
     out = []

@@ -9,7 +9,7 @@ import pytest
 from secclasses.algebra import (Element, GeneratorMismatch, GeneratorSet,
                                 InexactCoefficient, basis_of_degree,
                                 count_poly_monomials, exponent_vectors,
-                                merge_exterior, subsets)
+                                exterior_subsets, merge_exterior, subsets)
 from secclasses.weil import weil_complex
 
 
@@ -127,6 +127,16 @@ def test_enumerators_match_brute_force_product():
         assert basis_of_degree(gens, n) == expected
 
 
+def test_exterior_subsets_table_is_shared_and_in_subsets_order():
+    gens = GeneratorSet((("x", 1), ("y", 3), ("z", 5)), (("a", 2, None),),
+                        truncation=4)
+    table = exterior_subsets(gens)
+    assert [ext for ext, _ in table] == subsets(range(3))
+    assert [d for _, d in table] == [0, 1, 4, 9, 6, 3, 8, 5]
+    assert exterior_subsets(gens) is table
+    assert exterior_subsets(GeneratorSet((), (("a", 2, 1),))) == (((), 0),)
+
+
 def test_float_coefficients_rejected():
     gens, _ = weil_complex(1)
     m = ((0,), (1,))
@@ -227,3 +237,18 @@ def test_generator_set_validation():
         GeneratorSet((), (("c", 3, None),))  # odd polynomial degree
     with pytest.raises(ValueError):
         GeneratorSet((("y", 1),), (("y", 2, None),))  # duplicate name
+
+
+@pytest.mark.parametrize("exterior, poly, truncation, name", [
+    ((("x", 3.0),), (), 0, "degree of x"),
+    ((("x", True),), (), 0, "degree of x"),
+    ((), (("c", 2.0, None),), 0, "degree of c"),
+    ((), (("c", 2, 1.0),), 0, "cap for c"),
+    ((), (("c", 2, True),), 0, "cap for c"),
+    ((), (("c", 2, None),), 4.0, "truncation"),
+    ((), (("c", 2, None),), False, "truncation"),
+], ids=["float-odd-degree", "bool-odd-degree", "float-even-degree", "float-cap",
+        "bool-cap", "float-truncation", "bool-truncation"])
+def test_generator_set_rejects_non_integers(exterior, poly, truncation, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an int"):
+        GeneratorSet(exterior, poly, truncation)

@@ -171,6 +171,12 @@ def test_star_import_binds_every_exported_name():
     assert namespace["independence_certificate"] is models.independence_certificate
     with pytest.raises(AttributeError):
         secclasses.no_such_name
+    assert set(secclasses._LAZY) <= set(secclasses.__all__)
+    assert len(set(secclasses.__all__)) == len(secclasses.__all__)
+    assert set(secclasses.__all__) <= set(dir(secclasses))
+    for removed in ("is_rigid", "whitney_pullback", "x_model"):
+        with pytest.raises(AttributeError):
+            getattr(secclasses, removed)
 
 
 def test_other_exceptions_propagate_as_bugs(monkeypatch):
@@ -414,6 +420,10 @@ def test_selftest_contract(capsys):
      "74d9fd8a837d14968652e212680b38ed4527a0503f47712b0b00cb03785f28ba"),
     ("frame --case 4k2 --k 9 --max-dim 100000000 --format json",
      "97af8677b45a25d90b6fd1ee222fa95e60848e2a8bf19b7a1a68016c99aab3c4"),
+    # recorded before basis_of_degree read the shared exterior-subset
+    # table; its per-degree walk over all 2^11 subsets dominated this job
+    ("frame --case 4k2 --k 12 --format json",
+     "77c54361fe059ec326ab2aa75b2f00aee8ae47571f68f4a8c6c4b74efeda8701"),
     ("catalog --q 14 --dim 51 --format json",
      "11d4da103954f75db5a92964c3b10a18ef7a4d25cf54f2a99de66db2573a9154"),
     # table and CSV bytes: the expected-zero row of this frame report has

@@ -15,7 +15,6 @@ from secclasses.frames import (certify_projective_family, certify_sphere_family,
                                permanence_family, projective_base_model,
                                sphere_base_model)
 from secclasses.linalg import rank
-from closure_oracle import predecessors, touched_image
 from fraction_linalg import Echelon, kernel_from_columns
 from secclasses.weil import weil_complex
 
@@ -373,19 +372,6 @@ def test_a_dropped_residual_fails_the_rank_cross_check(monkeypatch):
     cohomology(gens, d, representatives=False)  # the rank route uses no Echelon
 
 
-def _poly_differential_model():
-    """A polynomial generator with a nonzero differential, a cap and a
-    truncation: d(p) = x*q and d(y) = q^3, so some predecessors come
-    through p, and some of those break p's cap (m = p^2) or the
-    truncation (m = p*q^4).  d(p) has a lower polynomial degree than p,
-    so the truncation ideal is not closed under d and d^2 != 0 on some
-    monomials; it serves the predecessor tests, which need no d^2 = 0."""
-    gens = GeneratorSet((("x", 3), ("y", 5)),
-                        (("p", 4, 1), ("q", 2, None)), truncation=10)
-    x, q = gens.generator("x"), gens.generator("q")
-    return gens, Differential(gens, {"p": x * q, "y": q ** 3})
-
-
 def _koszul_model():
     """A complex (d^2 = 0) with a polynomial generator that is not a
     cocycle: d(p) = x*q, d(y) = q^2, q capped at 2, truncation 6.  d never
@@ -408,46 +394,12 @@ def _linear_coefficient_model():
 
 
 def _two_step_model():
-    """d(u) = s + r and d(w) = r: s = d(u - w) is exact, but the row d(w)
-    that shows it never touches s, so the closure needs a second step."""
+    """d(u) = s + r and d(w) = r: s = d(u - w) is exact, but the column
+    d(w) that shows it never touches s; it is reached only through r."""
     gens = GeneratorSet((("u", 3), ("w", 3)),
                         (("s", 4, None), ("r", 4, None)), truncation=4)
     s, r = gens.generator("s"), gens.generator("r")
     return gens, Differential(gens, {"u": s + r, "w": r})
-
-
-@pytest.mark.parametrize("complex_", [
-    *[pytest.param(lambda q=q, f=f: weil_complex(q, framed=f),
-                   id=f"W{q}-{'framed' if f else 'unframed'}")
-      for q in range(1, 5) for f in (True, False)],
-    pytest.param(lambda: _frame(projective_base_model), id="projective-k2"),
-    pytest.param(lambda: _frame(sphere_base_model), id="sphere-k2"),
-    pytest.param(_poly_differential_model, id="poly-differential"),
-    pytest.param(_koszul_model, id="koszul"),
-    pytest.param(_two_step_model, id="two-step"),
-])
-def test_predecessors_are_complete_and_valid(complex_):
-    # every m with t in supp d(m) is a predecessor of t, and every
-    # predecessor of t is a monomial of degree deg(t) - 1
-    gens, d = complex_()
-    for n in range(gens.top_degree() + 1):
-        below = set(basis_of_degree(gens, n - 1))
-        preds = {t: predecessors(d, t) for t in basis_of_degree(gens, n)}
-        for t, ms in preds.items():
-            assert ms <= below, (gens.mono_str(t), ms - below)
-        for m in below:
-            for t in d(Element(gens, {m: Fraction(1)})).terms:
-                assert m in preds[t], (gens.mono_str(m), gens.mono_str(t))
-
-
-def test_predecessors_drop_cap_truncation_and_exterior_repeats():
-    gens, d = _poly_differential_model()
-    # t = x*p*q: p * (t / (x*q)) = p^2 breaks the cap of p
-    assert predecessors(d, ((0,), (1, 1))) == set()
-    # t = x*q^5: p * q^4 breaks the truncation; y * (t / q^3) stays
-    assert predecessors(d, ((0,), (0, 5))) == {((0, 1), (0, 2))}  # x*y*q^2
-    # t = y*q^3: y * (t / q^3) would repeat y
-    assert predecessors(d, ((1,), (0, 3))) == set()
 
 
 def global_classes_mod_image(d, cocycles):
@@ -605,10 +557,16 @@ def test_membership_rejects_a_monomial_outside_the_complex():
 
 
 def test_membership_on_a_cocycle_spanning_two_blocks():
+    # W_q is multigraded by mu(y_E c^x) = 1_E + x, which d preserves since
+    # d y_i = c_i; a block is the set of mu values of an element's terms
     gens, d = weil_complex(3)
 
+    def mu(m):
+        ext, x = m
+        return tuple(e + (j in ext) for j, e in enumerate(x))
+
     def block(x):
-        return set(x.terms).union(*touched_image(d, x.terms))
+        return {mu(m) for m in x.terms}
 
     for s in cohomology(gens, d).by_degree.values():
         reps = s.representatives
@@ -618,12 +576,14 @@ def test_membership_on_a_cocycle_spanning_two_blocks():
             break
     a, b = pairs[0]
     n = a.degree()
-    ya = next(y for y in basis_of_degree(gens, n - 1)
-              if set(d(Element(gens, {y: Fraction(1)})).terms) & block(a))
-    yb = next(y for y in basis_of_degree(gens, n - 1)
-              if set(d(Element(gens, {y: Fraction(1)})).terms) & block(b))
+
+    def source(x):
+        return next(y for y in basis_of_degree(gens, n - 1)
+                    if mu(y) in block(x) and d(Element(gens, {y: Fraction(1)})))
+
+    ya, yb = source(a), source(b)
     exact = d(Element(gens, {ya: Fraction(1), yb: Fraction(-3)}))
-    assert set(exact.terms) & block(a) and set(exact.terms) & block(b)
+    assert block(exact) & block(a) and block(exact) & block(b)
     assert classes_mod_image(d, [exact]) == ([False], False)
     x = a + b.scale(2) + exact
     for cocycles in ([x], [x, a], [x, a, b], [a, b]):
@@ -633,11 +593,9 @@ def test_membership_on_a_cocycle_spanning_two_blocks():
     assert classes_mod_image(d, [x, a, b]) == ([True, True, True], False)
 
 
-def test_closure_follows_images_beyond_the_support():
+def test_membership_finds_a_coboundary_two_columns_away():
     gens, d = _two_step_model()
     s = gens.generator("s")
-    assert predecessors(d, next(iter(s.terms))) == {((0,), (0, 0))}  # u only
-    assert len(touched_image(d, s.terms)) == 2  # d(u) and then d(w)
     assert classes_mod_image(d, [s]) == ([False], False)
     assert not class_nonzero(gens, d, s)
     assert global_classes_mod_image(d, [s]) == ([False], False)

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from secclasses.models import (Factor, PontrjaginMonomial, admissible_monomials,
-                               canonical_bundle, canonical_factor_bundles, cp2,
-                               evaluate_on_cycle, independence_certificate,
-                               product_model, pullback, sphere_model,
-                               verify_symmetric_multiple, whitney_pullback,
-                               whitney_sum, x_model)
+from secclasses.algebra import GeneratorSet, basis_of_degree
+from secclasses.models import (Factor, ModelRing, PontrjaginMonomial,
+                               admissible_monomials, canonical_bundle,
+                               canonical_factor_bundles, cp2, evaluate_on_cycle,
+                               independence_certificate, product_model, pullback,
+                               sphere_model, verify_symmetric_multiple, whitney_sum)
 from secclasses.models import test_cycle as cycle_for
 
 
@@ -39,21 +39,21 @@ def test_product_ring():
     assert evaluate_on_cycle(a1 * a2, ring) == 0
 
 
-def test_x_rings():
-    assert x_model(2).gens.poly == (("e", 2, None),)
-    assert x_model(2).dimension() == 3  # 1, e, e^2
-    assert x_model(3).gens.poly == (("p1", 4, None),)
-    assert x_model(3).dimension() == 2  # Q[p1]/(p1^2)
-    assert [n for n, _, _ in x_model(6).gens.poly] == ["p1", "p2", "e"]
-    assert [n for n, _, _ in x_model(7).gens.poly] == ["p1", "p2"]
-    assert [n for n, _, _ in x_model(8).gens.poly] == ["p1", "p2", "e"]
+def _pontrjagin_ring(q: int) -> GeneratorSet:
+    """p_i of degree 4i for i <= min(bound, (q+2)//4), and e of degree q
+    when q is even, truncated above degree q + 2; bound counts the
+    independent p_i of a rank-q bundle (the top one of an even rank is
+    the Euler square)."""
+    bound = q // 2 - 1 if q % 2 == 0 else (q - 1) // 2
+    poly = [(f"p{i}", 4 * i, None) for i in range(1, min(bound, (q + 2) // 4) + 1)]
+    if q % 2 == 0:
+        poly.append(("e", q, None))
+    return GeneratorSet((), tuple(poly), truncation=q + 2)
 
 
 def test_x_ring_truncation():
     for q in range(2, 9):
-        ring = x_model(q)
-        gens = ring.gens
-        from secclasses.algebra import basis_of_degree
+        gens = _pontrjagin_ring(q)
         monos = [m for n in range(gens.top_degree() + 1)
                  for m in basis_of_degree(gens, n)]
         for a in monos:
@@ -69,9 +69,9 @@ def test_whitney_pullback_examples():
     ring = product_model([Factor("cp2", 1), Factor("cp2", 1)])
     factors = canonical_factor_bundles(ring)
     a1, a2 = ring.gens.generator("a1"), ring.gens.generator("a2")
-    p1 = whitney_pullback(PontrjaginMonomial.of(1), factors)
+    p1 = pullback(PontrjaginMonomial.of(1), whitney_sum(factors))
     assert p1 == a1 * a1 + a2 * a2
-    p2 = whitney_pullback(PontrjaginMonomial.of(0, 1), factors)
+    p2 = pullback(PontrjaginMonomial.of(0, 1), whitney_sum(factors))
     assert p2 == (a1 * a1) * (a2 * a2)
 
     s8 = sphere_model(2)
@@ -87,7 +87,8 @@ def test_evaluate_examples():
     assert evaluate_on_cycle(sq, ring) == 2
     assert evaluate_on_cycle(bundle.p(2), ring) == 1
     with pytest.raises(ValueError):
-        evaluate_on_cycle(x_model(4).unit(), x_model(4))
+        no_top = ModelRing(_pontrjagin_ring(4), None, "X(4)")
+        evaluate_on_cycle(no_top.unit(), no_top)
 
 
 def test_admissible_monomials():
@@ -168,3 +169,14 @@ def test_symmetric_multiple():
         assert ok and ratio == 1
     with pytest.raises(ValueError):
         verify_symmetric_multiple(2, 3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sphere_model(1.5),
+    lambda: sphere_model(True),
+    lambda: Factor("sphere", 1.5),
+    lambda: Factor("cp2", 1.0),
+], ids=["sphere-model-float", "sphere-model-bool", "factor-float", "cp2-float"])
+def test_non_integer_factor_index_rejected(make):
+    with pytest.raises(TypeError, match="^factor index must be an int"):
+        make()

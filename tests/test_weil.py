@@ -5,7 +5,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from secclasses.dga import cohomology
-from secclasses.weil import (OddCodimension, VeyIndex, godbillon_vey, is_rigid,
+from secclasses.weil import (OddCodimension, VeyIndex, godbillon_vey,
                              rigid_count_table, spherical_rigid_classes,
                              vey_basis, vey_counts_by_degree, weil_complex)
 
@@ -56,11 +56,10 @@ def test_unit_class_excluded():
 
 
 def test_rigidity_predicate():
-    assert is_rigid(VeyIndex((2,), (2,)), 2)          # 4 >= 4
-    assert not is_rigid(VeyIndex((1,), (1, 1)), 2)    # 3 < 4
-    assert is_rigid(VeyIndex((2,), (2, 2)), 4)        # 6 >= 6
-    with pytest.raises(ValueError):
-        is_rigid(VeyIndex((2,), (1, 1)), 2)           # not a member
+    assert VeyIndex((2,), (2,)).is_rigid(2)           # 4 >= 4
+    assert not VeyIndex((1,), (1, 1)).is_rigid(2)     # 3 < 4
+    assert VeyIndex((2,), (2, 2)).is_rigid(4)         # 6 >= 6
+    assert not VeyIndex((2,), (1, 1)).is_rigid(2)     # not a member
 
 
 def test_godbillon_vey_not_rigid():
@@ -165,3 +164,31 @@ def test_vey_index_validation():
         VeyIndex((1,), (2, 1))
     with pytest.raises(ValueError):
         VeyIndex((0,), ())
+
+
+@pytest.mark.parametrize("I, J, message", [
+    ((1, 1), (), "I must be strictly increasing"),
+    ((0, 1), (), "indices start at 1"),
+    ((1,), (-1, 2), "indices start at 1"),
+])
+def test_vey_index_rejects_repeats_and_a_low_first_entry(I, J, message):
+    # the lower bound is read from the first entry of each sorted tuple
+    with pytest.raises(ValueError, match=message):
+        VeyIndex(I, J)
+    assert VeyIndex((), ()).label() == "1"
+    assert VeyIndex((1, 3), (1, 1)).label() == "y1*y3*c1^2"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: weil_complex(True),
+    lambda: weil_complex(2.0),
+    lambda: vey_basis(True),
+    lambda: vey_basis(3.0),
+    lambda: VeyIndex((1.0,), (2,)),
+    lambda: VeyIndex((True,), (1,)),
+    lambda: VeyIndex((1,), (2, 2.0)),
+], ids=["weil-bool", "weil-float", "vey-bool", "vey-float",
+        "index-float-I", "index-bool-I", "index-float-J"])
+def test_non_integer_q_and_indices_rejected(make):
+    with pytest.raises(TypeError, match="must be an int"):
+        make()
