@@ -14,10 +14,14 @@ the parity of the permutation sorting the concatenated exterior index
 sequences; even-degree generators commute with everything, so no other
 sign ever appears.
 
-Coefficients are :class:`fractions.Fraction` throughout.  No floating
-point is used anywhere: elements accept int and Fraction coefficients and
-raise :class:`InexactCoefficient` on anything else, floats included.
-Equality of elements is structural equality of their canonical term maps.
+Coefficients are :class:`fractions.Fraction` throughout, and no floating
+point is used anywhere.  A coefficient is checked once, where it enters:
+the public ``Element(gens, terms)`` and :meth:`Element.scale` accept int
+and Fraction coefficients, store them as Fractions and raise
+:class:`InexactCoefficient` on anything else, floats included.  Every
+result the package computes from stored Fractions is built by the trusted
+:meth:`Element._of`, which only drops zeros.  Equality of elements is
+structural equality of their canonical term maps.
 """
 
 from __future__ import annotations
@@ -225,20 +229,20 @@ class GeneratorSet:
     # -- element constructors -------------------------------------------
 
     def zero(self) -> "Element":
-        return Element(self, {})
+        return Element._of(self, {})
 
     def unit(self) -> "Element":
-        return Element(self, {self.unit_mono(): _ONE})
+        return Element._of(self, {self.unit_mono(): _ONE})
 
     def generator(self, name: str) -> "Element":
         """The named generator as an element."""
         for i, (n, _) in enumerate(self.exterior):
             if n == name:
-                return Element(self, {((i,), (0,) * self.n_poly): _ONE})
+                return Element._of(self, {((i,), (0,) * self.n_poly): _ONE})
         for j, (n, _, _) in enumerate(self.poly):
             if n == name:
                 exps = tuple(1 if k == j else 0 for k in range(self.n_poly))
-                return Element(self, {((), exps): _ONE})
+                return Element._of(self, {((), exps): _ONE})
         raise KeyError(f"no generator named {name!r}")
 
     def monomial(self, ext: tuple[int, ...], exps: tuple[int, ...],
@@ -259,13 +263,8 @@ class GeneratorSet:
 
     def top_degree(self) -> int | None:
         """Largest degree of a nonzero monomial, or None when unbounded."""
-        ext_top = sum(d for _, d in self.exterior)
-        if not self.poly:
-            return ext_top
-        capped = _max_poly_degree_capped(self)
-        if not self.truncation:
-            return None if capped is None else ext_top + capped
-        return ext_top + (self.truncation if capped is None else min(self.truncation, capped))
+        bound = _poly_degree_bound(self)
+        return None if bound is None else sum(d for _, d in self.exterior) + bound
 
     def mono_str(self, m: Mono) -> str:
         ext, exps = m
@@ -278,13 +277,13 @@ class GeneratorSet:
         return "*".join(parts) if parts else "1"
 
 
-def _max_poly_degree_capped(gens: GeneratorSet) -> int | None:
-    total = 0
-    for _, deg, cap in gens.poly:
-        if cap is None:
-            return None
-        total += deg * cap
-    return total
+def _poly_degree_bound(gens: GeneratorSet) -> int | None:
+    """The largest polynomial-part degree of a monomial: the smaller of the
+    truncation and sum deg * cap, None when both are unbounded."""
+    if any(cap is None for _, _, cap in gens.poly):
+        return gens.truncation or None
+    capped = sum(deg * cap for _, deg, cap in gens.poly)
+    return min(gens.truncation, capped) if gens.truncation else capped
 
 
 @lru_cache(maxsize=None)
@@ -295,13 +294,9 @@ def count_poly_monomials(gens: GeneratorSet) -> int | None:
     None when the count is infinite (some generator unbounded and no
     truncation).
     """
-    bound = gens.truncation
-    if not bound:
-        if any(cap is None for _, _, cap in gens.poly):
-            return None if gens.poly else 1
-        bound = _max_poly_degree_capped(gens)
-        if bound is None:
-            return None
+    bound = _poly_degree_bound(gens)
+    if bound is None:
+        return None
     # ways[d] = number of exponent vectors of polynomial degree exactly d
     ways = [0] * (bound + 1)
     ways[0] = 1
@@ -336,7 +331,7 @@ def poly_parts(gens: GeneratorSet, n: int) -> dict[int, list[tuple[int, ...]]]:
     A bounded ring shares one enumeration across every n; an unbounded one
     needs polynomial parts up to n.
     """
-    budget = gens.truncation or _max_poly_degree_capped(gens)
+    budget = _poly_degree_bound(gens)
     return _poly_parts_by_degree(gens, n if budget is None else budget)
 
 
@@ -371,19 +366,24 @@ class Element:
     Canonical means: no stored zero coefficients, so two elements are equal
     iff their term maps are equal.  Elements are immutable by convention
     (operations always build new ones) and safe to share across threads.
+    The constructor checks each coefficient (int or Fraction, stored as a
+    Fraction); :meth:`_of` builds the package's own results unchecked.
     """
 
     __slots__ = ("gens", "terms")
 
     def __init__(self, gens: GeneratorSet, terms: dict[Mono, Fraction] | None = None):
         self.gens = gens
-        clean: dict[Mono, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                c = _exact(c)
-                if c:
-                    clean[m] = c
-        self.terms = clean
+        self.terms = {m: v for m, c in (terms or {}).items() if (v := _exact(c))}
+
+    @classmethod
+    def _of(cls, gens: GeneratorSet, terms: dict[Mono, Fraction]) -> "Element":
+        """The element with ``terms``, whose coefficients are Fractions
+        computed by the package; zeros are dropped, nothing is checked."""
+        x = cls.__new__(cls)
+        x.gens = gens
+        x.terms = {m: c for m, c in terms.items() if c}
+        return x
 
     # -- predicates ------------------------------------------------------
 
@@ -418,24 +418,18 @@ class Element:
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            v = out.get(m, _ZERO) + c
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        return Element(self.gens, out)
+            out[m] = out.get(m, _ZERO) + c
+        return Element._of(self.gens, out)
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
 
     def __neg__(self) -> "Element":
-        return Element(self.gens, {m: -c for m, c in self.terms.items()})
+        return Element._of(self.gens, {m: -c for m, c in self.terms.items()})
 
     def scale(self, c) -> "Element":
         c = _exact(c)
-        if not c:
-            return Element(self.gens, {})
-        return Element(self.gens, {m: c * v for m, v in self.terms.items()})
+        return Element._of(self.gens, {m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -448,12 +442,8 @@ class Element:
                     if r is None:
                         continue
                     s, m = r
-                    v = out.get(m, _ZERO) + (ca * cb if s > 0 else -(ca * cb))
-                    if v:
-                        out[m] = v
-                    else:
-                        out.pop(m, None)
-            return Element(self.gens, out)
+                    out[m] = out.get(m, _ZERO) + (ca * cb if s > 0 else -(ca * cb))
+            return Element._of(self.gens, out)
         return self.scale(other)
 
     def __rmul__(self, other):

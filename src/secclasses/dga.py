@@ -129,7 +129,7 @@ class Differential:
                 if image:
                     add((ext, exps[:j] + (e - 1,) + exps[j + 1:]),
                         coeff * sign * e, image)
-        return Element(self.gens, acc)
+        return Element._of(self.gens, acc)
 
 
 @dataclass(frozen=True)
@@ -348,7 +348,8 @@ def _representatives(gens: GeneratorSet, basis_n, cols, prev_image):
     for vec in kernel_from_columns(cols, len(cols)):
         residual = stack.add(vec)
         if residual is not None:
-            reps.append(Element(gens, {basis_n[j]: c for j, c in residual.items()}))
+            reps.append(Element._of(gens, {basis_n[j]: Fraction(c)
+                                           for j, c in residual.items()}))
     return tuple(reps)
 
 

@@ -46,7 +46,7 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import (Element, GeneratorMismatch, GeneratorSet, Mono, basis_of_degree,
-                      subsets)
+                      require_int, subsets)
 from .dga import DegreeMismatch, Differential
 from .models import (BundleMap, Factor, ModelRing, canonical_bundle,
                      product_model, sphere_model)
@@ -65,7 +65,7 @@ def _lift(gens: GeneratorSet, x: Element) -> Element:
     The polynomial slots are shared and exterior positions of ``x`` are
     empty, so every monomial keeps its meaning.
     """
-    return Element(gens, dict(x.terms))
+    return Element._of(gens, x.terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,9 +81,6 @@ class FrameModel:
 
     def dimension(self) -> int:
         return self.gens.dimension()
-
-    def class_nonzero(self, x: Element) -> bool:
-        return dga.class_nonzero(self.gens, self.d, x)
 
 
 def build_frame_model(base: ModelRing, bundle: BundleMap, q: int,
@@ -151,8 +148,9 @@ class _GeneratorMap:
         if x.gens != self.source_gens:
             raise GeneratorMismatch("element does not live over the map's source")
         acc: dict[Mono, Fraction] = {}
+        unit = self.target.unit()
         for (ext, exps), coeff in x.terms.items():
-            term = self.target.unit().scale(coeff)
+            term = unit
             for pos in ext:
                 img = self.ext_images[pos]
                 if img is None:
@@ -171,8 +169,8 @@ class _GeneratorMap:
                     if term.is_zero():
                         break
             for m, c in term.terms.items():
-                acc[m] = acc.get(m, 0) + c
-        return Element(self.target, acc)
+                acc[m] = acc.get(m, 0) + coeff * c
+        return Element._of(self.target, acc)
 
 
 class CharacteristicMap(_GeneratorMap):
@@ -235,10 +233,10 @@ def _classes_mod_image(d: Differential, elements, labels) -> tuple[list[bool], b
 
     Every element must be a combination of monomials of the basis of
     ``d.gens``, checked by a binary search in the cached, sorted basis of
-    each degree.  The nonzero elements of every degree then go to one
-    :func:`dga.classes_mod_image` call, which checks that they are
-    cocycles, lays the complex out once and ranks it in one elimination.
-    A zero element reads as zero.
+    each degree.  The elements then go to one :func:`dga.classes_mod_image`
+    call, which checks that they are cocycles, lays the complex out once
+    and ranks it in one elimination; a zero element reads as zero, and
+    its presence makes the elements jointly dependent.
     """
     by_degree: dict[int, list[tuple[str, Element]]] = {}
     for label, x in zip(labels, elements):
@@ -251,9 +249,7 @@ def _classes_mod_image(d: Differential, elements, labels) -> tuple[list[bool], b
                 i = bisect_left(basis_n, m)
                 if i == len(basis_n) or basis_n[i] != m:
                     raise ValueError(f"{label} has a term {m} outside the model")
-    nonzero, joint = dga.classes_mod_image(d, [x for x in elements if x])
-    nonzero = iter(nonzero)
-    return [bool(x) and next(nonzero) for x in elements], joint
+    return dga.classes_mod_image(d, elements)
 
 
 def _certify(model: FrameModel, elements, labels) -> tuple[list[CertifiedClass], bool]:
@@ -280,6 +276,7 @@ def projective_reduced_model(k: int) -> tuple[GeneratorSet, Differential]:
     """S = Lambda(u_1..u_{k-1}) tensor Q[t]/(t^{k+1}), d u_i = t^i / i!: the
     sub-DGA of ``projective_base_model(k)`` fixed by the signed
     permutations of the a_j, with t standing for the p_1 image."""
+    require_int("k", k)
     if k < 2:
         raise ValueError("the projective family starts at k = 2")
     gens = GeneratorSet(tuple((f"u{i}", 4 * i - 1) for i in range(1, k)),
@@ -293,6 +290,7 @@ def sphere_reduced_model(k: int) -> tuple[GeneratorSet, Differential]:
     """S = Lambda(u_k..u_{2k-2}) tensor Q[s]/(s^2), d u_k = s: the
     sub-DGA of ``sphere_base_model(k)`` left when the free factor
     Lambda(u_1..u_{k-1}, v), all of whose differentials vanish, is split off."""
+    require_int("k", k)
     if k < 2:
         raise ValueError("the sphere family starts at k = 2")
     gens = GeneratorSet(tuple((f"u{i}", 4 * i - 1) for i in range(k, 2 * k - 1)),
@@ -344,6 +342,7 @@ def _certify_reduced(delta: CharacteristicMap, reduced, poly_index, veys,
 def projective_base_model(k: int) -> FrameModel:
     """Frame model of the canonical rank-2k sum over (CP^2)^k, without the
     Euler transgression (see the README's notes on frame certificates)."""
+    require_int("k", k)
     if k < 2:
         raise ValueError("the projective family starts at k = 2")
     base = product_model([Factor("cp2", 1)] * k)
@@ -370,6 +369,7 @@ def certify_projective_family(k: int) -> FrameCertificate:
 
 def sphere_base_model(k: int) -> FrameModel:
     """Frame model over S^{4k} for q = 4k-2, with p_k normalized to the volume."""
+    require_int("k", k)
     if k < 2:
         raise ValueError("the sphere family starts at k = 2")
     q = 4 * k - 2

@@ -175,7 +175,7 @@ def whitney_sum(bundles: list[BundleMap]) -> BundleMap:
         if deg % 4:
             raise AssertionError("total class acquired a non-Pontrjagin degree")
         p_terms.setdefault(deg // 4, {})[m] = c
-    p_images = {i: Element(ring.gens, terms) for i, terms in p_terms.items()}
+    p_images = {i: Element._of(ring.gens, terms) for i, terms in p_terms.items()}
     euler = ring.unit()
     for b in bundles:
         e = b.euler_image()
@@ -243,6 +243,7 @@ def admissible_monomials(q: int) -> list[PontrjaginMonomial]:
     Each one has degree at most 2q, the top of the range where normal
     bundle classes of codimension-q foliations can survive; asserted.
     """
+    require_int("q", q)
     if q < 2:
         raise ValueError("q must be at least 2")
     weights = [4 * i - 2 for i in range(1, (q + 2) // 4 + 1)]
@@ -342,6 +343,8 @@ def verify_symmetric_multiple(k: int, ell: int) -> tuple[Fraction | None, bool]:
     Returns (ratio, proportional).  Squares of the degree-2 generators cap
     out, so the ratio is 1/ell! whenever 1 <= ell <= k.
     """
+    require_int("k", k)
+    require_int("ell", ell)
     if not (1 <= ell <= k):
         raise ValueError("need 1 <= ell <= k")
     ring = product_model([Factor("cp2", 1)] * k)

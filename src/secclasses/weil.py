@@ -170,6 +170,7 @@ def spherical_rigid_count(q: int) -> int:
     """The number of entries :func:`spherical_rigid_classes` lists, without
     listing them: 2^(B-1) in family A, B = floor((q+2)/4), plus 1 in
     family B when q = 2 mod 4."""
+    require_int("q", q)
     if q % 2 == 1 or q < 4:
         raise OddCodimension("families are defined for even codimension >= 4")
     return (1 << ((q + 2) // 4 - 1)) + (q % 4 == 2)
@@ -183,6 +184,7 @@ def spherical_rigid_classes(q: int) -> list[RigidFamilyEntry]:
     Family B (only when q = 2 mod 4): y_{2k} c_{2k} with k = (q+2)/4.
     Every entry is checked against basis membership and rigidity.
     """
+    require_int("q", q)
     if q % 2 == 1 or q < 4:
         raise OddCodimension("families are defined for even codimension >= 4")
     m = q // 2

@@ -10,7 +10,10 @@ from secclasses.algebra import (Element, GeneratorMismatch, GeneratorSet,
                                 InexactCoefficient, basis_of_degree,
                                 count_poly_monomials, exponent_vectors,
                                 exterior_subsets, merge_exterior, subsets)
-from secclasses.weil import weil_complex
+from secclasses.dga import cohomology
+from secclasses.frames import CharacteristicMap, projective_base_model
+from secclasses.models import Factor, canonical_bundle, product_model
+from secclasses.weil import VeyIndex, weil_complex
 
 
 def test_merge_exterior_signs():
@@ -152,6 +155,30 @@ def test_float_coefficients_rejected():
     half = Fraction(1, 2)
     assert Element(gens, {m: half}) == gens.monomial((0,), (1,), coeff=half)
     assert 2 * y1 == y1.scale(Fraction(2)) == Element(gens, {((0,), (0,)): 2})
+
+
+def test_every_internal_route_stores_nonzero_fractions():
+    # coefficients are checked once where they enter (the entry points are
+    # test_float_coefficients_rejected's); every element built from them
+    # holds only nonzero Fractions, whichever route built it
+    def exact(x):
+        return all(type(c) is Fraction and c for c in x.terms.values())
+
+    gens, d = weil_complex(3)
+    y1, y2, c1, c2 = (gens.generator(n) for n in ("y1", "y2", "c1", "c2"))
+    x = y1 * c1.scale(Fraction(2, 3)) + y2 - c2 * 3
+    routes = [gens.zero(), gens.unit(), y1, x + x, x - x, x + (-x), -x, x * x,
+              (x + c1) ** 2, x * y1, x.scale(Fraction(1, 2)), x.scale(0), 5 * x,
+              d(x), d(y1 * c1 * c2)]
+    delta = CharacteristicMap(projective_base_model(2))
+    routes += [delta(VeyIndex(I, J).element(delta.source_gens))
+               for I, J in (((2,), (2, 2)), ((1,), (1, 1)), ((2,), (1, 1, 1)))]
+    bundle = canonical_bundle(product_model([Factor("cp2", 1)] * 2))
+    routes += list(bundle.p_images.values())
+    routes += [rep for s in cohomology(*weil_complex(2)).by_degree.values()
+               for rep in s.representatives]
+    assert x - x == x + (-x) == x.scale(0) == gens.zero()
+    assert all(map(exact, routes))
 
 
 def test_caps_model_projective_plane():

@@ -440,6 +440,12 @@ def test_selftest_contract(capsys):
      "030b0c91fbf6a8181144fb48888d91c629960e2e432711baf99268d3a1448a00"),
     ("cohomology --q 3 --representatives",
      "10cf27cf349aed5ec05b38cea129f3e93a3c6996312bc5136f6964e5b814e6bd"),
+    # pin the Element arithmetic behind the pairings and the representatives
+    # at sizes beyond the smallest reports
+    ("pontrjagin --q 18 --format json",
+     "5f78008fc7dd795ee0ba2da72559b745f4ed22faef52885fd832415261d948c2"),
+    ("cohomology --q 8 --representatives --format json",
+     "b9ba325b9e5641774ca126692ea2f6ed4f44c325521a8756cf78ca6170177cd9"),
 ])
 def test_golden_output_sha256(capsys, argv, digest):
     # pins the enumeration order of every family behind these reports

@@ -17,9 +17,10 @@ from secclasses.frames import (CertifiedClass, CharacteristicMap, IndexOutOfRang
                                permanence_family, projective_base_model,
                                projective_reduced_model, sphere_base_model,
                                sphere_reduced_model)
-from secclasses.models import (BundleMap, Factor, canonical_bundle, cp2,
-                               product_model, sphere_model)
-from secclasses.weil import VeyIndex
+from secclasses.models import (BundleMap, Factor, admissible_monomials,
+                               canonical_bundle, cp2, independence_certificate,
+                               product_model, sphere_model, verify_symmetric_multiple)
+from secclasses.weil import VeyIndex, spherical_rigid_classes, spherical_rigid_count
 from test_dga import _random_in_degree
 
 
@@ -288,6 +289,41 @@ def test_characteristic_map_matches_naive_route():
             got = delta(x)
             assert got == naive_characteristic_map(delta, x)
             assert str(got) == str(naive_characteristic_map(delta, x))
+
+
+def test_a_zero_element_leaves_the_certified_classes_dependent():
+    # the certificates follow dga.classes_mod_image's one zero rule: a zero
+    # element reads as zero, and no family holding it is independent
+    model = projective_base_model(2)
+    x = model.gens.monomial((0,), (2, 2))  # u1*a1^2*a2^2
+    elements = [x, model.gens.zero()]
+    entries, joint = _certify(model, elements, ["x", "zero"])
+    assert [e.nonzero for e in entries] == [True, False]
+    assert joint is False
+    assert dga.classes_mod_image(model.d, elements) == ([True, False], False)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: certify_projective_family(2.0), "k"),
+    (lambda: certify_projective_family(True), "k"),
+    (lambda: certify_sphere_family(2.0), "k"),
+    (lambda: projective_base_model(2.0), "k"),
+    (lambda: sphere_base_model(2.0), "k"),
+    (lambda: projective_reduced_model(3.0), "k"),
+    (lambda: sphere_reduced_model(2.0), "k"),
+    (lambda: independence_certificate(4.0), "q"),
+    (lambda: admissible_monomials(4.0), "q"),
+    (lambda: spherical_rigid_classes(4.0), "q"),
+    (lambda: spherical_rigid_count(4.0), "q"),
+    (lambda: verify_symmetric_multiple(2.0, 1), "k"),
+    (lambda: verify_symmetric_multiple(2, True), "ell"),
+], ids=["projective-float", "projective-bool", "sphere-float", "projective-base",
+        "sphere-base", "projective-reduced", "sphere-reduced", "independence",
+        "admissible", "spherical-classes", "spherical-count", "symmetric-k",
+        "symmetric-ell"])
+def test_family_sizes_must_be_ints(call, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an int"):
+        call()
 
 
 def test_certify_rejects_a_term_outside_the_model():
