@@ -1,9 +1,9 @@
-"""Differentials and exact cohomology of finite graded-commutative complexes.
+"""Differentials and exact cohomology of finite pure graded-commutative complexes.
 
-A differential is given on generators and extended by the graded Leibniz
-rule; ``d(d(g)) = 0`` is checked on every generator at construction.  Degree
-slices are finite thanks to truncation, so cohomology reduces to exact
-rank computations degree by degree.
+A complex is pure: d maps each exterior generator into the polynomial
+subring and vanishes on the polynomial generators, as on every complex of
+the paper, so d^2 = 0.  Degree slices are finite thanks to truncation, so
+cohomology reduces to exact rank computations degree by degree.
 
 Cohomology dimensions come from ranks,
 ``dim H^n = chain_dim_n - rank d_n - rank d_{n-1}``, computed on Python
@@ -15,13 +15,13 @@ The columns come from index arithmetic on the exterior tensor polynomial
 layout of the basis, with no monomial built (:class:`_Layout`).  Degree n
 is a run of blocks, one per exterior subset E in :func:`exterior_subsets`
 order, each holding the polynomial parts of degree n - deg E, so y_E c^x
-sits at the block's offset plus the position of x in its bucket.  The Leibniz
-terms of each subset E, with their Koszul signs and target subsets, are
-merged once per call, and one table per (bucket, exponent shift) maps
-each position to the position of x + shift, or drops it when x + shift
-breaks a cap or the truncation; a part is one integer there, so a shift
-is one addition and one lookup.  Images of polynomial generators use the
-same tables, with the exponent x_j as a multiplier.
+sits at the block's offset plus the position of x in its bucket.  Since
+d(y_E c^x) = sum_p (-1)^p y_(E without E_p) c^x d(y_(E_p)), the terms of
+each subset (target subset, exponent shift, coefficient) are listed once
+per call, and one table per (bucket, shift) maps each position to the
+position of x + shift, or drops it when x + shift breaks a cap or the
+truncation; a part is one integer there, so a shift is one addition and
+one lookup.
 
 Representatives are searched only when asked for, and only in degrees
 with classes, by a second elimination over the whole degree: a
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (Element, GeneratorMismatch, GeneratorSet, Mono, basis_of_degree,
-                      exterior_subsets, merge_exterior, poly_parts)
+                      exterior_subsets, poly_parts)
 from .linalg import Echelon, IntegerEliminator, kernel_from_columns, rank
 
 
@@ -60,17 +60,18 @@ class NotACocycle(ValueError):
 
 
 class Differential:
-    """Degree +1 derivation determined by its values on generators.
+    """Degree +1 derivation of a pure complex, given on the exterior generators.
 
     ``images`` maps generator names to elements; omitted names get zero.
-    Each image must be homogeneous of degree ``deg(gen) + 1`` (or zero),
-    and the composite ``d(d(g))`` must vanish for every generator.  The
-    images are kept as ``ext_images`` and ``poly_images``, in generator
-    order, and d of an element follows from them by the graded Leibniz
-    rule, each product formed by :meth:`GeneratorSet.mono_mul`.
+    The image of an exterior generator must be homogeneous of degree
+    ``deg(gen) + 1`` (or zero) and lie in the polynomial subring: no term
+    has an exterior part.  A polynomial generator's image must be zero.
+    The images are kept as ``ext_images``, in generator order, and d of an
+    element follows from them by the graded Leibniz rule, each product
+    formed by :meth:`GeneratorSet.mono_mul`.
     """
 
-    __slots__ = ("gens", "ext_images", "poly_images")
+    __slots__ = ("gens", "ext_images")
 
     def __init__(self, gens: GeneratorSet, images: dict[str, Element] | None = None):
         self.gens = gens
@@ -86,49 +87,39 @@ class Differential:
             if img.degree() != degree + 1:
                 raise DegreeMismatch(
                     f"d({name}) must have degree {degree + 1}, got {img.degree()}")
+            if any(ext for ext, _ in img.terms):
+                raise ValueError(f"d({name}) = {img} is not pure: it has an exterior term")
             return img
 
         self.ext_images = tuple(take(n, d) for n, d in gens.exterior)
-        self.poly_images = tuple(take(n, d) for n, d, _ in gens.poly)
+        for name, _, _ in gens.poly:
+            if images.pop(name, None):
+                raise ValueError(f"d({name}) must be 0: {name} is a polynomial generator")
         if images:
             raise KeyError(f"images given for unknown generators: {sorted(images)}")
-        names = [n for n, _ in gens.exterior] + [n for n, _, _ in gens.poly]
-        for name, img in zip(names, self.ext_images + self.poly_images):
-            if not self(img).is_zero():
-                raise ValueError(f"d(d(g)) != 0 on generator {name}")
 
     def __call__(self, x: Element) -> Element:
         """Apply the differential via the graded Leibniz rule, in one pass.
 
-        A generator g of a monomial contributes the monomial with one g
-        removed, times d(g) at the right end, times the exponent of g and
-        (-1)^k, k being the number of exterior generators standing before g
-        (all of them when g is polynomial).
+        The exterior generator at position p of a monomial contributes the
+        monomial with it removed, times its image and (-1)^p; the image is
+        even, so it commutes into place.
         """
         if x.gens != self.gens:
             raise GeneratorMismatch("element does not live over the differential's generators")
         acc: dict[Mono, Fraction] = {}
         mono_mul = self.gens.mono_mul
-
-        def add(rest: Mono, c, image: Element):
-            for b, b_c in image.terms.items():
-                r = mono_mul(rest, b)
-                if r is not None:
-                    sign, m = r
-                    acc[m] = acc.get(m, 0) + (c * b_c if sign > 0 else -c * b_c)
-
         for (ext, exps), coeff in x.terms.items():
             for pos, idx in enumerate(ext):
                 image = self.ext_images[idx]
                 if image:
-                    add((ext[:pos] + ext[pos + 1:], exps),
-                        -coeff if pos & 1 else coeff, image)
-            sign = -1 if len(ext) & 1 else 1
-            for j, e in enumerate(exps):
-                image = self.poly_images[j] if e else None
-                if image:
-                    add((ext, exps[:j] + (e - 1,) + exps[j + 1:]),
-                        coeff * sign * e, image)
+                    rest = (ext[:pos] + ext[pos + 1:], exps)
+                    c = -coeff if pos & 1 else coeff
+                    for b, b_c in image.terms.items():
+                        # b has no exterior part, so the product's sign is +1
+                        if (r := mono_mul(rest, b)) is not None:
+                            m = r[1]
+                            acc[m] = acc.get(m, 0) + c * b_c
         return Element._of(self.gens, acc)
 
 
@@ -217,13 +208,14 @@ class _Layout:
     In the order of :func:`basis_of_degree`, y_E c^x of degree n has row
     ``offsets[n][0][E] + pos[code(x)]``, E being a subset id and
     ``pos[code(x)]`` the position of x in its :func:`poly_parts` bucket.
-    ``images[E]`` lists the terms (T, b, c0, linear) of d(y_E c^x) =
-    sum (c0 + sum_j c_j x_j) y_T c^(x + b), so a polynomial generator's
-    image shifts by its term minus c_j, with x_j as the multiplier.
+    ``images[E]`` lists the terms (T, b, c) of d(y_E c^x) =
+    sum c y_T c^(x + b): one per position p in E and term c^b of
+    d(y_(E_p)), T being the id of E without E_p and c that term's
+    coefficient times (-1)^p.
 
-    ``code(x)`` is x as one integer, digit j in radix 2 M_j + 2, M_j the
+    ``code(x)`` is x as one integer, digit j in radix 2 M_j + 1, M_j the
     largest exponent of generator j in a part.  code(x + b) = code(x) +
-    code(b), and for b_j in [-1, M_j] every digit of x + b is in [-1, 2 M_j],
+    code(b), and for b_j in [0, M_j] every digit of x + b is in [0, 2 M_j],
     where no two vectors share a code.  So the one lookup
     ``pos.get(code(x) + code(b))`` in :meth:`_shift` also drops the
     products that break a cap or the truncation.
@@ -239,7 +231,7 @@ class _Layout:
         r = 1
         for m in self.most:
             self.radix.append(r)
-            r *= 2 * m + 2
+            r *= 2 * m + 1
         self.codes = {k: [self._code(x) for x in bucket]
                       for k, bucket in self.parts.items()}
         self.pos = {c: i for codes in self.codes.values()
@@ -249,42 +241,16 @@ class _Layout:
             by_degree.setdefault(e, []).append(sid)
         self.offsets = [_block_offsets(by_degree, self.parts, n)
                         for n in range(top + 1)]
-        self.ext_id = {E: i for i, E in enumerate(ext)}
-        # the terms (b_ext, b_exps, c) of each d(g), c an int where integral
-        ext_terms, poly_terms = (
-            [[(*b, c.numerator if c.denominator == 1 else c)
-              for b, c in image.terms.items()] for image in images]
-            for images in (d.ext_images, d.poly_images))
+        self.ext_id = ext_id = {E: i for i, E in enumerate(ext)}
+        # the terms (b, c) of each d(g), c an int where integral
+        terms = [[(b, c.numerator if c.denominator == 1 else c)
+                  for (_, b), c in image.terms.items()] for image in d.ext_images]
         # a subset of degree top or more is never the source of a column
-        self.images = [self._subset_image(E, ext_terms, poly_terms, self.ext_id)
+        self.images = [[(ext_id[E[:p] + E[p + 1:]], b, -c if p & 1 else c)
+                        for p, g in enumerate(E) for b, c in terms[g]]
                        if e < top else ()
                        for E, e in zip(ext, self.ext_degrees)]
         self._tables: dict = {}
-
-    @staticmethod
-    def _subset_image(E, ext_terms, poly_terms, ext_id) -> list[tuple]:
-        """The terms ``(T, b, c0, ((j, c_j), ...))`` of d(y_E c^x), T being
-        a subset id; one term per (T, b), none whose coefficient is 0."""
-        raw = []
-        for p, g in enumerate(E):
-            for b_ext, b_exps, b_c in ext_terms[g]:
-                raw.append((E[:p] + E[p + 1:], b_ext, b_exps, None,
-                            -b_c if p & 1 else b_c))
-        sign = -1 if len(E) & 1 else 1
-        for j, image in enumerate(poly_terms):
-            for b_ext, b_exps, b_c in image:
-                b = b_exps[:j] + (b_exps[j] - 1,) + b_exps[j + 1:]
-                raw.append((E, b_ext, b, j, sign * b_c))
-        terms: dict[tuple, dict] = {}
-        for r_ext, b_ext, b, j, c in raw:
-            merged = merge_exterior(r_ext, b_ext)
-            if merged is not None:
-                parity, T = merged
-                coeffs = terms.setdefault((ext_id[T], b), {})
-                coeffs[j] = coeffs.get(j, 0) + (-c if parity else c)
-        return [(T, b, coeffs.pop(None, 0),
-                 tuple((j, c) for j, c in coeffs.items() if c))
-                for (T, b), coeffs in terms.items() if any(coeffs.values())]
 
     def _code(self, x) -> int:
         return sum(map(operator.mul, x, self.radix))
@@ -318,21 +284,13 @@ class _Layout:
         cols: list[dict] = [{} for _ in range(chain_dim)]
         for sid, base in offsets.items():
             k = n - self.ext_degrees[sid]
-            bucket = self.parts[k]
-            for T, b, c0, linear in self.images[sid]:
+            for T, b, c in self.images[sid]:
                 # a subset with no block in degree n + 1 is reached by no shift
                 row = targets.get(T)
                 if row is None:
                     continue
-                if linear:
-                    for i, p in self._shift(k, b):
-                        x = bucket[i]
-                        c = c0 + sum(c_j * x[j] for j, c_j in linear)
-                        if c:
-                            cols[base + i][row + p] = c
-                else:
-                    for i, p in self._shift(k, b):
-                        cols[base + i][row + p] = c0
+                for i, p in self._shift(k, b):
+                    cols[base + i][row + p] = c
         return chain_dim, cols
 
 

@@ -415,9 +415,11 @@ def permanence_family(I: tuple[int, ...], J: tuple[int, ...], q: int,
     fiber (the twist needs the corresponding primitive).
     """
     seed = VeyIndex(tuple(I), tuple(J))
+    r_list = tuple(r_list)
+    require_int("q", q)
+    require_int("twisting index", *r_list)
     if not seed.is_member(q):
         raise ValueError(f"{seed.label()} is not a basis member in codimension {q}")
-    r_list = tuple(r_list)
     if any(r_list[a] >= r_list[a + 1] for a in range(len(r_list) - 1)):
         raise ValueError("twisting indices must be strictly increasing")
     n_u = fiber_primitive_count(q)

@@ -80,15 +80,15 @@ class ModelRing:
         return self.gens.dimension()
 
 
-def cp2(name: str = "a") -> ModelRing:
-    gens = GeneratorSet((), ((name, 2, 2),))
+def cp2() -> ModelRing:
+    gens = GeneratorSet((), (("a", 2, 2),))
     return ModelRing(gens, ((), (2,)), "CP^2", (Factor("cp2", 1),))
 
 
-def sphere_model(i: int, name: str = "s") -> ModelRing:
+def sphere_model(i: int) -> ModelRing:
     """S^{4i} with one degree-4i generator squaring to zero."""
     factor = Factor("sphere", i)  # checks i
-    gens = GeneratorSet((), ((name, factor.gen_degree, 1),))
+    gens = GeneratorSet((), (("s", factor.gen_degree, 1),))
     return ModelRing(gens, ((), (1,)), factor.label(), (factor,))
 
 

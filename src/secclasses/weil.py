@@ -151,6 +151,7 @@ def vey_counts_by_degree(q: int) -> dict[int, int]:
 
 def godbillon_vey(q: int) -> VeyIndex:
     """The class y_1 c_1^q, the archetypal non-rigid secondary class."""
+    require_int("q", q)
     return VeyIndex((1,), (1,) * q)
 
 
@@ -219,6 +220,7 @@ def rigid_count_table(q_max: int) -> list[RigidCountRow]:
     Exhaustive over the Vey index set, so intended for desk-scale q; the
     spherical column uses the closed-form families and stays cheap.
     """
+    require_int("q_max", q_max)
     if q_max < 1:
         raise ValueError("q_max must be positive")
     rows = []

@@ -446,6 +446,11 @@ def test_selftest_contract(capsys):
      "5f78008fc7dd795ee0ba2da72559b745f4ed22faef52885fd832415261d948c2"),
     ("cohomology --q 8 --representatives --format json",
      "b9ba325b9e5641774ca126692ea2f6ed4f44c325521a8756cf78ca6170177cd9"),
+    # the rank route through the layout at a size where it does real work
+    ("cohomology --q 10 --format json",
+     "4054a60772d94ba7e81b69dc40e556584065de050245eb564d64a83064193318"),
+    ("cohomology --q 10 --no-framed --format json",
+     "7bbc7935f954eab072f8fb4260add722a8476596d8c22a431a1d670d194e392e"),
 ])
 def test_golden_output_sha256(capsys, argv, digest):
     # pins the enumeration order of every family behind these reports

@@ -13,7 +13,8 @@ from secclasses.dga import (DegreeMismatch, Differential, NotACocycle,
                             class_nonzero, classes_mod_image, cohomology)
 from secclasses.frames import (certify_projective_family, certify_sphere_family,
                                permanence_family, projective_base_model,
-                               sphere_base_model)
+                               projective_reduced_model, sphere_base_model,
+                               sphere_reduced_model)
 from secclasses.linalg import rank
 from fraction_linalg import Echelon, kernel_from_columns
 from secclasses.weil import weil_complex
@@ -58,13 +59,18 @@ def test_degree_contract_rejected_at_construction():
         Differential(gens, {"nope": gens.generator("c1")})
 
 
-def test_square_zero_checked_at_construction():
-    # d(u) = p, d(p) = 0 is fine; making d(p) nonzero breaks d(d(u)) = 0
-    gens = GeneratorSet((("u", 3),), (("p", 4, None), ("z", 8, None)), truncation=8)
-    Differential(gens, {"u": gens.generator("p")})
-    with pytest.raises(ValueError):
-        Differential(gens, {"u": gens.generator("p"),
-                            "p": gens.generator("u") * gens.generator("p")})
+def test_impure_images_rejected_at_construction():
+    # d maps exterior generators into the polynomial subring and kills the
+    # polynomial generators; an explicit zero image is still accepted
+    gens = GeneratorSet((("u", 3), ("w", 1)), (("p", 4, None), ("z", 2, None)),
+                        truncation=8)
+    u, w, p, z = (gens.generator(n) for n in ("u", "w", "p", "z"))
+    d = Differential(gens, {"u": p, "p": gens.zero()})
+    assert d(u * w) == p * w
+    with pytest.raises(ValueError, match=r"^d\(p\) must be 0"):
+        Differential(gens, {"u": p, "p": u * w})
+    with pytest.raises(ValueError, match=r"^d\(u\) = .* is not pure"):
+        Differential(gens, {"u": p + w * u})
 
 
 def test_d_squared_and_leibniz_randomized():
@@ -211,9 +217,11 @@ BLOCK_CASES = [
     pytest.param(lambda: weil_complex(6), id="W6-framed"),
     pytest.param(_transgression_model, id="transgression"),
     pytest.param(lambda: _koszul_model(), id="koszul"),  # defined below
-    pytest.param(lambda: _linear_coefficient_model(), id="linear-coefficients"),
     pytest.param(lambda: _frame(projective_base_model), id="projective-k2"),
     pytest.param(lambda: _frame(sphere_base_model), id="sphere-k2"),
+    # non-unit coefficients: d u_i = t^i/i!, so 1/2 and 1/6 at k = 4
+    pytest.param(lambda: projective_reduced_model(4), id="projective-reduced-k4"),
+    pytest.param(lambda: sphere_reduced_model(3), id="sphere-reduced-k3"),
 ]
 
 
@@ -373,24 +381,14 @@ def test_a_dropped_residual_fails_the_rank_cross_check(monkeypatch):
 
 
 def _koszul_model():
-    """A complex (d^2 = 0) with a polynomial generator that is not a
-    cocycle: d(p) = x*q, d(y) = q^2, q capped at 2, truncation 6.  d never
-    lowers the polynomial degree and d(q) = 0, so the truncation and the
-    cap cut out ideals closed under d."""
+    """A pure complex with a cap and a truncation: d(x) = q, d(y) = q^2, q
+    capped at 2, p uncapped, truncation 6.  d never lowers the polynomial
+    degree, so the truncation and the cap cut out ideals closed under d,
+    and d(y*q) = q^3 is cut by the cap."""
     gens = GeneratorSet((("x", 1), ("y", 3)),
                         (("p", 2, None), ("q", 2, 2)), truncation=6)
-    x, q = gens.generator("x"), gens.generator("q")
-    return gens, Differential(gens, {"p": x * q, "y": q * q})
-
-
-def _linear_coefficient_model():
-    """d(p) = x*p, d(q) = x*q and d(y) = y*x: in d(y p^a q^b) the term
-    from y and those from p and q land on x*y*p^a*q^b, with coefficient
-    a + b - 1, which vanishes at a + b = 1."""
-    gens = GeneratorSet((("x", 1), ("y", 1)),
-                        (("p", 2, None), ("q", 2, 3)), truncation=6)
-    x, y, p, q = (gens.generator(n) for n in "xypq")
-    return gens, Differential(gens, {"p": x * p, "q": x * q, "y": y * x})
+    q = gens.generator("q")
+    return gens, Differential(gens, {"x": q, "y": q * q})
 
 
 def _two_step_model():
@@ -491,10 +489,11 @@ def test_membership_matches_global_elimination_on_random_cocycles(complex_):
 
 def _unbounded_model():
     """No truncation and an uncapped generator: the complex has no top
-    degree, so the layout goes only up to the cocycles' top degree."""
+    degree, so the layout goes only up to the cocycles' top degree.
+    d(x) = q and d(y) = q^2, q capped at 2."""
     gens = GeneratorSet((("x", 1), ("y", 3)), (("p", 2, None), ("q", 2, 2)))
-    x, q = gens.generator("x"), gens.generator("q")
-    return gens, Differential(gens, {"p": x * q, "y": q * q})
+    q = gens.generator("q")
+    return gens, Differential(gens, {"x": q, "y": q * q})
 
 
 @pytest.mark.parametrize("complex_", [
@@ -620,12 +619,12 @@ def test_membership_rejects_an_element_over_another_generator_set():
 
 def test_membership_checks_generators_then_monomials_then_cocycle():
     # each element fails the later checks too, and must be named by the
-    # first one: p^4 breaks the truncation of the complex, and d(p) = x*q
+    # first one: x*p^4 breaks the truncation of the complex, and d(x) = q
     gens, d = _koszul_model()
-    foreign = GeneratorSet(gens.exterior, gens.poly).monomial((), (4, 0))
+    foreign = GeneratorSet(gens.exterior, gens.poly).monomial((0,), (4, 0))
     with pytest.raises(GeneratorMismatch):
         classes_mod_image(d, [foreign])
-    bad = Element(gens, {((), (0, 3)): 1, ((), (1, 0)): 1})  # q^3 + p
+    bad = Element(gens, {((), (0, 3)): 1, ((0,), (0, 0)): 1})  # q^3 + x
     with pytest.raises(ValueError, match="not a monomial of the complex"):
         classes_mod_image(d, [bad])
 

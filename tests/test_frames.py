@@ -20,7 +20,8 @@ from secclasses.frames import (CertifiedClass, CharacteristicMap, IndexOutOfRang
 from secclasses.models import (BundleMap, Factor, admissible_monomials,
                                canonical_bundle, cp2, independence_certificate,
                                product_model, sphere_model, verify_symmetric_multiple)
-from secclasses.weil import VeyIndex, spherical_rigid_classes, spherical_rigid_count
+from secclasses.weil import (VeyIndex, godbillon_vey, rigid_count_table,
+                             spherical_rigid_classes, spherical_rigid_count)
 from test_dga import _random_in_degree
 
 
@@ -317,10 +318,19 @@ def test_a_zero_element_leaves_the_certified_classes_dependent():
     (lambda: spherical_rigid_count(4.0), "q"),
     (lambda: verify_symmetric_multiple(2.0, 1), "k"),
     (lambda: verify_symmetric_multiple(2, True), "ell"),
+    (lambda: rigid_count_table(3.0), "q_max"),
+    (lambda: rigid_count_table(True), "q_max"),
+    (lambda: godbillon_vey(2.0), "q"),
+    (lambda: godbillon_vey(True), "q"),
+    (lambda: permanence_family((2,), (2, 2), 4.0, ()), "q"),
+    (lambda: permanence_family((2,), (2, 2), 4, (2.0,)), "twisting index"),
+    (lambda: permanence_family((2,), (2, 2, 2), 6, (True,)), "twisting index"),
 ], ids=["projective-float", "projective-bool", "sphere-float", "projective-base",
         "sphere-base", "projective-reduced", "sphere-reduced", "independence",
         "admissible", "spherical-classes", "spherical-count", "symmetric-k",
-        "symmetric-ell"])
+        "symmetric-ell", "rigid-table-float", "rigid-table-bool",
+        "godbillon-vey-float", "godbillon-vey-bool", "permanence-q",
+        "permanence-r-float", "permanence-r-bool"])
 def test_family_sizes_must_be_ints(call, name):
     with pytest.raises(TypeError, match=f"^{name} must be an int"):
         call()
