@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from itertools import combinations
 
 Mono = tuple[tuple[int, ...], tuple[int, ...]]
@@ -131,8 +130,46 @@ def merge_exterior(a: tuple[int, ...], b: tuple[int, ...]):
     return swaps & 1, tuple(merged)
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class Record:
+    """Immutable record: ``__init__`` sets the fields, the ``__slots__`` not starting
+    with ``_``, in order with :meth:`_set`; setting or deleting one later raises
+    ``AttributeError``.  They compare and hash by their fields within one class, or
+    by identity with ``eq=False``, and repr them; ``order=True`` completes ``__lt__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, order: bool = False, eq: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._key = operator.attrgetter(*cls._fields)
+        if order:
+            total_ordering(cls)
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class GeneratorSet(Record):
     """Generators of a free graded-commutative algebra with truncation.
 
     ``exterior``: tuple of ``(name, degree)`` with odd degrees.
@@ -146,11 +183,11 @@ class GeneratorSet:
     sort order used for all sign computations.
     """
 
-    exterior: tuple[tuple[str, int], ...]
-    poly: tuple[tuple[str, int, int | None], ...]
-    truncation: int = 0
+    __slots__ = ("exterior", "poly", "truncation", "_caps", "_weights")
 
-    def __post_init__(self):
+    def __init__(self, exterior: tuple[tuple[str, int], ...],
+                 poly: tuple[tuple[str, int, int | None], ...], truncation: int = 0):
+        self._set(exterior, poly, truncation)
         names = [n for n, _ in self.exterior] + [n for n, _, _ in self.poly]
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")

@@ -17,6 +17,7 @@ access and no environment variables are required.
 
 ``acceptance``, ``frames`` and ``models`` are imported by the commands
 that use them, so ``cohomology``, ``vey`` and ``catalog`` never load them.
+Records are plain ``__slots__`` classes, and only ``--format csv`` loads ``csv``.
 """
 
 from __future__ import annotations

@@ -43,11 +43,10 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Element, GeneratorMismatch, GeneratorSet, Mono, basis_of_degree,
-                      exterior_subsets, poly_parts)
+from .algebra import (Element, GeneratorMismatch, GeneratorSet, Mono, Record,
+                      basis_of_degree, exterior_subsets, poly_parts)
 from .linalg import Echelon, IntegerEliminator, kernel_from_columns, rank
 
 
@@ -123,25 +122,25 @@ class Differential:
         return Element._of(self.gens, acc)
 
 
-@dataclass(frozen=True)
-class DegreeSlice:
+class DegreeSlice(Record):
     """One degree of a cohomology report.
 
     ``representatives`` is None when the report was computed without them,
     so that reading it then fails loudly rather than reading as no classes.
     """
-    chain_dim: int
-    dim: int
-    representatives: tuple[Element, ...] | None
+    __slots__ = ("chain_dim", "dim", "representatives")
+
+    def __init__(self, chain_dim: int, dim: int, representatives: tuple[Element, ...] | None):
+        self._set(chain_dim, dim, representatives)
 
 
-@dataclass(frozen=True, eq=False)
-class _Slices(Mapping):
+class _Slices(Record, Mapping):
     """Degrees 0..max_degree, read only: the ``computed`` slices, then
     ``empty`` for every degree above them, answered without being stored."""
-    computed: dict[int, DegreeSlice]
-    max_degree: int
-    empty: DegreeSlice
+    __slots__ = ("computed", "max_degree", "empty")
+
+    def __init__(self, computed: dict[int, DegreeSlice], max_degree: int, empty: DegreeSlice):
+        self._set(computed, max_degree, empty)
 
     def __getitem__(self, n: int) -> DegreeSlice:
         if type(n) is int and len(self.computed) <= n <= self.max_degree:
@@ -167,10 +166,11 @@ class _Slices(Mapping):
                 and (stored > self.max_degree or self.empty == other.empty))
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
-    max_degree: int
-    by_degree: _Slices
+class CohomologyReport(Record):
+    __slots__ = ("max_degree", "by_degree")
+
+    def __init__(self, max_degree: int, by_degree: _Slices):
+        self._set(max_degree, by_degree)
 
     # equal reports compare equal, but ``_Slices`` holds a dict and has no hash
     __hash__ = None

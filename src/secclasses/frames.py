@@ -41,12 +41,11 @@ nonzero unless it is expected to vanish, in which case it is zero.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .algebra import (Element, GeneratorMismatch, GeneratorSet, Mono, basis_of_degree,
-                      require_int, subsets)
+from .algebra import (Element, GeneratorMismatch, GeneratorSet, Mono, Record,
+                      basis_of_degree, require_int, subsets)
 from .dga import DegreeMismatch, Differential
 from .models import (BundleMap, Factor, ModelRing, canonical_bundle,
                      product_model, sphere_model)
@@ -68,16 +67,14 @@ def _lift(gens: GeneratorSet, x: Element) -> Element:
     return Element._of(gens, x.terms)
 
 
-@dataclass(frozen=True, eq=False)
-class FrameModel:
+class FrameModel(Record, eq=False):
     """Finite Koszul model of the frame bundle of a rank-q bundle."""
 
-    q: int
-    base: ModelRing
-    bundle: BundleMap | None
-    gens: GeneratorSet
-    d: Differential
-    has_euler_transgression: bool
+    __slots__ = ("q", "base", "bundle", "gens", "d", "has_euler_transgression")
+
+    def __init__(self, q: int, base: ModelRing, bundle: BundleMap | None,
+                 gens: GeneratorSet, d: Differential, has_euler_transgression: bool):
+        self._set(q, base, bundle, gens, d, has_euler_transgression)
 
     def dimension(self) -> int:
         return self.gens.dimension()
@@ -207,24 +204,21 @@ class CharacteristicMap(_GeneratorMap):
         super().__init__(weil_complex(q, framed=True)[1], model.d, y_images, c_powers)
 
 
-@dataclass(frozen=True)
-class CertifiedClass:
-    source: str
-    image: str
-    degree: int | None
-    nonzero: bool
-    expected_zero: bool = False
-    vey: VeyIndex | None = None
+class CertifiedClass(Record):
+    __slots__ = ("source", "image", "degree", "nonzero", "expected_zero", "vey")
+
+    def __init__(self, source: str, image: str, degree: int | None, nonzero: bool,
+                 expected_zero: bool = False, vey: VeyIndex | None = None):
+        self._set(source, image, degree, nonzero, expected_zero, vey)
 
 
-@dataclass(frozen=True)
-class FrameCertificate:
-    q: int
-    model_label: str
-    model_dimension: int
-    classes: tuple[CertifiedClass, ...]
-    jointly_independent: bool
-    passed: bool
+class FrameCertificate(Record):
+    __slots__ = ("q", "model_label", "model_dimension", "classes", "jointly_independent",
+                 "passed")
+
+    def __init__(self, q: int, model_label: str, model_dimension: int,
+                 classes: tuple[CertifiedClass, ...], jointly_independent: bool, passed: bool):
+        self._set(q, model_label, model_dimension, classes, jointly_independent, passed)
 
 
 def _classes_mod_image(d: Differential, elements, labels) -> tuple[list[bool], bool]:

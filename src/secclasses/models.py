@@ -18,10 +18,9 @@ statement is invariant under that column scaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Element, GeneratorSet, Mono, exponent_vectors, require_int
+from .algebra import Element, GeneratorSet, Mono, Record, exponent_vectors, require_int
 from .dga import DegreeMismatch
 from .linalg import IntegerEliminator
 
@@ -30,14 +29,13 @@ SPHERE_NORMALIZATION_NOTE = (
     "ranks are invariant under nonzero column scaling")
 
 
-@dataclass(frozen=True)
-class Factor:
-    """One factor of a product test space."""
+class Factor(Record):
+    """One factor of a product test space: ``("cp2", 1)``, or S^{4i} as ``("sphere", i)``."""
 
-    kind: str   # "cp2" | "sphere"
-    index: int  # sphere: i for S^{4i}; cp2: carries p_1
+    __slots__ = ("kind", "index")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, index: int):
+        self._set(kind, index)
         require_int("factor index", self.index)
         if self.kind not in ("cp2", "sphere"):
             raise ValueError(f"unknown factor kind {self.kind!r}")
@@ -61,14 +59,14 @@ class Factor:
         return "CP^2" if self.kind == "cp2" else f"S^{4 * self.index}"
 
 
-@dataclass(frozen=True)
-class ModelRing:
+class ModelRing(Record):
     """A finite truncated cohomology ring with an optional fundamental class."""
 
-    gens: GeneratorSet
-    top: Mono | None
-    label: str
-    factors: tuple[Factor, ...] = ()
+    __slots__ = ("gens", "top", "label", "factors")
+
+    def __init__(self, gens: GeneratorSet, top: Mono | None, label: str,
+                 factors: tuple[Factor, ...] = ()):
+        self._set(gens, top, label, factors)
 
     def zero(self) -> Element:
         return self.gens.zero()
@@ -108,16 +106,14 @@ def product_model(factors: list[Factor] | tuple[Factor, ...]) -> ModelRing:
     return ModelRing(gens, ((), tuple(top)), label, factors)
 
 
-@dataclass(frozen=True, eq=False)
-class BundleMap:
+class BundleMap(Record, eq=False):
     """Pontrjagin (and optional Euler) data of a bundle over a model ring."""
 
-    ring: ModelRing
-    rank: int
-    p_images: dict[int, Element]
-    euler: Element | None = None
+    __slots__ = ("ring", "rank", "p_images", "euler")
 
-    def __post_init__(self):
+    def __init__(self, ring: ModelRing, rank: int, p_images: dict[int, Element],
+                 euler: Element | None = None):
+        self._set(ring, rank, p_images, euler)
         for i, img in self.p_images.items():
             if img.gens != self.ring.gens:
                 raise DegreeMismatch(f"p_{i} image lives over a different ring")
@@ -195,17 +191,22 @@ def canonical_bundle(ring: ModelRing) -> BundleMap:
     return whitney_sum(canonical_factor_bundles(ring))
 
 
-@dataclass(frozen=True, order=True)
-class PontrjaginMonomial:
+class PontrjaginMonomial(Record, order=True):
     """p_1^{n_1} ... p_k^{n_k}, stored without trailing zero exponents."""
 
-    exps: tuple[int, ...]
+    __slots__ = ("exps",)
 
-    def __post_init__(self):
+    def __init__(self, exps: tuple[int, ...]):
+        self._set(exps)
         if not self.exps or self.exps[-1] == 0:
             raise ValueError("exponent vector must end in a positive entry")
         if any(e < 0 for e in self.exps):
             raise ValueError("exponents must be nonnegative")
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.exps < other.exps
 
     @staticmethod
     def of(*exps: int) -> "PontrjaginMonomial":
@@ -282,23 +283,21 @@ def evaluate_on_cycle(x: Element, ring: ModelRing) -> Fraction:
     return x.coefficient(ring.top)
 
 
-@dataclass(frozen=True)
-class CertificateBlock:
-    degree: int
-    classes: tuple[str, ...]
-    cycles: tuple[str, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
-    rank: int
-    full: bool
+class CertificateBlock(Record):
+    __slots__ = ("degree", "classes", "cycles", "matrix", "rank", "full")
+
+    def __init__(self, degree: int, classes: tuple[str, ...], cycles: tuple[str, ...],
+                 matrix: tuple[tuple[Fraction, ...], ...], rank: int, full: bool):
+        self._set(degree, classes, cycles, matrix, rank, full)
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
-    q: int
-    monomials: tuple[str, ...]
-    blocks: tuple[CertificateBlock, ...]
-    passed: bool
-    note: str = SPHERE_NORMALIZATION_NOTE
+class IndependenceReport(Record):
+    __slots__ = ("q", "monomials", "blocks", "passed", "note")
+
+    def __init__(self, q: int, monomials: tuple[str, ...],
+                 blocks: tuple[CertificateBlock, ...], passed: bool,
+                 note: str = SPHERE_NORMALIZATION_NOTE):
+        self._set(q, monomials, blocks, passed, note)
 
 
 def independence_certificate(q: int) -> IndependenceReport:

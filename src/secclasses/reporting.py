@@ -7,8 +7,6 @@ byte-identical output.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from fractions import Fraction
 
@@ -42,6 +40,8 @@ def render_json(env: dict) -> str:
 
 
 def render_csv(columns: list[str], rows: list[dict]) -> str:
+    import csv  # only here, so that json and table reports never load it
+    import io
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
     writer.writeheader()

@@ -14,9 +14,8 @@ by :func:`spherical_rigid_classes`.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
-from .algebra import Element, GeneratorSet, exponent_vectors, require_int, subsets
+from .algebra import Element, GeneratorSet, Record, exponent_vectors, require_int, subsets
 from .dga import Differential
 
 
@@ -45,17 +44,27 @@ def weil_complex(q: int, framed: bool = True) -> tuple[GeneratorSet, Differentia
     return gens, Differential(gens, images)
 
 
-@dataclass(frozen=True, order=True)
-class VeyIndex:
+class VeyIndex(Record, order=True):
     """The pair (I, J) indexing a monomial y_I c_J.
 
     I is strictly increasing, J nondecreasing, entries in [1, q].  The
     empty pair stands for the unit class and is never a basis member.
     """
 
-    I: tuple[int, ...]
-    J: tuple[int, ...]
+    __slots__ = ("I", "J")
 
+    def __init__(self, I: tuple[int, ...], J: tuple[int, ...]):
+        # set directly, as _set costs a loop: a vey job builds 10^4 to 10^5 indices
+        object.__setattr__(self, "I", I)
+        object.__setattr__(self, "J", J)
+        self.__post_init__()
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.I, self.J) < (other.I, other.J)
+
+    # a separate method so that a tracer can count constructions by patching it
     def __post_init__(self):
         I, J = self.I, self.J
         require_int("VeyIndex entries", *I, *J)
@@ -155,13 +164,14 @@ def godbillon_vey(q: int) -> VeyIndex:
     return VeyIndex((1,), (1,) * q)
 
 
-@dataclass(frozen=True)
-class RigidFamilyEntry:
+class RigidFamilyEntry(Record):
     """One spherically supported rigid class in even codimension."""
 
-    vey: VeyIndex
-    degree: int
-    family: str  # "A": y_2 y_K c_2^{q/2};  "B": y_{2k} c_{2k}
+    __slots__ = ("vey", "degree", "family")
+
+    # family "A": y_2 y_K c_2^{q/2};  "B": y_{2k} c_{2k}
+    def __init__(self, vey: VeyIndex, degree: int, family: str):
+        self._set(vey, degree, family)
 
     def label(self) -> str:
         return self.vey.label()
@@ -206,12 +216,11 @@ def spherical_rigid_classes(q: int) -> list[RigidFamilyEntry]:
     return entries
 
 
-@dataclass(frozen=True)
-class RigidCountRow:
-    q: int
-    rigid_vey: int
-    spherical: int
-    degrees: tuple[int, ...]
+class RigidCountRow(Record):
+    __slots__ = ("q", "rigid_vey", "spherical", "degrees")
+
+    def __init__(self, q: int, rigid_vey: int, spherical: int, degrees: tuple[int, ...]):
+        self._set(q, rigid_vey, spherical, degrees)
 
 
 def rigid_count_table(q_max: int) -> list[RigidCountRow]:

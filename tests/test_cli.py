@@ -145,21 +145,36 @@ def test_index_out_of_range_is_one_class_re_exported_from_frames():
     assert weil.IndexOutOfRange in cli.INVARIANT_VIOLATIONS
 
 
-def test_cohomology_loads_no_frames_models_or_acceptance():
-    # a fresh interpreter, since this one has imported every module
+def _modules_loaded_by(*argv) -> set[str]:
+    """The modules a fresh interpreter holds after one CLI run; this one has
+    imported every module."""
     src = Path(secclasses.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = ("import contextlib, io, json, sys\n"
+    code = ("import io, json, sys\n"
             "from secclasses.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert main(['cohomology', '--q', '2']) == 0\n"
-            "print(json.dumps([m for m in sys.modules if m.startswith('secclasses')]))\n")
+            "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
+            f"assert main({list(argv)!r}) == 0\n"
+            "stdout.write(json.dumps(list(sys.modules)))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    loaded = set(json.loads(out))
+    return set(json.loads(out))
+
+
+def test_cohomology_loads_no_frames_models_or_acceptance():
+    loaded = _modules_loaded_by("cohomology", "--q", "2")
     assert "secclasses.dga" in loaded
     assert not loaded & {"secclasses.frames", "secclasses.models",
                          "secclasses.acceptance"}
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (("cohomology", "--q", "2", "--format", "json"), {"dataclasses", "inspect", "csv"}),
+    (("frame", "--case", "2k", "--k", "2", "--format", "json"), {"dataclasses", "inspect"}),
+], ids=["cohomology", "frame"])
+def test_json_reports_load_no_dataclasses_inspect_or_csv(argv, absent):
+    loaded = _modules_loaded_by(*argv)
+    assert "secclasses.reporting" in loaded
+    assert not loaded & absent
 
 
 def test_star_import_binds_every_exported_name():
