@@ -15,9 +15,8 @@ from .algebra import (Element, GeneratorMismatch, GeneratorSet, InexactCoefficie
 from .dga import (CohomologyReport, DegreeMismatch, Differential, NotACocycle,
                   class_nonzero, cohomology)
 from .weil import (IndexOutOfRange, OddCodimension, RigidFamilyEntry, VeyIndex,
-                   godbillon_vey, rigid_count_table,
-                   spherical_rigid_classes, vey_basis, vey_counts_by_degree,
-                   weil_complex)
+                   godbillon_vey, spherical_rigid_classes, vey_basis,
+                   vey_counts_by_degree, weil_complex)
 
 # The frames and models exports are imported on first access (PEP 562),
 # so a command that needs neither does not load them.
@@ -59,7 +58,6 @@ __all__ = [
     "evaluate_on_cycle", "independence_certificate", "product_model",
     "pullback", "sphere_model", "verify_symmetric_multiple",
     "OddCodimension", "RigidFamilyEntry", "VeyIndex", "godbillon_vey",
-    "rigid_count_table", "spherical_rigid_classes", "vey_basis",
-    "vey_counts_by_degree", "weil_complex",
+    "spherical_rigid_classes", "vey_basis", "vey_counts_by_degree", "weil_complex",
     "__version__",
 ]

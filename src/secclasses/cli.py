@@ -46,11 +46,17 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-def _check_budget(dimension: int, max_dim: int, what: str, unit: str = "monomials"):
-    if dimension > max_dim:
+def _check_budget(count: int, max_dim: int, what: str, unit: str = "monomials",
+                  at_least: bool = False):
+    """Raise :class:`BudgetExceeded` if ``count`` is over ``max_dim``; a
+    ``count`` above 64 bits is named by the power of two below it."""
+    if count > max_dim:
+        shown = count
+        if count.bit_length() > 64:
+            shown, at_least = f"2^{count.bit_length() - 1}", True
         raise BudgetExceeded(
-            f"{what} has {dimension} {unit}, over the budget of {max_dim}; "
-            f"raise --max-dim to proceed")
+            f"{what} has {'at least ' if at_least else ''}{shown} {unit}, over the "
+            f"budget of {max_dim}; raise --max-dim to proceed")
 
 
 def _report(args, params, results, title, columns, rows, notes) -> str:
@@ -80,8 +86,12 @@ def cmd_vey(args) -> str:
 
 def cmd_cohomology(args) -> str:
     gens, d = weil_complex(args.q, framed=args.framed)
-    _check_budget(gens.dimension(), args.max_dim,
-                  f"the codimension-{args.q} complex")
+    what = f"the codimension-{args.q} complex"
+    # every exterior subset times the unit: a lower bound that costs
+    # nothing, checked before the exact count, whose cost is superlinear in q
+    _check_budget(1 << len(gens.exterior), args.max_dim, what, at_least=True)
+    dimension = gens.dimension()
+    _check_budget(dimension, args.max_dim, what)
     max_degree = gens.top_degree() if args.max_degree is None else args.max_degree
     _check_budget(max_degree + 1, args.max_dim, "the report", "rows")
     report = cohomology(gens, d, max_degree, args.representatives)
@@ -95,7 +105,7 @@ def cmd_cohomology(args) -> str:
     columns = ["degree", "chain_dim", "dim"] + (["representatives"] if reps else [])
     nonzero = report.dims()
     results = {
-        "total_dimension": gens.dimension(),
+        "total_dimension": dimension,
         "max_degree": report.max_degree,
         "dims": {str(n): dim for n, dim in nonzero.items()},
         "by_degree": records,
@@ -193,10 +203,10 @@ def cmd_selftest(args) -> tuple[str, int]:
     from . import acceptance
     results = acceptance.run_all()
     passed = all(ok for _, ok, _ in results)
-    if args.format == "json":
+    if args.format != "table":
         criteria = [{"name": n, "passed": ok, "detail": d} for n, ok, d in results]
         text = _report(args, {}, {"criteria": criteria, "passed": passed},
-                       "", [], [], [])
+                       "", ["name", "passed", "detail"], criteria, [])
     else:
         lines = [f"{'PASS' if ok else 'FAIL'}  {name}: {detail}"
                  for name, ok, detail in results]

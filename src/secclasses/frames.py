@@ -58,6 +58,20 @@ def fiber_primitive_count(q: int) -> int:
     return (q - 1) // 2 if q % 2 else q // 2 - 1
 
 
+def _fiber_generators(q: int, with_v: bool) -> tuple[tuple[str, int], ...]:
+    """The exterior generators of the rank-q fiber: u_i of degree 4i-1,
+    then, if ``with_v``, v of degree q-1."""
+    fiber = tuple((f"u{i}", 4 * i - 1) for i in range(1, fiber_primitive_count(q) + 1))
+    return fiber + (("v", q - 1),) if with_v else fiber
+
+
+def _family_size(k: int, family: str) -> None:
+    """Check the parameter k of the projective or sphere family."""
+    require_int("k", k)
+    if k < 2:
+        raise ValueError(f"the {family} family starts at k = 2")
+
+
 def _lift(gens: GeneratorSet, x: Element) -> Element:
     """Re-house ``x`` over ``gens``, which extends x's ring by exterior generators.
 
@@ -88,11 +102,8 @@ def build_frame_model(base: ModelRing, bundle: BundleMap, q: int,
     if bundle.ring.gens != base.gens:
         raise DegreeMismatch("bundle data must live over the base ring")
     n_u = fiber_primitive_count(q)
-    exterior = [(f"u{i}", 4 * i - 1) for i in range(1, n_u + 1)]
     with_v = q % 2 == 0 and include_euler
-    if with_v:
-        exterior.append(("v", q - 1))
-    gens = GeneratorSet(tuple(exterior), base.gens.poly, base.gens.truncation)
+    gens = GeneratorSet(_fiber_generators(q, with_v), base.gens.poly, base.gens.truncation)
     images = {f"u{i}": _lift(gens, bundle.p(i)) for i in range(1, n_u + 1)}
     if with_v:
         images["v"] = _lift(gens, bundle.euler_image())
@@ -270,13 +281,11 @@ def projective_reduced_model(k: int) -> tuple[GeneratorSet, Differential]:
     """S = Lambda(u_1..u_{k-1}) tensor Q[t]/(t^{k+1}), d u_i = t^i / i!: the
     sub-DGA of ``projective_base_model(k)`` fixed by the signed
     permutations of the a_j, with t standing for the p_1 image."""
-    require_int("k", k)
-    if k < 2:
-        raise ValueError("the projective family starts at k = 2")
+    _family_size(k, "projective")
     gens = GeneratorSet(tuple((f"u{i}", 4 * i - 1) for i in range(1, k)),
                         (("t", 4, k),))
-    t = gens.generator("t")
-    return gens, Differential(gens, {f"u{i}": (t ** i).scale(Fraction(1, factorial(i)))
+    return gens, Differential(gens, {f"u{i}": gens.monomial((), (i,),
+                                                           Fraction(1, factorial(i)))
                                      for i in range(1, k)})
 
 
@@ -284,9 +293,7 @@ def sphere_reduced_model(k: int) -> tuple[GeneratorSet, Differential]:
     """S = Lambda(u_k..u_{2k-2}) tensor Q[s]/(s^2), d u_k = s: the
     sub-DGA of ``sphere_base_model(k)`` left when the free factor
     Lambda(u_1..u_{k-1}, v), all of whose differentials vanish, is split off."""
-    require_int("k", k)
-    if k < 2:
-        raise ValueError("the sphere family starts at k = 2")
+    _family_size(k, "sphere")
     gens = GeneratorSet(tuple((f"u{i}", 4 * i - 1) for i in range(k, 2 * k - 1)),
                         (("s", 4 * k, 1),))
     return gens, Differential(gens, {f"u{k}": gens.generator("s")})
@@ -336,9 +343,7 @@ def _certify_reduced(delta: CharacteristicMap, reduced, poly_index, veys,
 def projective_base_model(k: int) -> FrameModel:
     """Frame model of the canonical rank-2k sum over (CP^2)^k, without the
     Euler transgression (see the README's notes on frame certificates)."""
-    require_int("k", k)
-    if k < 2:
-        raise ValueError("the projective family starts at k = 2")
+    _family_size(k, "projective")
     base = product_model([Factor("cp2", 1)] * k)
     return build_frame_model(base, canonical_bundle(base), 2 * k,
                              include_euler=False)
@@ -363,14 +368,9 @@ def certify_projective_family(k: int) -> FrameCertificate:
 
 def sphere_base_model(k: int) -> FrameModel:
     """Frame model over S^{4k} for q = 4k-2, with p_k normalized to the volume."""
-    require_int("k", k)
-    if k < 2:
-        raise ValueError("the sphere family starts at k = 2")
-    q = 4 * k - 2
+    _family_size(k, "sphere")
     base = sphere_model(k)
-    gen = base.gens.generator("s")
-    bundle = BundleMap(base, q, {k: gen}, euler=None)
-    return build_frame_model(base, bundle, q, include_euler=True)
+    return build_frame_model(base, canonical_bundle(base), 4 * k - 2, include_euler=True)
 
 
 def certify_sphere_family(k: int) -> FrameCertificate:
@@ -426,15 +426,12 @@ def permanence_family(I: tuple[int, ...], J: tuple[int, ...], q: int,
         if not i_last < 2 * r:
             raise ValueError(f"twist index 2r = {2 * r} must exceed i_last = {i_last}")
     n = seed.degree
-    exterior = [(f"u{i}", 4 * i - 1) for i in range(1, n_u + 1)]
-    if q % 2 == 0:
-        exterior.append(("v", q - 1))
+    exterior = _fiber_generators(q, q % 2 == 0)
     if n % 2 == 1:
-        gens = GeneratorSet(tuple(exterior) + (("x", n),), ())
-        chi = gens.generator("x")
+        gens = GeneratorSet(exterior + (("x", n),), ())
     else:
-        gens = GeneratorSet(tuple(exterior), (("x", n, 1),))
-        chi = gens.generator("x")
+        gens = GeneratorSet(exterior, (("x", n, 1),))
+    chi = gens.generator("x")
     d = Differential(gens, {})
     model = FrameModel(q, ModelRing(gens, None, f"SO({q}) x S^{n}"),
                        None, gens, d, q % 2 == 0)

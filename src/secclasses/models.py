@@ -79,31 +79,27 @@ class ModelRing(Record):
 
 
 def cp2() -> ModelRing:
-    gens = GeneratorSet((), (("a", 2, 2),))
-    return ModelRing(gens, ((), (2,)), "CP^2", (Factor("cp2", 1),))
+    """CP^2 with one degree-2 generator ``a`` whose cube is zero."""
+    return product_model([Factor("cp2", 1)])
 
 
 def sphere_model(i: int) -> ModelRing:
-    """S^{4i} with one degree-4i generator squaring to zero."""
-    factor = Factor("sphere", i)  # checks i
-    gens = GeneratorSet((), (("s", factor.gen_degree, 1),))
-    return ModelRing(gens, ((), (1,)), factor.label(), (factor,))
+    """S^{4i} with one degree-4i generator ``s`` squaring to zero."""
+    return product_model([Factor("sphere", i)])
 
 
 def product_model(factors: list[Factor] | tuple[Factor, ...]) -> ModelRing:
-    """Tensor product of factor rings; generator j is named per position."""
+    """Tensor product of factor rings.  Generator j is named per position
+    (``a1``, ``s2``, ...); a lone factor's is named plainly ``a`` or ``s``."""
     factors = tuple(factors)
     if not factors:
         raise ValueError("a product needs at least one factor")
-    poly = []
-    top = []
-    for j, f in enumerate(factors, start=1):
-        base = "a" if f.kind == "cp2" else "s"
-        poly.append((f"{base}{j}", f.gen_degree, f.cap))
-        top.append(f.cap)
-    gens = GeneratorSet((), tuple(poly))
+    suffixes = [""] if len(factors) == 1 else range(1, len(factors) + 1)
+    gens = GeneratorSet((), tuple((("a" if f.kind == "cp2" else "s") + str(j),
+                                   f.gen_degree, f.cap)
+                                  for j, f in zip(suffixes, factors)))
     label = " x ".join(f.label() for f in factors)
-    return ModelRing(gens, ((), tuple(top)), label, factors)
+    return ModelRing(gens, ((), tuple(f.cap for f in factors)), label, factors)
 
 
 class BundleMap(Record, eq=False):

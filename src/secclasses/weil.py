@@ -215,30 +215,3 @@ def spherical_rigid_classes(q: int) -> list[RigidFamilyEntry]:
         entries.append(RigidFamilyEntry(v, v.degree, "B"))
     return entries
 
-
-class RigidCountRow(Record):
-    __slots__ = ("q", "rigid_vey", "spherical", "degrees")
-
-    def __init__(self, q: int, rigid_vey: int, spherical: int, degrees: tuple[int, ...]):
-        self._set(q, rigid_vey, spherical, degrees)
-
-
-def rigid_count_table(q_max: int) -> list[RigidCountRow]:
-    """Exact rigid-class counts per codimension, by exhaustive enumeration.
-
-    Exhaustive over the Vey index set, so intended for desk-scale q; the
-    spherical column uses the closed-form families and stays cheap.
-    """
-    require_int("q_max", q_max)
-    if q_max < 1:
-        raise ValueError("q_max must be positive")
-    rows = []
-    for q in range(1, q_max + 1):
-        n_rigid = sum(1 for v in vey_basis(q) if v.is_rigid(q))
-        if q % 2 == 0 and q >= 4:
-            fam = spherical_rigid_classes(q)
-            rows.append(RigidCountRow(q, n_rigid, len(fam),
-                                      tuple(e.degree for e in fam)))
-        else:
-            rows.append(RigidCountRow(q, n_rigid, 0, ()))
-    return rows

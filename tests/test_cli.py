@@ -189,7 +189,7 @@ def test_star_import_binds_every_exported_name():
     assert set(secclasses._LAZY) <= set(secclasses.__all__)
     assert len(set(secclasses.__all__)) == len(secclasses.__all__)
     assert set(secclasses.__all__) <= set(dir(secclasses))
-    for removed in ("is_rigid", "whitney_pullback", "x_model"):
+    for removed in ("is_rigid", "whitney_pullback", "x_model", "rigid_count_table"):
         with pytest.raises(AttributeError):
             getattr(secclasses, removed)
 
@@ -329,6 +329,24 @@ def test_catalog_budget_exit_3(capsys):
     assert f"{2 ** 49} classes" in err and "budget" in err
 
 
+@pytest.mark.parametrize("argv, limit, message", [
+    # the reduced model's differential is built from one monomial per
+    # generator, and its size is counted before anything is laid out
+    ("frame --case 2k --k 1000", 1, "at least 2^1008 monomials"),
+    # 2^1500 exterior subsets are over the budget before the exact count
+    ("cohomology --q 1500", 1.5, "at least 2^1500 monomials"),
+    # 2^14999 classes, a count whose decimal form Python refuses to print
+    ("catalog --q 60000 --dim 5", 1, "at least 2^14999 classes"),
+], ids=["frame-2k-k1000", "cohomology-q1500", "catalog-q60000"])
+def test_huge_sizes_exit_3_quickly(capsys, argv, limit, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < limit
+    assert code == 3
+    assert out == ""
+    assert message in err and "budget" in err
+
+
 def test_catalog_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["catalog", "--q", "5", "--dim", "11"])
@@ -370,6 +388,15 @@ def test_no_floats_in_json(capsys):
                 walk(v)
 
     walk(json.loads(out))
+
+
+def test_selftest_csv_lists_every_criterion(capsys):
+    code, out, _ = run(capsys, "selftest", "--format", "csv")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 10
+    assert list(rows[0]) == ["name", "passed", "detail"]
+    assert [r["name"].split("-")[0] for r in rows] == [str(i) for i in range(1, 11)]
+    assert (code == 0) == all(r["passed"] == "True" for r in rows)
 
 
 def test_selftest_contract(capsys):
@@ -459,8 +486,6 @@ def test_selftest_contract(capsys):
     # at sizes beyond the smallest reports
     ("pontrjagin --q 18 --format json",
      "5f78008fc7dd795ee0ba2da72559b745f4ed22faef52885fd832415261d948c2"),
-    ("cohomology --q 8 --representatives --format json",
-     "b9ba325b9e5641774ca126692ea2f6ed4f44c325521a8756cf78ca6170177cd9"),
     # the rank route through the layout at a size where it does real work
     ("cohomology --q 10 --format json",
      "4054a60772d94ba7e81b69dc40e556584065de050245eb564d64a83064193318"),

@@ -19,8 +19,8 @@ from secclasses.frames import (CertifiedClass, CharacteristicMap, FrameModel, In
 from secclasses.models import (BundleMap, Factor, admissible_monomials,
                                canonical_bundle, cp2, independence_certificate,
                                product_model, sphere_model, verify_symmetric_multiple)
-from secclasses.weil import (VeyIndex, godbillon_vey, rigid_count_table,
-                             spherical_rigid_classes, spherical_rigid_count)
+from secclasses.weil import (VeyIndex, godbillon_vey, spherical_rigid_classes,
+                             spherical_rigid_count)
 from test_dga import _random_in_degree
 
 
@@ -51,6 +51,24 @@ def test_sphere_model_structure():
     assert model.d(model.gens.generator("u1")).is_zero()
     assert model.d(model.gens.generator("v")).is_zero()
     assert model.dimension() == 16
+
+
+@pytest.mark.parametrize("k", range(2, 5))
+def test_sphere_base_model_carries_the_canonical_bundle(k):
+    # BundleMap compares by identity, so the fields are compared
+    bundle = sphere_base_model(k).bundle
+    assert bundle.ring == sphere_model(k)
+    assert bundle.p_images == {k: bundle.ring.gens.generator("s")}
+    assert bundle.rank == 4 * k - 2
+    assert bundle.euler is None
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_projective_reduced_differential_is_t_power_over_factorial(k):
+    gens, d = projective_reduced_model(k)
+    t = gens.generator("t")
+    for i in range(1, k):
+        assert d(gens.generator(f"u{i}")) == (t ** i).scale(Fraction(1, factorial(i)))
 
 
 def test_zero_bundle_model_is_kuenneth():
@@ -319,8 +337,6 @@ def test_a_zero_element_leaves_the_certified_classes_dependent():
     (lambda: spherical_rigid_count(4.0), "q"),
     (lambda: verify_symmetric_multiple(2.0, 1), "k"),
     (lambda: verify_symmetric_multiple(2, True), "ell"),
-    (lambda: rigid_count_table(3.0), "q_max"),
-    (lambda: rigid_count_table(True), "q_max"),
     (lambda: godbillon_vey(2.0), "q"),
     (lambda: godbillon_vey(True), "q"),
     (lambda: permanence_family((2,), (2, 2), 4.0, ()), "q"),
@@ -329,8 +345,7 @@ def test_a_zero_element_leaves_the_certified_classes_dependent():
 ], ids=["projective-float", "projective-bool", "sphere-float", "projective-base",
         "sphere-base", "projective-reduced", "sphere-reduced", "independence",
         "admissible", "spherical-classes", "spherical-count", "symmetric-k",
-        "symmetric-ell", "rigid-table-float", "rigid-table-bool",
-        "godbillon-vey-float", "godbillon-vey-bool", "permanence-q",
+        "symmetric-ell", "godbillon-vey-float", "godbillon-vey-bool", "permanence-q",
         "permanence-r-float", "permanence-r-bool"])
 def test_family_sizes_must_be_ints(call, name):
     with pytest.raises(TypeError, match=f"^{name} must be an int"):

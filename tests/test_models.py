@@ -31,6 +31,17 @@ def test_sphere_ring():
     assert evaluate_on_cycle(s, ring) == 1
 
 
+@pytest.mark.parametrize("ring, factor, name", [
+    (cp2(), Factor("cp2", 1), "a"),
+    (sphere_model(1), Factor("sphere", 1), "s"),
+    (sphere_model(3), Factor("sphere", 3), "s"),
+], ids=["cp2", "S4", "S12"])
+def test_one_factor_rings_are_one_factor_products(ring, factor, name):
+    assert ring == product_model([factor])
+    assert [n for n, _, _ in ring.gens.poly] == [name]
+    assert ring.label == factor.label() and ring.factors == (factor,)
+
+
 def test_product_ring():
     ring = product_model([Factor("cp2", 1), Factor("cp2", 1)])
     assert ring.dimension() == 9

@@ -11,7 +11,7 @@ from secclasses.dga import CohomologyReport, DegreeSlice, Differential, _Slices
 from secclasses.frames import CertifiedClass, FrameCertificate, FrameModel
 from secclasses.models import (SPHERE_NORMALIZATION_NOTE, BundleMap, CertificateBlock,
                                Factor, IndependenceReport, ModelRing, PontrjaginMonomial)
-from secclasses.weil import RigidCountRow, RigidFamilyEntry, VeyIndex
+from secclasses.weil import RigidFamilyEntry, VeyIndex
 
 GENS = GeneratorSet((), (("a", 2, 2),))
 RING = ModelRing(GENS, ((), (2,)), "CP^2")
@@ -38,8 +38,6 @@ CASES = [
     (VeyIndex, {"I": (1,), "J": (1, 1)}, {}, "fields", "VeyIndex(I=(1,), J=(1, 1))"),
     (RigidFamilyEntry, {"vey": VeyIndex((2,), (2, 2)), "degree": 11, "family": "A"}, {},
      "fields", "RigidFamilyEntry(vey=VeyIndex(I=(2,), J=(2, 2)), degree=11, family='A')"),
-    (RigidCountRow, {"q": 4, "rigid_vey": 3, "spherical": 1, "degrees": (11,)}, {},
-     "fields", "RigidCountRow(q=4, rigid_vey=3, spherical=1, degrees=(11,))"),
     (FrameModel, {"q": 2, "base": RING, "bundle": BUNDLE, "gens": FRAME_GENS, "d": D,
                   "has_euler_transgression": False}, {}, "identity",
      f"FrameModel(q=2, base={RING!r}, bundle={BUNDLE!r}, gens={FRAME_GENS!r}, d={D!r}, "

@@ -6,8 +6,8 @@ import pytest
 
 from secclasses.dga import cohomology
 from secclasses.weil import (OddCodimension, VeyIndex, godbillon_vey,
-                             rigid_count_table, spherical_rigid_classes,
-                             vey_basis, vey_counts_by_degree, weil_complex)
+                             spherical_rigid_classes, vey_basis,
+                             vey_counts_by_degree, weil_complex)
 
 
 def test_weil_complex_shapes():
@@ -146,15 +146,8 @@ def test_odd_codimension_rejected():
         spherical_rigid_classes(2)
 
 
-def test_rigid_count_table():
-    rows = rigid_count_table(6)
-    by_q = {r.q: r for r in rows}
-    assert by_q[1].rigid_vey == 0
-    assert by_q[4].spherical == 1 and by_q[4].degrees == (11,)
-    assert by_q[6].spherical == 3 and sorted(by_q[6].degrees) == [15, 15, 22]
-    # the spherical families are a subset of the rigid classes
-    for r in rows:
-        assert r.spherical <= r.rigid_vey or r.spherical == 0
+def test_no_rigid_class_in_codimension_one():
+    assert vey_basis(1) and not any(v.is_rigid(1) for v in vey_basis(1))
 
 
 def test_vey_index_validation():
