@@ -183,7 +183,7 @@ class GeneratorSet(Record):
     sort order used for all sign computations.
     """
 
-    __slots__ = ("exterior", "poly", "truncation", "_caps", "_weights")
+    __slots__ = ("exterior", "poly", "truncation", "_caps", "_weights", "_index")
 
     def __init__(self, exterior: tuple[tuple[str, int], ...],
                  poly: tuple[tuple[str, int, int | None], ...], truncation: int = 0):
@@ -212,6 +212,8 @@ class GeneratorSet(Record):
             math.inf if cap is None else cap for cap in caps)
             if any(cap is not None for cap in caps) else None)
         object.__setattr__(self, "_weights", tuple(deg for _, deg, _ in self.poly))
+        # for generator(): exterior names first, then polynomial ones
+        object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
 
     # -- basic queries -------------------------------------------------
 
@@ -273,14 +275,14 @@ class GeneratorSet(Record):
 
     def generator(self, name: str) -> "Element":
         """The named generator as an element."""
-        for i, (n, _) in enumerate(self.exterior):
-            if n == name:
-                return Element._of(self, {((i,), (0,) * self.n_poly): _ONE})
-        for j, (n, _, _) in enumerate(self.poly):
-            if n == name:
-                exps = tuple(1 if k == j else 0 for k in range(self.n_poly))
-                return Element._of(self, {((), exps): _ONE})
-        raise KeyError(f"no generator named {name!r}")
+        i = self._index.get(name)
+        if i is None:
+            raise KeyError(f"no generator named {name!r}")
+        n_poly = self.n_poly
+        if i < self.n_exterior:
+            return Element._of(self, {((i,), (0,) * n_poly): _ONE})
+        j = i - self.n_exterior
+        return Element._of(self, {((), (0,) * j + (1,) + (0,) * (n_poly - j - 1)): _ONE})
 
     def monomial(self, ext: tuple[int, ...], exps: tuple[int, ...],
                  coeff=_ONE) -> "Element":

@@ -10,6 +10,9 @@ Cohomology dimensions come from ranks,
 ints from the differential to the last pivot: every coefficient of d on
 the Weil and frame models is an integer, and the elimination is
 fraction-free.  Rank d_n is one elimination of the degree's columns.
+Where every coefficient of d is an int, the columns go to the trusted
+entries of :mod:`.linalg`, with no per-row check or copy; where one is a
+Fraction, as the 1/i! of the reduced projective model, to the checked ones.
 
 The columns come from index arithmetic on the exterior tensor polynomial
 layout of the basis, with no monomial built (:class:`_Layout`).  Degree n
@@ -31,12 +34,15 @@ only where it needs one.  Their number must equal the rank formula's
 dimension, a cross-check of the two eliminations.
 
 Coboundary tests (:func:`classes_mod_image`, behind :func:`class_nonzero`
-and the frame certificates) check that each input is a cocycle of the
-complex, then use the same layout, once per call, up to the cocycles' top
-degree.  Every nonzero column of d_{n-1}, for each degree n of their
-support, is ranked in one fraction-free elimination, each degree in its
-own index range, since the tests need only ranks; ``Echelon``, which also
-returns each row's monic residual, serves the cohomology representatives.
+and the frame certificates) use the same layout, once per call, up to one
+degree above the cocycles' top degree.  d of each input, by the same
+index arithmetic term by term, is the cocycle check.  Every nonzero
+column of d_{n-1}, for each degree n of their support, is ranked in one
+fraction-free elimination, each degree in its own index range, since the
+tests need only ranks; each input is reduced against it without being
+kept, and only then are the inputs added to it, for the joint answer.
+``Echelon``, which also returns each row's monic residual, serves the
+cohomology representatives.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from fractions import Fraction
 
 from .algebra import (Element, GeneratorMismatch, GeneratorSet, Mono, Record,
                       basis_of_degree, exterior_subsets, poly_parts)
-from .linalg import Echelon, IntegerEliminator, kernel_from_columns, rank
+from .linalg import Echelon, IntegerEliminator, _rank_int, kernel_from_columns, rank
 
 
 class DegreeMismatch(ValueError):
@@ -219,6 +225,10 @@ class _Layout:
     where no two vectors share a code.  So the one lookup
     ``pos.get(code(x) + code(b))`` in :meth:`_shift` also drops the
     products that break a cap or the truncation.
+
+    ``integral`` is true when every coefficient c is an int, as on the
+    Weil and frame models.  Then every column is a dict of nonzero ints,
+    which the rank routes hand to the trusted entries of :mod:`.linalg`.
     """
 
     def __init__(self, gens: GeneratorSet, d: Differential, top: int):
@@ -245,6 +255,10 @@ class _Layout:
         # the terms (b, c) of each d(g), c an int where integral
         terms = [[(b, c.numerator if c.denominator == 1 else c)
                   for (_, b), c in image.terms.items()] for image in d.ext_images]
+        self.integral = all(type(c) is int for t in terms for _, c in t)
+        # code(b) of each shift b, None when some b_j exceeds M_j
+        self.shift_codes = {b: self._code(b) if all(map(operator.le, b, self.most))
+                            else None for t in terms for b, _ in t}
         # a subset of degree top or more is never the source of a column
         self.images = [[(ext_id[E[:p] + E[p + 1:]], b, -c if p & 1 else c)
                         for p, g in enumerate(E) for b, c in terms[g]]
@@ -269,12 +283,28 @@ class _Layout:
         table = self._tables.get((k, b))
         if table is None:
             pos = self.pos
-            cb = self._code(b)
+            cb = self.shift_codes[b]
             table = self._tables[k, b] = [
                 (i, p) for i, c in enumerate(self.codes[k])
                 if (p := pos.get(c + cb)) is not None
-            ] if all(map(operator.le, b, self.most)) else []
+            ] if cb is not None else []
         return table
+
+    def image(self, x: Element) -> dict[tuple[int, int], int | Fraction]:
+        """d(x), for an element x of degree below ``top`` whose terms are
+        monomials of the complex, as ``{(degree, row): coefficient}``; a
+        coefficient may be 0 where terms cancel."""
+        out: dict = {}
+        for (ext, e), a in x.terms.items():
+            sid = self.ext_id[ext]
+            n = self.ext_degrees[sid] + self.gens.poly_degree(e) + 1
+            targets, code = self.offsets[n][0], self._code(e)
+            for T, b, c in self.images[sid]:
+                cb = self.shift_codes[b]
+                if cb is not None and (p := self.pos.get(code + cb)) is not None:
+                    key = n, targets[T] + p
+                    out[key] = out.get(key, 0) + a * c
+        return out
 
     def columns(self, n: int) -> tuple[int, list[dict[int, int | Fraction]]]:
         """The size of the degree-n basis, and the coordinates of d on it
@@ -326,7 +356,8 @@ def cohomology(gens: GeneratorSet, d: Differential, max_degree: int | None = Non
     stored.  Each dimension is ``chain_dim - rank d_n - rank d_{n-1}``,
     rank d_n from one fraction-free elimination of the degree's columns,
     which :class:`_Layout` computes by index arithmetic up to degree
-    ``min(max_degree, top) + 1``.  Monomials are built only to name the
+    ``min(max_degree, top) + 1``, and ranks with no per-row check when
+    that layout is ``integral``.  Monomials are built only to name the
     representatives, by :func:`basis_of_degree` in the degrees with
     classes; the rank route builds none.  The residuals of
     :func:`_representatives`, in the degrees with classes, follow a
@@ -341,13 +372,14 @@ def cohomology(gens: GeneratorSet, d: Differential, max_degree: int | None = Non
             raise ValueError("complex is infinite; pass an explicit max_degree")
     last = max_degree if top is None else min(max_degree, top)
     layout = _Layout(gens, d, last + 1)
+    rank_image = _rank_int if layout.integral else rank
     computed: dict[int, DegreeSlice] = {}
     prev_rank = 0
     prev_image: list[dict] = []
     for n in range(last + 1):
         chain_dim, cols = layout.columns(n)
         image = [c for c in cols if c]
-        rank_n = rank(image)
+        rank_n = rank_image(image)
         dim = chain_dim - rank_n - prev_rank
         reps = None
         if representatives:
@@ -367,15 +399,18 @@ def classes_mod_image(d: Differential, cocycles) -> tuple[list[bool], bool]:
     """Whether each cocycle is not a coboundary, and whether the cocycles
     are jointly linearly independent modulo coboundaries.
 
-    Each input must live over ``d.gens`` (else :class:`GeneratorMismatch`),
-    have only monomials of the complex as terms (else ``ValueError``), and
-    be a cocycle (else :class:`NotACocycle`); a zero input reads as zero.
-    Exact: the nonzero columns of d_{n-1}, for each degree n of the
-    support, laid out on one :class:`_Layout` and ranked in one
+    Each input must live over ``d.gens`` (else :class:`GeneratorMismatch`)
+    and have only monomials of the complex as terms (else ``ValueError``),
+    both checked on every input in turn; then each must be a cocycle (else
+    :class:`NotACocycle`), d(x) being read off the layout.  A zero input
+    reads as zero.  Exact: the nonzero columns of d_{n-1}, for each degree
+    n of the support, laid out on one :class:`_Layout` and ranked in one
     fraction-free elimination with row r of degree n at index
     ``last[n] - r``.  So each degree has its own index range (the image of
     d is graded), and a row's pivot is its last target, which keeps the
-    elimination short on the frame models.
+    elimination short on the frame models.  Each input is reduced against
+    that elimination without being kept; then the inputs are added to it
+    for the joint answer, which stops at the first dependent one.
     """
     gens = d.gens
     cocycles = list(cocycles)
@@ -386,26 +421,25 @@ def classes_mod_image(d: Differential, cocycles) -> tuple[list[bool], bool]:
         for m in x.terms:
             if not gens.mono_valid(m):
                 raise ValueError(f"{m} is not a monomial of the complex")
-        if dx := d(x):
-            raise NotACocycle(f"cocycle {i}: d(x) = {dx} != 0")
-    layout = _Layout(gens, d, max((gens.mono_degree(m) for x in cocycles
-                                   for m in x.terms), default=0))
+    # one degree above the cocycles, for d of their top degree
+    layout = _Layout(gens, d, 1 + max((gens.mono_degree(m) for x in cocycles
+                                       for m in x.terms), default=0))
+    for i, x in enumerate(cocycles):
+        if any(layout.image(x).values()):
+            raise NotACocycle(f"cocycle {i}: d(x) = {d(x)} != 0")
     terms = [[(*layout.row(m), c) for m, c in x.terms.items()] for x in cocycles]
     degrees = sorted({n for row in terms for n, _, _ in row})
     image, last, size = IntegerEliminator(), {}, 0
+    add_image = image._add_int if layout.integral else image.add
     for n in degrees:
         size += layout.offsets[n][1]
         last[n] = size - 1
         for col in layout.columns(n - 1)[1] if n else ():
             if col:
-                image.add({last[n] - t: c for t, c in col.items()})
+                add_image({last[n] - t: c for t, c in col.items()})
     coords = [{last[n] - r: c for n, r, c in row} for row in terms]
-    joint = image.copy()
-    nonzero, independent = [], True
-    for row in coords:
-        nonzero.append(image.copy().add(row))
-        independent = joint.add(row) and independent
-    return nonzero, independent
+    nonzero = [image.independent(row) for row in coords]
+    return nonzero, all(map(image.add, coords))
 
 
 def class_nonzero(gens: GeneratorSet, d: Differential, x: Element) -> bool:

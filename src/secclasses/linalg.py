@@ -1,12 +1,27 @@
 """Sparse exact linear algebra over the rationals, run on integers.
 
-Rows are dicts ``{column: coefficient}`` with int or Fraction entries;
-anything else, floats included, raises :class:`InexactCoefficient`.  Each
-row is scaled to integers once on entry, then eliminated fraction-free:
-cross-multiplication with content stripping, so no rational division
-happens during elimination.  The one place a ``Fraction`` is made is the
-monic residual :meth:`Echelon.add` returns, and only where its lead does
-not divide an entry.
+Rows are dicts ``{column: coefficient}``.  One elimination core, on rows
+of nonzero Python ints, has two kinds of entry:
+
+* the checked entries, :func:`rank`, :meth:`IntegerEliminator.add`,
+  :meth:`IntegerEliminator.independent`, :meth:`Echelon.add` and
+  :func:`kernel_from_columns`, take int or Fraction entries; anything
+  else, floats included, raises :class:`InexactCoefficient`.  The one
+  entry check, :func:`_integer_row`, scales each row to integers once, in
+  a new dict;
+* the trusted entries, :func:`_rank_int` and
+  :meth:`IntegerEliminator._add_int`, take rows that are already dicts of
+  nonzero ints and skip both the check and the copy.  Only the package
+  calls them, on the integral columns of ``dga._Layout``.
+
+Elimination is fraction-free: cross-multiplication with content
+stripping, or a plain r - a p where the pivot's lead is 1, so no rational
+division happens.  The core never mutates a row it is given, nor a
+stored pivot: every changed row is a new dict.  So a trusted row may be
+stored as a pivot and still be read by its caller, as ``dga.cohomology``
+reads the image rows it ranked again for the representatives.  The one
+place a ``Fraction`` is made is the monic residual :meth:`Echelon.add`
+returns, and only where its lead does not divide an entry.
 
 Pivot rule everywhere: rows are processed in the order given and the
 smallest column index of a row becomes its pivot.  This makes every
@@ -25,7 +40,7 @@ IntRow = dict[int, int]
 
 
 def _integer_row(row: Row | IntRow) -> tuple[IntRow, int]:
-    """The row times the lcm of its denominators, and that lcm.
+    """The row times the lcm of its denominators, as a new dict, and that lcm.
 
     The one entry check: every coefficient must be an int or a Fraction.
     """
@@ -54,9 +69,18 @@ def _strip_content(row: IntRow) -> IntRow:
 
 
 def _cancel(r: IntRow, p: IntRow, c: int) -> IntRow:
-    """An integer multiple of ``r`` plus one of ``p`` that is zero at ``c``,
-    content stripped."""
+    """A new row, an integer multiple of ``r`` plus one of ``p`` that is
+    zero at ``c``, content stripped."""
     a, b = r[c], p[c]
+    if b == 1:
+        # r - a p: no gcd, and r needs no scaling
+        out = dict(r)
+        for j, v in p.items():
+            if w := out.get(j, 0) - a * v:
+                out[j] = w
+            else:
+                del out[j]
+        return _strip_content(out)
     g = gcd(a, b)
     a, b = a // g, b // g
     out: IntRow = {}
@@ -65,6 +89,29 @@ def _cancel(r: IntRow, p: IntRow, c: int) -> IntRow:
         if v:
             out[j] = v
     return _strip_content(out)
+
+
+def _reduce(pivots: dict[int, IntRow], r: IntRow) -> IntRow:
+    """``r`` forward reduced until its lead is no pivot column: empty iff
+    ``r`` lies in the span of the pivots."""
+    while r:
+        lead = min(r)
+        p = pivots.get(lead)
+        if p is None:
+            break
+        r = _cancel(r, p, lead)
+    return r
+
+
+def _keep(pivots: dict[int, IntRow], r: IntRow, lead: int) -> IntRow:
+    """Store the row ``r``, content stripped with a positive lead, as the
+    pivot of its lead column, and return the stored row."""
+    if r[lead] < 0:
+        r = {j: -v for j, v in r.items()}
+    if r[lead] != 1:  # a lead of 1 leaves no content to strip
+        r = _strip_content(r)
+    pivots[lead] = r
+    return r
 
 
 class IntegerEliminator:
@@ -81,41 +128,41 @@ class IntegerEliminator:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def copy(self) -> "IntegerEliminator":
-        """An eliminator that starts from the same pivots.
-
-        ``add`` never mutates a stored pivot row, only the dict of pivots,
-        so a shallow copy of that dict is enough.
-        """
-        out = type(self)()
-        out.pivots = dict(self.pivots)
-        return out
-
-    def _keep(self, r: IntRow, lead: int) -> IntRow:
-        if r[lead] < 0:
-            r = {j: -v for j, v in r.items()}
-        self.pivots[lead] = r = _strip_content(r)
-        return r
-
     def add(self, row: Row | IntRow) -> bool:
         """Reduce a row against the pivots; keep it if independent."""
-        r = _integer_row(row)[0]
+        return self._add_int(_integer_row(row)[0])
+
+    def _add_int(self, r: IntRow) -> bool:
+        """:meth:`add` for a trusted row of nonzero ints, which may be
+        stored as it is."""
+        if r := _reduce(self.pivots, r):
+            _keep(self.pivots, r, min(r))
+            return True
+        return False
+
+    def independent(self, row: Row | IntRow) -> bool:
+        """Whether a row lies outside the span of the pivots; keeps nothing."""
+        return bool(_reduce(self.pivots, _integer_row(row)[0]))
+
+
+def _rank_int(rows) -> int:
+    """:func:`rank` for trusted rows of nonzero ints."""
+    pivots: dict[int, IntRow] = {}
+    for r in rows:
+        # _reduce inlined: a call per row is a tenth of the Weil-complex ranks
         while r:
             lead = min(r)
-            p = self.pivots.get(lead)
+            p = pivots.get(lead)
             if p is None:
-                self._keep(r, lead)
-                return True
+                _keep(pivots, r, lead)
+                break
             r = _cancel(r, p, lead)
-        return False
+    return len(pivots)
 
 
 def rank(rows) -> int:
     """Rank of a sparse matrix given as an iterable of rows."""
-    elim = IntegerEliminator()
-    for row in rows:
-        elim.add(row)
-    return elim.rank
+    return _rank_int(_integer_row(row)[0] for row in rows)
 
 
 class Echelon(IntegerEliminator):
@@ -146,7 +193,7 @@ class Echelon(IntegerEliminator):
         if not r:
             return None
         lead = min(r)
-        r = self._keep(r, lead)
+        r = _keep(pivots, r, lead)
         inv = r[lead]
         return {j: v // inv if v % inv == 0 else Fraction(v, inv)
                 for j, v in r.items()}

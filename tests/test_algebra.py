@@ -11,7 +11,8 @@ from secclasses.algebra import (Element, GeneratorMismatch, GeneratorSet,
                                 count_poly_monomials, exponent_vectors,
                                 exterior_subsets, merge_exterior, subsets)
 from secclasses.dga import cohomology
-from secclasses.frames import CharacteristicMap, projective_base_model
+from secclasses.frames import (CharacteristicMap, projective_base_model,
+                               projective_reduced_model)
 from secclasses.models import Factor, canonical_bundle, product_model
 from secclasses.weil import VeyIndex, weil_complex
 
@@ -279,3 +280,32 @@ def test_generator_set_validation():
 def test_generator_set_rejects_non_integers(exterior, poly, truncation, name):
     with pytest.raises(TypeError, match=f"^{name} must be an int"):
         GeneratorSet(exterior, poly, truncation)
+
+
+def _scanned_generator(gens, name):
+    """The generator as the name scan built it before the name index."""
+    for i, (n, _) in enumerate(gens.exterior):
+        if n == name:
+            return Element(gens, {((i,), (0,) * gens.n_poly): 1})
+    for j, (n, _, _) in enumerate(gens.poly):
+        if n == name:
+            exps = tuple(1 if k == j else 0 for k in range(gens.n_poly))
+            return Element(gens, {((), exps): 1})
+    raise AssertionError(f"no generator named {name!r}")
+
+
+@pytest.mark.parametrize("gens", [
+    pytest.param(lambda: weil_complex(5)[0], id="W5-framed"),
+    pytest.param(lambda: weil_complex(5, framed=False)[0], id="W5-unframed"),
+    pytest.param(lambda: projective_base_model(3).gens, id="projective-k3"),
+    pytest.param(lambda: projective_reduced_model(4)[0], id="projective-reduced-k4"),
+])
+def test_generator_lookup_equals_the_name_scan(gens):
+    gens = gens()
+    names = [n for n, _ in gens.exterior] + [n for n, _, _ in gens.poly]
+    for name in names:
+        got = gens.generator(name)
+        assert got == _scanned_generator(gens, name)
+        assert list(got.terms.values()) == [1]
+    with pytest.raises(KeyError, match="no generator named 'nope'"):
+        gens.generator("nope")

@@ -491,6 +491,11 @@ def test_selftest_contract(capsys):
      "4054a60772d94ba7e81b69dc40e556584065de050245eb564d64a83064193318"),
     ("cohomology --q 10 --no-framed --format json",
      "7bbc7935f954eab072f8fb4260add722a8476596d8c22a431a1d670d194e392e"),
+    # the trusted integer rank route, and the representatives above q = 8
+    ("cohomology --q 11 --format json",
+     "73e77ddbcfd419fb27d48f24e0cfafb351cdf55c88877a2ff5c0736b34f7f140"),
+    ("cohomology --q 9 --representatives --format json",
+     "d46e2caf2983a6b1543d9ea0adff82ba1f0f34b44a36bf059597a161d787e6b7"),
 ])
 def test_golden_output_sha256(capsys, argv, digest):
     # pins the enumeration order of every family behind these reports

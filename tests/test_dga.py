@@ -257,6 +257,51 @@ def test_layout_columns_equal_the_leibniz_oracle(complex_):
         assert layout.columns(n) == (len(basis_n), cols), n
 
 
+def test_only_integral_layouts_take_the_trusted_entry(monkeypatch):
+    # d u_i = t^i/i! puts 1/2 and 1/6 into the reduced projective model;
+    # a trusted entry must never see a Fraction
+    calls = []
+    rank_int, add_int = dga._rank_int, linalg.IntegerEliminator._add_int
+
+    def trusted_rank(rows):
+        rows = list(rows)
+        assert all(type(v) is int for row in rows for v in row.values())
+        calls.append("trusted")
+        return rank_int(rows)
+
+    def trusted_add(self, row):
+        assert all(type(v) is int for v in row.values())
+        return add_int(self, row)
+
+    def checked(entry):
+        def call(*args):
+            calls.append("checked")
+            return entry(*args)
+        return call
+
+    monkeypatch.setattr(dga, "_rank_int", trusted_rank)
+    monkeypatch.setattr(dga, "rank", checked(dga.rank))
+    monkeypatch.setattr(linalg.IntegerEliminator, "_add_int", trusted_add)
+    monkeypatch.setattr(linalg.IntegerEliminator, "add",
+                        checked(linalg.IntegerEliminator.add))
+    for build, integral in ((lambda: weil_complex(3), True),
+                            (lambda: projective_reduced_model(4), False)):
+        gens, d = build()
+        assert dga._Layout(gens, d, gens.top_degree() + 1).integral is integral
+        slices = cohomology(gens, d, representatives=False).by_degree
+        assert calls == ["trusted" if integral else "checked"] * len(slices)
+        assert [s.dim for s in slices.values()] == \
+            [dim for dim, _ in global_cohomology(gens, d).values()]
+        classes = [r for s in cohomology(gens, d).by_degree.values()
+                   for r in s.representatives]
+        calls.clear()
+        # each class row is added to the image, for the joint answer, by
+        # the checked entry; the image rows of a fractional layout are too
+        assert classes_mod_image(d, classes) == ([True] * len(classes), True)
+        assert (calls.count("checked") == len(classes)) is integral
+        calls.clear()
+
+
 def test_layout_columns_on_an_unbounded_complex():
     # no truncation and an uncapped generator: the parts are laid out up
     # to max_degree + 1 only
@@ -282,6 +327,10 @@ def test_layout_columns_drop_an_image_term_beyond_a_cap():
     for n in range(10):
         basis_n, cols = _public_image_columns(gens, d, n)
         assert layout.columns(n) == (len(basis_n), cols), n
+    # so y is a cocycle, and the coboundary test's check must not read d(y) as q
+    y = gens.generator("y")
+    assert not d(y)
+    assert classes_mod_image(d, [y]) == ([True], True)
 
 
 def test_degrees_above_the_top_are_not_enumerated(monkeypatch):

@@ -3,13 +3,14 @@ reduced echelon form over Fraction in ``fraction_linalg``."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import fraction_linalg as oracle
 from secclasses.algebra import InexactCoefficient
-from secclasses.linalg import (Echelon, IntegerEliminator, kernel_from_columns,
-                               rank)
+from secclasses.linalg import (Echelon, IntegerEliminator, _cancel, _rank_int,
+                               kernel_from_columns, rank)
 
 
 def F(a, b=1):
@@ -174,9 +175,94 @@ def test_integer_kernel_spans_the_oracle_kernel():
             assert rank(got[:k] + want[:k]) == k
 
 
+def _random_int_rows(rng, nrows, ncols, unit):
+    """Rows of nonzero ints, with a few repeats and sums of earlier rows;
+    with ``unit`` every entry is 1 or -1, so most stored pivots lead with 1."""
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.2:
+            a, b = rng.choice(rows), rng.choice(rows)
+            row = {j: a.get(j, 0) - b.get(j, 0) for j in a.keys() | b.keys()}
+            rows.append({j: v for j, v in row.items() if v})
+        else:
+            rows.append({j: rng.choice((-1, 1)) * (1 if unit else rng.randint(1, 6))
+                         for j in range(ncols) if rng.random() < 0.35})
+    return rows
+
+
+@pytest.mark.parametrize("unit", [True, False], ids=["unit", "non-unit"])
+def test_trusted_rank_equals_the_checked_rank_and_the_oracle(unit):
+    rng = random.Random(29)
+    for _ in range(200):
+        rows = _random_int_rows(rng, rng.randint(1, 12), rng.randint(1, 10), unit)
+        ref = oracle.Echelon()
+        for row in rows:
+            ref.add(row)
+        assert _rank_int(rows) == rank(rows) == ref.rank
+
+
+def test_no_entry_mutates_a_row_it_is_given():
+    # a trusted row may be stored as a pivot as it is, so its caller must
+    # still read it unchanged after later rows cancel against it
+    rng = random.Random(31)
+    for unit in (True, False):
+        for _ in range(100):
+            rows = _random_int_rows(rng, rng.randint(1, 10), rng.randint(1, 8), unit)
+            before = [dict(r) for r in rows]
+            _rank_int(rows)
+            rank(rows)
+            trusted, checked, ech = IntegerEliminator(), IntegerEliminator(), Echelon()
+            for row in rows:
+                trusted._add_int(row)
+                checked.add(row)
+                checked.independent(row)
+                ech.add(row)
+            kernel_from_columns(rows, len(rows))
+            assert rows == before
+
+
+def test_cancel_drops_every_cancelled_entry():
+    # against the unit lead p[0] = 1, r - 2p cancels at columns 0 and 1
+    assert _cancel({0: 2, 1: 2, 2: 1}, {0: 1, 1: 1}, 0) == {2: 1}
+    rng = random.Random(37)
+    for unit in (True, False):
+        for _ in range(300):
+            r, p = _random_int_rows(rng, 2, 5, unit)
+            common = sorted(r.keys() & p.keys())
+            if not common:
+                continue
+            c = rng.choice(common)
+            a, b = r[c], p[c]
+            want = {j: b * r.get(j, 0) - a * p.get(j, 0) for j in r.keys() | p.keys()}
+            want = {j: v for j, v in want.items() if v}
+            g = gcd(*want.values()) if want else 1
+            got = _cancel(r, p, c)
+            assert got == {j: v // g for j, v in want.items()}
+            assert c not in got and all(got.values())
+
+
+def test_independent_keeps_nothing_and_equals_the_oracle():
+    # half the queried rows lie in the span of the added ones
+    rng = random.Random(41)
+    for _ in range(200):
+        rows = _random_rational_rows(rng, rng.randint(1, 8), rng.randint(1, 8))
+        elim, ref = IntegerEliminator(), oracle.Echelon()
+        for row in rows[:len(rows) // 2 + 1]:
+            elim.add(row)
+            ref.add(row)
+        spanned = [{j: F(2) * a.get(j, 0) - b.get(j, 0) for j in a.keys() | b.keys()}
+                   for a, b in zip(rows, rows[1:len(rows) // 2 + 1])]
+        for row in rows + spanned:
+            pivots = dict(elim.pivots)
+            assert elim.independent(row) == bool(ref.reduce(row))
+            assert elim.pivots == pivots
+
+
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: Echelon().add({0: 0.1, 1: 1}), id="echelon-add"),
     pytest.param(lambda: IntegerEliminator().add({0: F(1), 1: 2.0}), id="integer-add"),
+    pytest.param(lambda: IntegerEliminator().independent({0: 0.5}),
+                 id="integer-independent"),
     pytest.param(lambda: kernel_from_columns([{0: 0.5}, {0: 1}], 2), id="kernel"),
     pytest.param(lambda: rank([{0: 0.5}]), id="rank"),
 ])

@@ -7,11 +7,14 @@ from fractions import Fraction
 
 import pytest
 
+import fraction_linalg as oracle
 from secclasses.algebra import Element, basis_of_degree
-from secclasses.dga import classes_mod_image, cohomology
+from secclasses.dga import _Layout, classes_mod_image, cohomology
 from secclasses.frames import projective_reduced_model
-from secclasses.linalg import rank
+from secclasses.linalg import IntegerEliminator, _rank_int, rank
 from secclasses.weil import weil_complex
+from test_dga import BLOCK_CASES
+from test_linalg import _random_int_rows
 
 QQ = pytest.importorskip("sympy").QQ
 DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
@@ -61,6 +64,57 @@ def test_rank_matches_sympy_on_random_sparse_rational_matrices(seed):
         s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2)
         rows.append({j: s * a.get(j, 0) + t * b.get(j, 0) for j in a.keys() | b.keys()})
     assert rank(rows) == sympy_rank(rows, ncols)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_trusted_rank_matches_sympy_on_random_integer_matrices(seed):
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(1, 40), rng.randint(1, 40)
+    rows = _random_int_rows(rng, nrows, ncols, unit=seed % 2 == 0)
+    assert _rank_int(rows) == rank(rows) == sympy_rank(rows, ncols)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_independent_matches_sympy(seed):
+    # the nonzero answers by a query that keeps nothing, then the joint one
+    # by adding the queried rows, as ``classes_mod_image`` asks them
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 30)
+    rows = [{j: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+             for j in range(ncols) if rng.random() < 0.15} for _ in range(ncols)]
+    image, queries = rows[:ncols // 2], rows[ncols // 2:]
+    queries += [{j: 3 * a.get(j, 0) - b.get(j, 0) for j in a.keys() | b.keys()}
+                for a, b in zip(image, image[1:])]
+    elim = IntegerEliminator()
+    for row in image:
+        elim.add(row)
+    base = sympy_rank(image, ncols)
+    for row in queries:
+        assert elim.independent(row) == (sympy_rank(image + [row], ncols) > base)
+    assert elim.rank == base
+    for row in queries:
+        elim.add(row)
+    assert elim.rank == sympy_rank(image + queries, ncols)
+
+
+@pytest.mark.parametrize("complex_", BLOCK_CASES)
+def test_trusted_ranks_of_integral_layouts_match_sympy(complex_):
+    # the ranks the rank route of ``cohomology`` takes, degree by degree
+    gens, d = complex_()
+    top = gens.top_degree()
+    layout = _Layout(gens, d, top + 1)
+    assert layout.integral == all(c.denominator == 1 for image in d.ext_images
+                                  for c in image.terms.values())
+    if not layout.integral:
+        return
+    for n in range(top + 1):
+        _, cols = layout.columns(n)
+        image = [c for c in cols if c]
+        ref = oracle.Echelon()
+        for row in image:
+            ref.add(row)
+        ncols = 1 + max((i for c in image for i in c), default=-1)
+        assert _rank_int(image) == rank(image) == ref.rank == sympy_rank(image, ncols), n
 
 
 @pytest.mark.parametrize("complex_", [
