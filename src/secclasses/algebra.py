@@ -287,6 +287,8 @@ class GeneratorSet(Record):
     def monomial(self, ext: tuple[int, ...], exps: tuple[int, ...],
                  coeff=_ONE) -> "Element":
         m = (tuple(ext), tuple(exps))
+        require_int("exterior index", *m[0])
+        require_int("exponent", *m[1])
         if not self.mono_valid(m):
             raise ValueError(f"invalid monomial {m} over this generator set")
         return Element(self, {m: coeff})
@@ -440,9 +442,6 @@ class Element:
         if len(degs) > 1:
             raise ValueError(f"element is not homogeneous (degrees {sorted(degs)})")
         return degs.pop()
-
-    def is_homogeneous(self) -> bool:
-        return len({self.gens.mono_degree(m) for m in self.terms}) <= 1
 
     def coefficient(self, m: Mono) -> Fraction:
         return self.terms.get(m, _ZERO)

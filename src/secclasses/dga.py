@@ -7,12 +7,15 @@ cohomology reduces to exact rank computations degree by degree.
 
 Cohomology dimensions come from ranks,
 ``dim H^n = chain_dim_n - rank d_n - rank d_{n-1}``, computed on Python
-ints from the differential to the last pivot: every coefficient of d on
-the Weil and frame models is an integer, and the elimination is
+ints from the differential to the last pivot, and the elimination is
 fraction-free.  Rank d_n is one elimination of the degree's columns.
-Where every coefficient of d is an int, the columns go to the trusted
-entries of :mod:`.linalg`, with no per-row check or copy; where one is a
-Fraction, as the 1/i! of the reduced projective model, to the checked ones.
+The columns are those of s d, s the lcm of the denominators of d's
+coefficients: 1 on the Weil and frame models, lcm(1!, ..., (k-1)!) on
+the reduced projective model, whose d u_i = t^i/i!.  One factor for
+every column changes no rank, span or kernel, and makes every column a
+dict of nonzero ints, which goes to the trusted entries of
+:mod:`.linalg` with no per-row check or copy.  A row built from an
+``Element``, a cocycle or a kernel vector, goes to the checked ones.
 
 The columns come from index arithmetic on the exterior tensor polynomial
 layout of the basis, with no monomial built (:class:`_Layout`).  Degree n
@@ -35,12 +38,13 @@ dimension, a cross-check of the two eliminations.
 
 Coboundary tests (:func:`classes_mod_image`, behind :func:`class_nonzero`
 and the frame certificates) use the same layout, once per call, up to one
-degree above the cocycles' top degree.  d of each input, by the same
-index arithmetic term by term, is the cocycle check.  Every nonzero
-column of d_{n-1}, for each degree n of their support, is ranked in one
-fraction-free elimination, each degree in its own index range, since the
-tests need only ranks; each input is reduced against it without being
-kept, and only then are the inputs added to it, for the joint answer.
+degree above the cocycles' top degree.  s d of each input, by the same
+index arithmetic term by term, tested for zero, is the cocycle check.
+Every nonzero column of s d_{n-1}, for each degree n of their support,
+is ranked in one fraction-free elimination, each degree in its own
+index range, since the tests need only ranks; each input is reduced
+against it without being kept, and only then are the inputs added to
+it, for the joint answer.
 ``Echelon``, which also returns each row's monic residual, serves the
 cohomology representatives.
 """
@@ -50,10 +54,11 @@ from __future__ import annotations
 import operator
 from collections.abc import Mapping
 from fractions import Fraction
+from math import lcm
 
 from .algebra import (Element, GeneratorMismatch, GeneratorSet, Mono, Record,
                       basis_of_degree, exterior_subsets, poly_parts)
-from .linalg import Echelon, IntegerEliminator, _rank_int, kernel_from_columns, rank
+from .linalg import Echelon, IntegerEliminator, _rank_int, kernel_from_columns
 
 
 class DegreeMismatch(ValueError):
@@ -184,12 +189,6 @@ class CohomologyReport(Record):
     def dims(self) -> dict[int, int]:
         return {n: s.dim for n, s in self.by_degree.computed.items() if s.dim}
 
-    def euler_characteristics(self) -> tuple[int, int]:
-        computed = self.by_degree.computed.items()
-        chain = sum((-1) ** n * s.chain_dim for n, s in computed)
-        cohom = sum((-1) ** n * s.dim for n, s in computed)
-        return chain, cohom
-
 
 def _block_offsets(by_degree, parts, n: int) -> tuple[dict[int, int], int]:
     """Where each exterior subset with a nonempty block starts in the
@@ -217,7 +216,7 @@ class _Layout:
     ``images[E]`` lists the terms (T, b, c) of d(y_E c^x) =
     sum c y_T c^(x + b): one per position p in E and term c^b of
     d(y_(E_p)), T being the id of E without E_p and c that term's
-    coefficient times (-1)^p.
+    coefficient times (-1)^p and the scale s.
 
     ``code(x)`` is x as one integer, digit j in radix 2 M_j + 1, M_j the
     largest exponent of generator j in a part.  code(x + b) = code(x) +
@@ -226,9 +225,11 @@ class _Layout:
     ``pos.get(code(x) + code(b))`` in :meth:`_shift` also drops the
     products that break a cap or the truncation.
 
-    ``integral`` is true when every coefficient c is an int, as on the
-    Weil and frame models.  Then every column is a dict of nonzero ints,
-    which the rank routes hand to the trusted entries of :mod:`.linalg`.
+    The scale s is the lcm of the denominators of d's coefficients, one
+    for the whole layout, so every c is an int and every column is a dict
+    of nonzero ints, which the rank routes hand to the trusted entries of
+    :mod:`.linalg`.  :meth:`columns` and :meth:`image` give s d, of the
+    same ranks, spans and kernels as d.
     """
 
     def __init__(self, gens: GeneratorSet, d: Differential, top: int):
@@ -252,10 +253,10 @@ class _Layout:
         self.offsets = [_block_offsets(by_degree, self.parts, n)
                         for n in range(top + 1)]
         self.ext_id = ext_id = {E: i for i, E in enumerate(ext)}
-        # the terms (b, c) of each d(g), c an int where integral
-        terms = [[(b, c.numerator if c.denominator == 1 else c)
+        # the terms (b, s c) of each d(g), s the lcm of d's denominators
+        s = lcm(*(c.denominator for image in d.ext_images for c in image.terms.values()))
+        terms = [[(b, c.numerator * (s // c.denominator))
                   for (_, b), c in image.terms.items()] for image in d.ext_images]
-        self.integral = all(type(c) is int for t in terms for _, c in t)
         # code(b) of each shift b, None when some b_j exceeds M_j
         self.shift_codes = {b: self._code(b) if all(map(operator.le, b, self.most))
                             else None for t in terms for b, _ in t}
@@ -291,7 +292,7 @@ class _Layout:
         return table
 
     def image(self, x: Element) -> dict[tuple[int, int], int | Fraction]:
-        """d(x), for an element x of degree below ``top`` whose terms are
+        """s d(x), for an element x of degree below ``top`` whose terms are
         monomials of the complex, as ``{(degree, row): coefficient}``; a
         coefficient may be 0 where terms cancel."""
         out: dict = {}
@@ -306,8 +307,8 @@ class _Layout:
                     out[key] = out.get(key, 0) + a * c
         return out
 
-    def columns(self, n: int) -> tuple[int, list[dict[int, int | Fraction]]]:
-        """The size of the degree-n basis, and the coordinates of d on it
+    def columns(self, n: int) -> tuple[int, list[dict[int, int]]]:
+        """The size of the degree-n basis, and the coordinates of s d on it
         over the degree-(n+1) basis, one column per basis monomial."""
         offsets, chain_dim = self.offsets[n]
         targets = self.offsets[n + 1][0]
@@ -333,7 +334,7 @@ def _representatives(gens: GeneratorSet, basis_n, cols, prev_image):
     for row in prev_image:
         stack.add(row)
     reps = []
-    for vec in kernel_from_columns(cols, len(cols)):
+    for vec in kernel_from_columns(cols):
         residual = stack.add(vec)
         if residual is not None:
             reps.append(Element._of(gens, {basis_n[j]: Fraction(c)
@@ -356,8 +357,8 @@ def cohomology(gens: GeneratorSet, d: Differential, max_degree: int | None = Non
     stored.  Each dimension is ``chain_dim - rank d_n - rank d_{n-1}``,
     rank d_n from one fraction-free elimination of the degree's columns,
     which :class:`_Layout` computes by index arithmetic up to degree
-    ``min(max_degree, top) + 1``, and ranks with no per-row check when
-    that layout is ``integral``.  Monomials are built only to name the
+    ``min(max_degree, top) + 1`` as dicts of ints, and ranks with no
+    per-row check.  Monomials are built only to name the
     representatives, by :func:`basis_of_degree` in the degrees with
     classes; the rank route builds none.  The residuals of
     :func:`_representatives`, in the degrees with classes, follow a
@@ -372,14 +373,13 @@ def cohomology(gens: GeneratorSet, d: Differential, max_degree: int | None = Non
             raise ValueError("complex is infinite; pass an explicit max_degree")
     last = max_degree if top is None else min(max_degree, top)
     layout = _Layout(gens, d, last + 1)
-    rank_image = _rank_int if layout.integral else rank
     computed: dict[int, DegreeSlice] = {}
     prev_rank = 0
     prev_image: list[dict] = []
     for n in range(last + 1):
         chain_dim, cols = layout.columns(n)
         image = [c for c in cols if c]
-        rank_n = rank_image(image)
+        rank_n = _rank_int(image)
         dim = chain_dim - rank_n - prev_rank
         reps = None
         if representatives:
@@ -402,15 +402,17 @@ def classes_mod_image(d: Differential, cocycles) -> tuple[list[bool], bool]:
     Each input must live over ``d.gens`` (else :class:`GeneratorMismatch`)
     and have only monomials of the complex as terms (else ``ValueError``),
     both checked on every input in turn; then each must be a cocycle (else
-    :class:`NotACocycle`), d(x) being read off the layout.  A zero input
-    reads as zero.  Exact: the nonzero columns of d_{n-1}, for each degree
-    n of the support, laid out on one :class:`_Layout` and ranked in one
-    fraction-free elimination with row r of degree n at index
+    :class:`NotACocycle`), s d(x) being read off the layout and tested for
+    zero.  A zero input reads as zero.  Exact: the nonzero columns of
+    s d_{n-1}, for each degree n of the support, laid out on one
+    :class:`_Layout` and added by the trusted entry to one fraction-free
+    elimination with row r of degree n at index
     ``last[n] - r``.  So each degree has its own index range (the image of
     d is graded), and a row's pivot is its last target, which keeps the
     elimination short on the frame models.  Each input is reduced against
     that elimination without being kept; then the inputs are added to it
-    for the joint answer, which stops at the first dependent one.
+    for the joint answer, which stops at the first dependent one, both by
+    the checked entries.
     """
     gens = d.gens
     cocycles = list(cocycles)
@@ -430,13 +432,12 @@ def classes_mod_image(d: Differential, cocycles) -> tuple[list[bool], bool]:
     terms = [[(*layout.row(m), c) for m, c in x.terms.items()] for x in cocycles]
     degrees = sorted({n for row in terms for n, _, _ in row})
     image, last, size = IntegerEliminator(), {}, 0
-    add_image = image._add_int if layout.integral else image.add
     for n in degrees:
         size += layout.offsets[n][1]
         last[n] = size - 1
         for col in layout.columns(n - 1)[1] if n else ():
             if col:
-                add_image({last[n] - t: c for t, c in col.items()})
+                image._add_int({last[n] - t: c for t, c in col.items()})
     coords = [{last[n] - r: c for n, r, c in row} for row in terms]
     nonzero = [image.independent(row) for row in coords]
     return nonzero, all(map(image.add, coords))

@@ -12,7 +12,8 @@ of nonzero Python ints, has two kinds of entry:
 * the trusted entries, :func:`_rank_int` and
   :meth:`IntegerEliminator._add_int`, take rows that are already dicts of
   nonzero ints and skip both the check and the copy.  Only the package
-  calls them, on the integral columns of ``dga._Layout``.
+  calls them, on the columns of ``dga._Layout``, which clears the
+  denominators of d by one scale and so gives ints on every complex.
 
 Elimination is fraction-free: cross-multiplication with content
 stripping, or a plain r - a p where the pivot's lead is 1, so no rational
@@ -199,7 +200,7 @@ class Echelon(IntegerEliminator):
                 for j, v in r.items()}
 
 
-def kernel_from_columns(columns: list[Row], ncols: int) -> list[IntRow]:
+def kernel_from_columns(columns: list[Row]) -> list[IntRow]:
     """Kernel basis of the map whose j-th basis image is ``columns[j]``.
 
     The columns are eliminated in order, each carrying the combination of
@@ -212,8 +213,8 @@ def kernel_from_columns(columns: list[Row], ncols: int) -> list[IntRow]:
     offset = 1 + max((i for col in columns for i in col), default=-1)
     pivots: dict[int, IntRow] = {}
     out: list[IntRow] = []
-    for j in range(ncols):
-        r, denom = _integer_row(columns[j] if j < len(columns) else {})
+    for j, col in enumerate(columns):
+        r, denom = _integer_row(col)
         r[offset + j] = denom
         while True:
             lead = min(r)

@@ -74,9 +74,6 @@ class ModelRing(Record):
     def unit(self) -> Element:
         return self.gens.unit()
 
-    def dimension(self) -> int:
-        return self.gens.dimension()
-
 
 def cp2() -> ModelRing:
     """CP^2 with one degree-2 generator ``a`` whose cube is zero."""
@@ -194,6 +191,7 @@ class PontrjaginMonomial(Record, order=True):
 
     def __init__(self, exps: tuple[int, ...]):
         self._set(exps)
+        require_int("Pontrjagin exponent", *self.exps)
         if not self.exps or self.exps[-1] == 0:
             raise ValueError("exponent vector must end in a positive entry")
         if any(e < 0 for e in self.exps):
@@ -210,15 +208,6 @@ class PontrjaginMonomial(Record, order=True):
         while t and t[-1] == 0:
             t = t[:-1]
         return PontrjaginMonomial(t)
-
-    @property
-    def weight(self) -> int:
-        """Least codimension carrying the monomial: sum (4i-2) n_i."""
-        return sum((4 * i - 2) * e for i, e in enumerate(self.exps, start=1))
-
-    @property
-    def size(self) -> int:
-        return sum(self.exps)
 
     @property
     def degree(self) -> int:

@@ -77,7 +77,7 @@ def rref(rows) -> tuple[list[int], list[Row]]:
     return cols, [dict(ech.pivots[c]) for c in cols]
 
 
-def kernel_from_columns(columns: list[Row], ncols: int) -> list[Row]:
+def kernel_from_columns(columns: list[Row]) -> list[Row]:
     """Kernel basis of the map whose j-th basis image is ``columns[j]``.
 
     Vectors come back over the column index space, one per free column,
@@ -90,7 +90,7 @@ def kernel_from_columns(columns: list[Row], ncols: int) -> list[Row]:
     pivot_cols, pivot_rows = rref(rows[i] for i in sorted(rows))
     pivot_set = set(pivot_cols)
     out: list[Row] = []
-    for f in range(ncols):
+    for f in range(len(columns)):
         if f in pivot_set:
             continue
         vec: Row = {f: Fraction(1)}

@@ -242,7 +242,6 @@ def test_degree_and_homogeneity():
     gens, _ = weil_complex(2)
     y1, c1 = gens.generator("y1"), gens.generator("c1")
     assert y1.degree() == 1 and c1.degree() == 2
-    assert not (y1 + c1).is_homogeneous()
     with pytest.raises(ValueError):
         (y1 + c1).degree()
     with pytest.raises(ValueError):
@@ -267,19 +266,25 @@ def test_generator_set_validation():
         GeneratorSet((("y", 1),), (("y", 2, None),))  # duplicate name
 
 
-@pytest.mark.parametrize("exterior, poly, truncation, name", [
-    ((("x", 3.0),), (), 0, "degree of x"),
-    ((("x", True),), (), 0, "degree of x"),
-    ((), (("c", 2.0, None),), 0, "degree of c"),
-    ((), (("c", 2, 1.0),), 0, "cap for c"),
-    ((), (("c", 2, True),), 0, "cap for c"),
-    ((), (("c", 2, None),), 4.0, "truncation"),
-    ((), (("c", 2, None),), False, "truncation"),
+@pytest.mark.parametrize("make, name", [
+    (lambda: GeneratorSet((("x", 3.0),), ()), "degree of x"),
+    (lambda: GeneratorSet((("x", True),), ()), "degree of x"),
+    (lambda: GeneratorSet((), (("c", 2.0, None),)), "degree of c"),
+    (lambda: GeneratorSet((), (("c", 2, 1.0),)), "cap for c"),
+    (lambda: GeneratorSet((), (("c", 2, True),)), "cap for c"),
+    (lambda: GeneratorSet((), (("c", 2, None),), 4.0), "truncation"),
+    (lambda: GeneratorSet((), (("c", 2, None),), False), "truncation"),
+    # c1^1.5 would have degree 3.0, and True would read as c1
+    (lambda: weil_complex(2)[0].monomial((), (1.5, 0)), "exponent"),
+    (lambda: weil_complex(2)[0].monomial((), (True, 0)), "exponent"),
+    (lambda: weil_complex(2)[0].monomial((0.0,), (0, 0)), "exterior index"),
+    (lambda: weil_complex(2)[0].monomial((True,), (0, 0)), "exterior index"),
 ], ids=["float-odd-degree", "bool-odd-degree", "float-even-degree", "float-cap",
-        "bool-cap", "float-truncation", "bool-truncation"])
-def test_generator_set_rejects_non_integers(exterior, poly, truncation, name):
+        "bool-cap", "float-truncation", "bool-truncation", "float-exponent",
+        "bool-exponent", "float-exterior-index", "bool-exterior-index"])
+def test_generator_set_rejects_non_integers(make, name):
     with pytest.raises(TypeError, match=f"^{name} must be an int"):
-        GeneratorSet(exterior, poly, truncation)
+        make()
 
 
 def _scanned_generator(gens, name):

@@ -269,6 +269,21 @@ def test_certified_classes_are_rigid():
             assert cls.vey.is_rigid(2 * k)
 
 
+def test_catalog_classes_are_certified():
+    # every class ``catalog`` lists is a nonzero class of a passing frame
+    # certificate: family A of the projective one for k = q/2, family B
+    # (q = 4k - 2) of the sphere one
+    for q in range(4, 25, 2):
+        entries = spherical_rigid_classes(q)
+        for family, certify, k in (("A", certify_projective_family, q // 2),
+                                   ("B", certify_sphere_family, (q + 2) // 4)):
+            listed = {e.vey for e in entries if e.family == family}
+            if listed:
+                cert = certify(k)
+                assert cert.passed, (q, family)
+                assert listed <= {c.vey for c in cert.classes if c.nonzero}, (q, family)
+
+
 def test_sphere_model_euler_honest_zero():
     # the Euler image over a sphere base is zero, so v is a cycle there
     model = sphere_base_model(3)  # q = 10 over S^12

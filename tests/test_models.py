@@ -16,7 +16,7 @@ from secclasses.models import test_cycle as cycle_for
 
 def test_cp2_ring():
     ring = cp2()
-    assert ring.dimension() == 3
+    assert ring.gens.dimension() == 3
     a = ring.gens.generator("a")
     assert evaluate_on_cycle(a * a, ring) == 1
     assert (a ** 3).is_zero()
@@ -25,7 +25,7 @@ def test_cp2_ring():
 def test_sphere_ring():
     ring = sphere_model(2)
     assert ring.label == "S^8"
-    assert ring.dimension() == 2
+    assert ring.gens.dimension() == 2
     s = ring.gens.generator("s")
     assert (s * s).is_zero()
     assert evaluate_on_cycle(s, ring) == 1
@@ -44,7 +44,7 @@ def test_one_factor_rings_are_one_factor_products(ring, factor, name):
 
 def test_product_ring():
     ring = product_model([Factor("cp2", 1), Factor("cp2", 1)])
-    assert ring.dimension() == 9
+    assert ring.gens.dimension() == 9
     a1, a2 = ring.gens.generator("a1"), ring.gens.generator("a2")
     assert evaluate_on_cycle((a1 * a1) * (a2 * a2), ring) == 1
     assert evaluate_on_cycle(a1 * a2, ring) == 0
@@ -112,13 +112,6 @@ def test_admissible_monomials():
         admissible_monomials(1)
 
 
-def test_degree_weight_size_identity():
-    for q in (4, 6, 8, 10, 12):
-        for m in admissible_monomials(q):
-            assert m.degree == m.weight + 2 * m.size
-            assert m.degree <= 2 * q  # normal-bundle degree guard
-
-
 def test_certificate_q4_blocks():
     report = independence_certificate(4)
     assert report.passed
@@ -182,12 +175,17 @@ def test_symmetric_multiple():
         verify_symmetric_multiple(2, 3)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: sphere_model(1.5),
-    lambda: sphere_model(True),
-    lambda: Factor("sphere", 1.5),
-    lambda: Factor("cp2", 1.0),
-], ids=["sphere-model-float", "sphere-model-bool", "factor-float", "cp2-float"])
-def test_non_integer_factor_index_rejected(make):
-    with pytest.raises(TypeError, match="^factor index must be an int"):
+@pytest.mark.parametrize("make, name", [
+    (lambda: sphere_model(1.5), "factor index"),
+    (lambda: sphere_model(True), "factor index"),
+    (lambda: Factor("sphere", 1.5), "factor index"),
+    (lambda: Factor("cp2", 1.0), "factor index"),
+    # p1^1.5 would have degree 6.0
+    (lambda: PontrjaginMonomial((1.5,)), "Pontrjagin exponent"),
+    (lambda: PontrjaginMonomial((0, True)), "Pontrjagin exponent"),
+    (lambda: PontrjaginMonomial.of(2.0), "Pontrjagin exponent"),
+], ids=["sphere-model-float", "sphere-model-bool", "factor-float", "cp2-float",
+        "pontrjagin-float", "pontrjagin-bool", "pontrjagin-of-float"])
+def test_non_integer_factor_index_rejected(make, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an int"):
         make()
