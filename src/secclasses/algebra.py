@@ -38,11 +38,16 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class GeneratorMismatch(ValueError):
+class SecclassesError(Exception):
+    """Base of the package's own exceptions: an input or an invariant was
+    violated.  Each subclass also keeps its ``ValueError`` or ``TypeError`` base."""
+
+
+class GeneratorMismatch(SecclassesError, ValueError):
     """Two values over different generator sets were combined."""
 
 
-class InexactCoefficient(TypeError):
+class InexactCoefficient(SecclassesError, TypeError):
     """A coefficient that is not an int or a Fraction reached an element."""
 
 
@@ -488,6 +493,7 @@ class Element:
         return self.scale(other)
 
     def __pow__(self, n: int) -> "Element":
+        require_int("exponent", n)
         if n < 0:
             raise ValueError("negative powers are not defined")
         result = self.gens.unit()

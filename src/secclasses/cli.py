@@ -8,9 +8,10 @@ and :func:`_report` renders them in the chosen format.
 Arguments are checked by argparse alone, so a bad value is a usage error
 that names the subcommand and the argument (``secclasses vey: error:
 argument --q: must be >= 1``).  Exit codes: 0 success, 2 usage error,
-3 dimension budget exceeded, 4 invariant violation (one of the package's
-own exceptions, such as ``NotACocycle``, or a selftest failure).  Any
-other exception is a bug and propagates with its traceback.
+3 dimension budget exceeded, 4 invariant violation (a selftest failure,
+or any :class:`~secclasses.algebra.SecclassesError`, the base of the
+package's own exceptions such as ``NotACocycle``).  Any other exception
+is a bug and propagates with its traceback.
 
 No color is ever emitted, so NO_COLOR is honored trivially; no network
 access and no environment variables are required.
@@ -25,21 +26,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .algebra import GeneratorMismatch, InexactCoefficient
-from .dga import DegreeMismatch, NotACocycle, cohomology
+from .algebra import SecclassesError
+from .dga import cohomology
 from .reporting import FORMATS, envelope, rat, render
-from .weil import (IndexOutOfRange, OddCodimension, spherical_rigid_classes,
-                   spherical_rigid_count, vey_basis, weil_complex)
+from .weil import spherical_rigid_classes, spherical_rigid_count, vey_basis, weil_complex
 
 EXIT_OK = 0
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 DEFAULT_MAX_DIM = 10 ** 6
-
-# the package's own exceptions: an input or an invariant was violated
-INVARIANT_VIOLATIONS = (DegreeMismatch, GeneratorMismatch, IndexOutOfRange,
-                        InexactCoefficient, NotACocycle, OddCodimension)
 
 
 class BudgetExceeded(RuntimeError):
@@ -65,11 +61,12 @@ def _report(args, params, results, title, columns, rows, notes) -> str:
 
 
 def cmd_vey(args) -> str:
-    classes = vey_basis(args.q, args.min_degree, args.max_degree)
+    classes = [(v, v.is_rigid(args.q))
+               for v in vey_basis(args.q, args.min_degree, args.max_degree)]
     if args.rigid_only:
-        classes = [v for v in classes if v.is_rigid(args.q)]
-    records = [{"class": v.label(), "degree": v.degree, "rigid": v.is_rigid(args.q),
-                "I": list(v.I), "J": list(v.J)} for v in classes]
+        classes = [(v, rigid) for v, rigid in classes if rigid]
+    records = [{"class": v.label(), "degree": v.degree, "rigid": rigid,
+                "I": list(v.I), "J": list(v.J)} for v, rigid in classes]
     results = {"count": len(records),
                "unit_class": "excluded from the listing; contributes 1 in degree 0",
                "classes": records}
@@ -296,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BUDGET
-    except INVARIANT_VIOLATIONS as exc:
+    except SecclassesError as exc:
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
     text, code = out if isinstance(out, tuple) else (out, EXIT_OK)

@@ -57,15 +57,16 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import (Element, GeneratorMismatch, GeneratorSet, Mono, Record,
-                      basis_of_degree, exterior_subsets, poly_parts)
+                      SecclassesError, basis_of_degree, exterior_subsets,
+                      poly_parts, require_int)
 from .linalg import Echelon, IntegerEliminator, _rank_int, kernel_from_columns
 
 
-class DegreeMismatch(ValueError):
+class DegreeMismatch(SecclassesError, ValueError):
     """A generator image fails the degree-(+1) contract."""
 
 
-class NotACocycle(ValueError):
+class NotACocycle(SecclassesError, ValueError):
     """An operation requiring a cocycle received a non-cocycle."""
 
 
@@ -371,6 +372,9 @@ def cohomology(gens: GeneratorSet, d: Differential, max_degree: int | None = Non
         max_degree = top
         if max_degree is None:
             raise ValueError("complex is infinite; pass an explicit max_degree")
+    require_int("max_degree", max_degree)
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
     last = max_degree if top is None else min(max_degree, top)
     layout = _Layout(gens, d, last + 1)
     computed: dict[int, DegreeSlice] = {}

@@ -97,6 +97,7 @@ class FrameModel(Record, eq=False):
 def build_frame_model(base: ModelRing, bundle: BundleMap, q: int,
                       include_euler: bool = True) -> FrameModel:
     """Assemble the Koszul model; differentials vanish on the base."""
+    require_int("q", q)
     if q < 2:
         raise ValueError("frame models need q >= 2")
     if bundle.ring.gens != base.gens:

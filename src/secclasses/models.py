@@ -41,6 +41,8 @@ class Factor(Record):
             raise ValueError(f"unknown factor kind {self.kind!r}")
         if self.kind == "sphere" and self.index < 1:
             raise ValueError("sphere factors are S^(4i) with i >= 1")
+        if self.kind == "cp2" and self.index != 1:
+            raise ValueError(f"the CP^2 factor has index 1, not {self.index}")
 
     @property
     def gen_degree(self) -> int:

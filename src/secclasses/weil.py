@@ -15,16 +15,31 @@ from __future__ import annotations
 
 import operator
 
-from .algebra import Element, GeneratorSet, Record, exponent_vectors, require_int, subsets
+from .algebra import (Element, GeneratorSet, Record, SecclassesError, exponent_vectors,
+                      require_int, subsets)
 from .dga import Differential
 
 
-class OddCodimension(ValueError):
+class OddCodimension(SecclassesError, ValueError):
     """Spherical rigid families are only defined for even codimension >= 4."""
 
 
-class IndexOutOfRange(ValueError):
+class IndexOutOfRange(SecclassesError, ValueError):
     """A twisting index addresses a generator the complex does not have."""
+
+
+def _codimension(q: int) -> None:
+    """Check the codimension q of a Weil complex or a Vey basis."""
+    require_int("q", q)
+    if q < 1:
+        raise ValueError("codimension must be a positive integer")
+
+
+def _even_codimension(q: int) -> None:
+    """Check the codimension q of the spherical rigid families."""
+    require_int("q", q)
+    if q % 2 == 1 or q < 4:
+        raise OddCodimension("families are defined for even codimension >= 4")
 
 
 def weil_complex(q: int, framed: bool = True) -> tuple[GeneratorSet, Differential]:
@@ -33,9 +48,7 @@ def weil_complex(q: int, framed: bool = True) -> tuple[GeneratorSet, Differentia
     Framed: Lambda(y_1..y_q) tensor Q[c_1..c_q], polynomial degree <= 2q.
     Unframed: only odd-indexed y_i survive (largest odd index <= q).
     """
-    require_int("q", q)
-    if q < 1:
-        raise ValueError("codimension must be a positive integer")
+    _codimension(q)
     ys = range(1, q + 1) if framed else range(1, q + 1, 2)
     exterior = tuple((f"y{i}", 2 * i - 1) for i in ys)
     poly = tuple((f"c{i}", 2 * i, None) for i in range(1, q + 1))
@@ -129,9 +142,7 @@ def vey_basis(q: int, min_degree: int | None = None,
     followed by any subset of (i_1, q].  The unit class is excluded;
     report it separately when counting degree 0.
     """
-    require_int("q", q)
-    if q < 1:
-        raise ValueError("codimension must be a positive integer")
+    _codimension(q)
     out = []
     for i1 in range(1, q + 1):
         parts = range(i1, q + 1)
@@ -181,9 +192,7 @@ def spherical_rigid_count(q: int) -> int:
     """The number of entries :func:`spherical_rigid_classes` lists, without
     listing them: 2^(B-1) in family A, B = floor((q+2)/4), plus 1 in
     family B when q = 2 mod 4."""
-    require_int("q", q)
-    if q % 2 == 1 or q < 4:
-        raise OddCodimension("families are defined for even codimension >= 4")
+    _even_codimension(q)
     return (1 << ((q + 2) // 4 - 1)) + (q % 4 == 2)
 
 
@@ -195,9 +204,7 @@ def spherical_rigid_classes(q: int) -> list[RigidFamilyEntry]:
     Family B (only when q = 2 mod 4): y_{2k} c_{2k} with k = (q+2)/4.
     Every entry is checked against basis membership and rigidity.
     """
-    require_int("q", q)
-    if q % 2 == 1 or q < 4:
-        raise OddCodimension("families are defined for even codimension >= 4")
+    _even_codimension(q)
     m = q // 2
     top = (q + 2) // 4
     pool = [2 * k for k in range(2, top + 1)]

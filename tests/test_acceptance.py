@@ -11,10 +11,10 @@ from secclasses import acceptance
 from secclasses.acceptance import CRITERIA
 
 
-@pytest.mark.parametrize("name,criterion", CRITERIA,
-                         ids=[name for name, _ in CRITERIA])
-def test_criterion(name, criterion):
-    ok, detail = criterion()
+@pytest.mark.parametrize("name,criterion,budget", CRITERIA,
+                         ids=[name for name, _, _ in CRITERIA])
+def test_criterion(name, criterion, budget):
+    ok, detail = acceptance.run(criterion, budget)
     print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
     assert ok, f"{name}: {detail}"
 
@@ -46,12 +46,27 @@ def test_passing_details_carry_no_timing():
             assert not TIMING.search(detail), f"{name}: {detail}"
 
 
-def test_budget_failure_names_the_elapsed_time(monkeypatch):
-    # the runtime budget is still enforced once timings left the details
+def _slow_clock(monkeypatch):
+    """Make every read of the clock 1000 s later than the one before."""
     clock = iter(range(0, 10 ** 6, 1000))
     monkeypatch.setattr(acceptance, "time",
                         SimpleNamespace(perf_counter=lambda: next(clock)))
-    ok, detail = acceptance.criterion_projective_family()
+
+
+def test_budget_failure_names_the_elapsed_time(monkeypatch):
+    # the runtime budget is still enforced once timings left the details
+    _slow_clock(monkeypatch)
+    _, criterion, budget = next(row for row in CRITERIA
+                                if row[0] == "6-projective-frame-certificate")
+    ok, detail = acceptance.run(criterion, budget)
     assert not ok
     assert detail == "runtime budget exceeded: 1000.0s >= 120s"
     assert TIMING.search(detail)
+
+
+def test_run_keeps_a_failure_and_times_only_budgeted_criteria(monkeypatch):
+    _slow_clock(monkeypatch)
+    assert acceptance.run(lambda: (False, "broken"), 30) == (False, "broken")
+    assert acceptance.run(lambda: (True, "fine"), None) == (True, "fine")
+    assert [budget for _, _, budget in CRITERIA] == [
+        30, 120, None, 60, None, 120, None, None, None, None]

@@ -279,9 +279,13 @@ def test_generator_set_validation():
     (lambda: weil_complex(2)[0].monomial((), (True, 0)), "exponent"),
     (lambda: weil_complex(2)[0].monomial((0.0,), (0, 0)), "exterior index"),
     (lambda: weil_complex(2)[0].monomial((True,), (0, 0)), "exterior index"),
+    # 2.0 would fail inside range, and True would read as x ** 1
+    (lambda: weil_complex(2)[0].generator("c1") ** 2.0, "exponent"),
+    (lambda: weil_complex(2)[0].generator("c1") ** True, "exponent"),
 ], ids=["float-odd-degree", "bool-odd-degree", "float-even-degree", "float-cap",
         "bool-cap", "float-truncation", "bool-truncation", "float-exponent",
-        "bool-exponent", "float-exterior-index", "bool-exterior-index"])
+        "bool-exponent", "float-exterior-index", "bool-exterior-index",
+        "float-power", "bool-power"])
 def test_generator_set_rejects_non_integers(make, name):
     with pytest.raises(TypeError, match=f"^{name} must be an int"):
         make()

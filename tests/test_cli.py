@@ -15,8 +15,10 @@ import pytest
 
 import secclasses
 from secclasses import acceptance, cli, frames, models, weil
+from secclasses.algebra import GeneratorMismatch, InexactCoefficient, SecclassesError
 from secclasses.cli import main
-from secclasses.dga import NotACocycle
+from secclasses.dga import DegreeMismatch, NotACocycle
+from secclasses.weil import IndexOutOfRange, OddCodimension
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schemas" / "report.v1.json")
@@ -49,6 +51,20 @@ def test_vey_rigid_only_includes_degree_11_class(capsys):
     assert "y2*c2^2" in classes
     assert classes["y2*c2^2"]["degree"] == 11
     assert all(c["rigid"] for c in classes.values())
+
+
+def test_vey_rigid_only_decides_rigidity_once_per_class(capsys, monkeypatch):
+    calls = []
+    real = weil.VeyIndex.is_rigid
+
+    def counted(self, q):
+        calls.append(self)
+        return real(self, q)
+
+    monkeypatch.setattr(weil.VeyIndex, "is_rigid", counted)
+    code, _, _ = run(capsys, "vey", "--q", "6", "--rigid-only")
+    assert code == 0
+    assert len(calls) == len(set(calls)) == len(weil.vey_basis(6))
 
 
 def test_vey_usage_error(capsys):
@@ -128,36 +144,95 @@ def test_cohomology_huge_max_degree_exit_3(capsys):
     assert "100000001 rows" in err and "budget" in err
 
 
-def test_package_exceptions_exit_4(capsys, monkeypatch):
-    def raise_not_a_cocycle(args):
-        raise NotACocycle("d(x) != 0")
+PACKAGE_EXCEPTIONS = [DegreeMismatch, GeneratorMismatch, IndexOutOfRange,
+                      InexactCoefficient, NotACocycle, OddCodimension]
 
-    monkeypatch.setattr(cli, "cmd_vey", raise_not_a_cocycle)
+
+def _exit_of(capsys, monkeypatch, error):
+    """The exit code and stderr of a ``vey`` run whose command raises ``error``."""
+    def raise_error(args):
+        raise error("an invariant failed")
+
+    monkeypatch.setattr(cli, "cmd_vey", raise_error)
     code, out, err = run(capsys, "vey", "--q", "1")
-    assert code == 4
     assert out == ""
-    assert "NotACocycle" in err
+    return code, err
+
+
+@pytest.mark.parametrize("error", PACKAGE_EXCEPTIONS,
+                         ids=[e.__name__ for e in PACKAGE_EXCEPTIONS])
+def test_each_package_exception_exits_4(capsys, monkeypatch, error):
+    code, err = _exit_of(capsys, monkeypatch, error)
+    assert code == 4
+    assert f"internal error: {error.__name__}: an invariant failed" in err
+    # each keeps its builtin base, so callers catching ValueError/TypeError still do
+    assert issubclass(error, SecclassesError)
+    assert issubclass(error, TypeError if error is InexactCoefficient else ValueError)
+
+
+def test_package_exceptions_exit_4(capsys, monkeypatch):
+    # the CLI catches the base class, so a new package exception needs no list entry
+    class NewInvariant(SecclassesError, ValueError):
+        pass
+
+    code, err = _exit_of(capsys, monkeypatch, NewInvariant)
+    assert code == 4
+    assert "NewInvariant" in err
 
 
 def test_index_out_of_range_is_one_class_re_exported_from_frames():
     assert frames.IndexOutOfRange is weil.IndexOutOfRange
     assert secclasses.IndexOutOfRange is weil.IndexOutOfRange
-    assert weil.IndexOutOfRange in cli.INVARIANT_VIOLATIONS
+    assert issubclass(weil.IndexOutOfRange, secclasses.SecclassesError)
+
+
+def _fresh_interpreter(code: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter."""
+    src = Path(secclasses.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
 
 
 def _modules_loaded_by(*argv) -> set[str]:
     """The modules a fresh interpreter holds after one CLI run; this one has
     imported every module."""
-    src = Path(secclasses.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    code = ("import io, json, sys\n"
-            "from secclasses.cli import main\n"
-            "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
-            f"assert main({list(argv)!r}) == 0\n"
-            "stdout.write(json.dumps(list(sys.modules)))\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    return set(json.loads(out))
+    return set(json.loads(_fresh_interpreter(
+        "import io, json, sys\n"
+        "from secclasses.cli import main\n"
+        "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
+        f"assert main({list(argv)!r}) == 0\n"
+        "stdout.write(json.dumps(list(sys.modules)))\n")))
+
+
+def _package_modules(loaded: set[str]) -> set[str]:
+    return {m for m in loaded if m == "secclasses" or m.startswith("secclasses.")}
+
+
+BASE_MODULES = {"secclasses", "secclasses.algebra", "secclasses.cli", "secclasses.dga",
+                "secclasses.linalg", "secclasses.reporting", "secclasses.weil"}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("cohomology", "--q", "8", "--format", "json"), BASE_MODULES),
+    (("frame", "--case", "2k", "--k", "6", "--format", "json"),
+     BASE_MODULES | {"secclasses.frames", "secclasses.models"}),
+], ids=["cohomology-q8", "frame-2k-k6"])
+def test_benchmark_jobs_load_exactly_their_modules(argv, expected):
+    assert _package_modules(_modules_loaded_by(*argv)) == expected
+
+
+def test_importing_the_package_loads_no_submodule():
+    out = _fresh_interpreter("import json, sys, secclasses\n"
+                             "print(json.dumps(list(sys.modules)))\n")
+    assert _package_modules(set(json.loads(out))) == {"secclasses"}
+
+
+def test_table_modules_resolve_as_package_attributes():
+    out = _fresh_interpreter("import secclasses\n"
+                             "print(secclasses.dga.cohomology.__module__)\n"
+                             "print(secclasses.frames.FrameModel.__module__)\n")
+    assert out.split() == ["secclasses.dga", "secclasses.frames"]
 
 
 def test_cohomology_loads_no_frames_models_or_acceptance():

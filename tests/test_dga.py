@@ -397,6 +397,21 @@ def test_a_huge_max_degree_stores_only_the_computed_degrees():
     assert _euler_characteristics(report) == _euler_characteristics(cohomology(gens, d))
 
 
+@pytest.mark.parametrize("max_degree", [True, 2.0], ids=["bool", "float"])
+def test_non_integer_max_degree_rejected(max_degree):
+    # True would read as degree 1, and 2.0 would fail inside range
+    gens, d = weil_complex(1)
+    with pytest.raises(TypeError, match="^max_degree must be an int"):
+        cohomology(gens, d, max_degree)
+
+
+def test_negative_max_degree_rejected():
+    # -3 would give an empty report whose max_degree is -3
+    gens, d = weil_complex(1)
+    with pytest.raises(ValueError, match="max_degree must be nonnegative"):
+        cohomology(gens, d, -3)
+
+
 def test_huge_reports_compare_without_listing_their_degrees():
     gens, d = weil_complex(1)
     start = time.perf_counter()

@@ -357,11 +357,12 @@ def test_a_zero_element_leaves_the_certified_classes_dependent():
     (lambda: permanence_family((2,), (2, 2), 4.0, ()), "q"),
     (lambda: permanence_family((2,), (2, 2), 4, (2.0,)), "twisting index"),
     (lambda: permanence_family((2,), (2, 2, 2), 6, (True,)), "twisting index"),
+    (lambda: build_frame_model(cp2(), canonical_bundle(cp2()), 2.0), "q"),
 ], ids=["projective-float", "projective-bool", "sphere-float", "projective-base",
         "sphere-base", "projective-reduced", "sphere-reduced", "independence",
         "admissible", "spherical-classes", "spherical-count", "symmetric-k",
         "symmetric-ell", "godbillon-vey-float", "godbillon-vey-bool", "permanence-q",
-        "permanence-r-float", "permanence-r-bool"])
+        "permanence-r-float", "permanence-r-bool", "frame-model-q-float"])
 def test_family_sizes_must_be_ints(call, name):
     with pytest.raises(TypeError, match=f"^{name} must be an int"):
         call()

@@ -189,3 +189,10 @@ def test_symmetric_multiple():
 def test_non_integer_factor_index_rejected(make, name):
     with pytest.raises(TypeError, match=f"^{name} must be an int"):
         make()
+
+
+@pytest.mark.parametrize("index", [0, 2, -1])
+def test_cp2_factor_index_must_be_1(index):
+    # any other index would build an ordinary CP^2 unequal to Factor("cp2", 1)
+    with pytest.raises(ValueError, match="index 1"):
+        Factor("cp2", index)
