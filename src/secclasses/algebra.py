@@ -139,7 +139,7 @@ class Record:
     """Immutable record: ``__init__`` sets the fields, the ``__slots__`` not starting
     with ``_``, in order with :meth:`_set`; setting or deleting one later raises
     ``AttributeError``.  They compare and hash by their fields within one class, or
-    by identity with ``eq=False``, and repr them; ``order=True`` completes ``__lt__``."""
+    by identity with ``eq=False``, and repr them; ``order=True`` orders by fields."""
 
     __slots__ = ()
 
@@ -147,14 +147,21 @@ class Record:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
         cls._key = operator.attrgetter(*cls._fields)
+        # the fields' slot descriptors: setting through them skips __setattr__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
         if order:
+            def __lt__(self, other):
+                if other.__class__ is not self.__class__:
+                    return NotImplemented
+                return self._key(self) < other._key(other)
+            cls.__lt__ = __lt__
             total_ordering(cls)
         if not eq:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
     def _set(self, *values) -> None:
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -179,7 +186,8 @@ class GeneratorSet(Record):
 
     ``exterior``: tuple of ``(name, degree)`` with odd degrees.
     ``poly``: tuple of ``(name, degree, cap)`` with even degrees; ``cap``
-    is the largest allowed exponent (``None`` = unbounded).
+    is the largest allowed exponent (``None`` = unbounded).  Both, and
+    their entries, are stored as tuples, so a set given in lists hashes.
     ``truncation``: monomials whose polynomial-part degree exceeds this
     bound are zero (0 = no bound).  Exterior degrees never count against
     the truncation.
@@ -192,7 +200,7 @@ class GeneratorSet(Record):
 
     def __init__(self, exterior: tuple[tuple[str, int], ...],
                  poly: tuple[tuple[str, int, int | None], ...], truncation: int = 0):
-        self._set(exterior, poly, truncation)
+        self._set(tuple(map(tuple, exterior)), tuple(map(tuple, poly)), truncation)
         names = [n for n, _ in self.exterior] + [n for n, _, _ in self.poly]
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")

@@ -63,7 +63,7 @@ from .linalg import Echelon, IntegerEliminator, _rank_int, kernel_from_columns
 
 
 class DegreeMismatch(SecclassesError, ValueError):
-    """A generator image fails the degree-(+1) contract."""
+    """A wrong degree or rank, or a generator map that does not commute with d."""
 
 
 class NotACocycle(SecclassesError, ValueError):
@@ -94,7 +94,8 @@ class Differential:
             if img is None or img.is_zero():
                 return zero
             if img.gens != gens:
-                raise DegreeMismatch(f"image of {name} lives over a different generator set")
+                raise GeneratorMismatch(
+                    f"image of {name} lives over a different generator set")
             if img.degree() != degree + 1:
                 raise DegreeMismatch(
                     f"d({name}) must have degree {degree + 1}, got {img.degree()}")

@@ -101,7 +101,7 @@ def build_frame_model(base: ModelRing, bundle: BundleMap, q: int,
     if q < 2:
         raise ValueError("frame models need q >= 2")
     if bundle.ring.gens != base.gens:
-        raise DegreeMismatch("bundle data must live over the base ring")
+        raise GeneratorMismatch("bundle data must live over the base ring")
     n_u = fiber_primitive_count(q)
     with_v = q % 2 == 0 and include_euler
     gens = GeneratorSet(_fiber_generators(q, with_v), base.gens.poly, base.gens.truncation)

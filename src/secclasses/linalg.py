@@ -24,9 +24,10 @@ reads the image rows it ranked again for the representatives.  The one
 place a ``Fraction`` is made is the monic residual :meth:`Echelon.add`
 returns, and only where its lead does not divide an entry.
 
-Pivot rule everywhere: rows are processed in the order given and the
-smallest column index of a row becomes its pivot.  This makes every
-result reproducible byte for byte.
+Pivot rule everywhere, kernels included: rows are processed in the order
+given, the smallest column index of a row becomes its pivot, and
+:func:`_keep` stores it content stripped with a positive lead.  This
+makes every result reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -223,7 +224,7 @@ def kernel_from_columns(columns: list[Row]) -> list[IntRow]:
                 break
             p = pivots.get(lead)
             if p is None:
-                pivots[lead] = r
+                _keep(pivots, r, lead)
                 break
             r = _cancel(r, p, lead)
     return out

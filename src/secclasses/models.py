@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Element, GeneratorSet, Mono, Record, exponent_vectors, require_int
+from .algebra import (Element, GeneratorMismatch, GeneratorSet, Mono, Record,
+                      exponent_vectors, require_int)
 from .dga import DegreeMismatch
 from .linalg import IntegerEliminator
 
@@ -111,12 +112,12 @@ class BundleMap(Record, eq=False):
         self._set(ring, rank, p_images, euler)
         for i, img in self.p_images.items():
             if img.gens != self.ring.gens:
-                raise DegreeMismatch(f"p_{i} image lives over a different ring")
+                raise GeneratorMismatch(f"p_{i} image lives over a different ring")
             if img and img.degree() != 4 * i:
                 raise DegreeMismatch(f"p_{i} image must have degree {4 * i}")
         if self.euler is not None and self.euler:
             if self.euler.gens != self.ring.gens:
-                raise DegreeMismatch("Euler image lives over a different ring")
+                raise GeneratorMismatch("Euler image lives over a different ring")
             if self.euler.degree() != self.rank:
                 raise DegreeMismatch(f"Euler image must have degree {self.rank}")
 
@@ -154,7 +155,7 @@ def whitney_sum(bundles: list[BundleMap]) -> BundleMap:
         raise ValueError("empty Whitney sum")
     ring = bundles[0].ring
     if any(b.ring.gens != ring.gens for b in bundles):
-        raise DegreeMismatch("Whitney sum factors must live over one ring")
+        raise GeneratorMismatch("Whitney sum factors must live over one ring")
     total = ring.unit()
     for b in bundles:
         total = total * b.total_class()
@@ -187,22 +188,17 @@ def canonical_bundle(ring: ModelRing) -> BundleMap:
 
 
 class PontrjaginMonomial(Record, order=True):
-    """p_1^{n_1} ... p_k^{n_k}, stored without trailing zero exponents."""
+    """p_1^{n_1} ... p_k^{n_k}, stored as a tuple without trailing zero exponents."""
 
     __slots__ = ("exps",)
 
     def __init__(self, exps: tuple[int, ...]):
-        self._set(exps)
+        self._set(tuple(exps))
         require_int("Pontrjagin exponent", *self.exps)
         if not self.exps or self.exps[-1] == 0:
             raise ValueError("exponent vector must end in a positive entry")
         if any(e < 0 for e in self.exps):
             raise ValueError("exponents must be nonnegative")
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.exps < other.exps
 
     @staticmethod
     def of(*exps: int) -> "PontrjaginMonomial":
@@ -266,7 +262,7 @@ def evaluate_on_cycle(x: Element, ring: ModelRing) -> Fraction:
     if ring.top is None:
         raise ValueError(f"{ring.label} has no fundamental class")
     if x.gens != ring.gens:
-        raise DegreeMismatch("element does not live over the cycle's ring")
+        raise GeneratorMismatch("element does not live over the cycle's ring")
     return x.coefficient(ring.top)
 
 

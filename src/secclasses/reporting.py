@@ -17,9 +17,8 @@ FORMATS = ("table", "json", "csv")
 
 
 def rat(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, int):
+    # an int by type, as in ``require_int``: a bool is no rational
+    if isinstance(value, Fraction) or type(value) is int:
         return str(value)
     raise TypeError(f"not a rational: {value!r}")
 

@@ -60,22 +60,16 @@ def weil_complex(q: int, framed: bool = True) -> tuple[GeneratorSet, Differentia
 class VeyIndex(Record, order=True):
     """The pair (I, J) indexing a monomial y_I c_J.
 
-    I is strictly increasing, J nondecreasing, entries in [1, q].  The
-    empty pair stands for the unit class and is never a basis member.
+    I is strictly increasing, J nondecreasing, entries in [1, q], both
+    stored as tuples.  The empty pair stands for the unit class and is
+    never a basis member.
     """
 
     __slots__ = ("I", "J")
 
     def __init__(self, I: tuple[int, ...], J: tuple[int, ...]):
-        # set directly, as _set costs a loop: a vey job builds 10^4 to 10^5 indices
-        object.__setattr__(self, "I", I)
-        object.__setattr__(self, "J", J)
+        self._set(tuple(I), tuple(J))
         self.__post_init__()
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.I, self.J) < (other.I, other.J)
 
     # a separate method so that a tracer can count constructions by patching it
     def __post_init__(self):

@@ -14,7 +14,7 @@ import jsonschema
 import pytest
 
 import secclasses
-from secclasses import acceptance, cli, frames, models, weil
+from secclasses import acceptance, cli, frames, models, reporting, weil
 from secclasses.algebra import GeneratorMismatch, InexactCoefficient, SecclassesError
 from secclasses.cli import main
 from secclasses.dga import DegreeMismatch, NotACocycle
@@ -142,6 +142,13 @@ def test_cohomology_huge_max_degree_exit_3(capsys):
     assert code == 3
     assert out == ""
     assert "100000001 rows" in err and "budget" in err
+
+
+@pytest.mark.parametrize("value", [True, False, 0.5, "1"])
+def test_rat_rejects_what_is_not_an_int_or_a_fraction(value):
+    # a bool is an int subclass, but no rational, as in require_int
+    with pytest.raises(TypeError, match="not a rational"):
+        reporting.rat(value)
 
 
 PACKAGE_EXCEPTIONS = [DegreeMismatch, GeneratorMismatch, IndexOutOfRange,

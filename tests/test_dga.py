@@ -43,6 +43,8 @@ def test_apply_d_is_linear():
 
 @pytest.mark.parametrize("call", [
     pytest.param(lambda g2, d2, g3, d3: d3(g2.generator("y2")), id="differential"),
+    pytest.param(lambda g2, d2, g3, d3: Differential(g2, {"y1": g3.generator("c1")}),
+                 id="differential-image"),
     pytest.param(lambda g2, d2, g3, d3: cohomology(g3, d2), id="cohomology"),
     pytest.param(lambda g2, d2, g3, d3: class_nonzero(
         g2, d3, g3.generator("y1") * g3.generator("c1") ** 3), id="class_nonzero"),
@@ -630,6 +632,18 @@ def test_membership_rejects_a_monomial_outside_the_complex():
         x = Element(gens, {((), exps): 1})
         with pytest.raises(ValueError, match="not a monomial of the complex"):
             classes_mod_image(d, [x])
+    # the layout's lookups do not catch every such part, so mono_valid must:
+    # on W_2, c1^-3 c2 has the code of c1^2 and polynomial degree -2, so on
+    # the layout for c1^2 + c1^-3 c2 (degrees 0..5) _Layout.row reads
+    # offsets[-2], that is offsets[4], and returns the row of c1^2
+    gens, d = weil_complex(2)
+    square, alias = ((), (2, 0)), ((), (-3, 1))
+    layout = dga._Layout(gens, d, 5)
+    assert layout._code(alias[1]) == layout._code(square[1])
+    assert gens.poly_degree(alias[1]) == -2
+    assert layout.row(alias) == (-2, layout.row(square)[1])
+    with pytest.raises(ValueError, match="not a monomial of the complex"):
+        classes_mod_image(d, [Element(gens, {square: 1, alias: 1})])
 
 
 def test_membership_on_a_cocycle_spanning_two_blocks():

@@ -7,7 +7,7 @@ from math import comb, factorial
 import pytest
 
 from secclasses import dga
-from secclasses.algebra import Element, basis_of_degree
+from secclasses.algebra import Element, GeneratorMismatch, SecclassesError, basis_of_degree
 from secclasses.dga import DegreeMismatch, Differential
 from secclasses.frames import (CertifiedClass, CharacteristicMap, FrameModel, IndexOutOfRange,
                                _certificate, _certify, _certify_reduced, _inclusion,
@@ -17,8 +17,9 @@ from secclasses.frames import (CertifiedClass, CharacteristicMap, FrameModel, In
                                projective_reduced_model, sphere_base_model,
                                sphere_reduced_model)
 from secclasses.models import (BundleMap, Factor, admissible_monomials,
-                               canonical_bundle, cp2, independence_certificate,
-                               product_model, sphere_model, verify_symmetric_multiple)
+                               canonical_bundle, cp2, evaluate_on_cycle,
+                               independence_certificate, product_model, sphere_model,
+                               verify_symmetric_multiple, whitney_sum)
 from secclasses.weil import (VeyIndex, godbillon_vey, spherical_rigid_classes,
                              spherical_rigid_count)
 from test_dga import _random_in_degree
@@ -113,6 +114,32 @@ def test_a_bundle_of_another_rank_is_rejected():
         build_frame_model(base, bundle, 5)
     with pytest.raises(DegreeMismatch, match="rank-2 bundle"):
         build_frame_model(base, bundle, 4, include_euler=False)
+
+
+def _cp2_squared():
+    return product_model([Factor("cp2", 1), Factor("cp2", 1)])
+
+
+def _a1():
+    """A degree-2 element over (CP^2)^2, foreign to CP^2."""
+    return _cp2_squared().gens.generator("a1")
+
+
+# the sites of models and frames; Differential's is in test_dga
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: BundleMap(cp2(), 4, {1: _a1() * _a1()}), id="BundleMap-p"),
+    pytest.param(lambda: BundleMap(cp2(), 2, {}, euler=_a1()), id="BundleMap-euler"),
+    pytest.param(lambda: whitney_sum([BundleMap(cp2(), 2, {}),
+                                      BundleMap(_cp2_squared(), 2, {})]), id="whitney_sum"),
+    pytest.param(lambda: evaluate_on_cycle(_a1() * _a1(), cp2()), id="evaluate_on_cycle"),
+    pytest.param(lambda: build_frame_model(cp2(), BundleMap(_cp2_squared(), 2, {}), 2),
+                 id="build_frame_model"),
+])
+def test_a_value_over_a_foreign_ring_raises_generator_mismatch(call):
+    with pytest.raises(GeneratorMismatch, match="live") as caught:
+        call()
+    # still a ValueError and a package error, so the CLI exits 4 with the same message
+    assert isinstance(caught.value, ValueError) and isinstance(caught.value, SecclassesError)
 
 
 def test_characteristic_map_checks_the_chain_property():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from secclasses.algebra import Element, GeneratorSet
+from secclasses.algebra import Element, GeneratorSet, basis_of_degree
 from secclasses.dga import CohomologyReport, DegreeSlice, Differential, _Slices
 from secclasses.frames import CertifiedClass, FrameCertificate, FrameModel
 from secclasses.models import (SPHERE_NORMALIZATION_NOTE, BundleMap, CertificateBlock,
@@ -117,3 +117,22 @@ def test_record_semantics(cls, kwargs, defaults, eq, text):
             assert op(x, y) == op(FIELDS[cls](x), FIELDS[cls](y))
     with pytest.raises(TypeError):
         record < (stranger if samples else record)
+
+
+# (the record built from lists, its twin from tuples, a use that hashes it)
+LIST_FIELDS = [
+    (lambda: GeneratorSet([["y1", 1]], [["c1", 2, None]], 2),
+     lambda: GeneratorSet((("y1", 1),), (("c1", 2, None),), 2),
+     lambda gens: (basis_of_degree(gens, 3), gens.dimension())),
+    (lambda: VeyIndex([1], [1, 1]), lambda: VeyIndex((1,), (1, 1)), lambda v: {v}),
+    (lambda: PontrjaginMonomial([1, 1]), lambda: PontrjaginMonomial((1, 1)),
+     lambda m: {m}),
+]
+
+
+@pytest.mark.parametrize("make, make_twin, use", LIST_FIELDS,
+                         ids=["GeneratorSet", "VeyIndex", "PontrjaginMonomial"])
+def test_list_fields_are_stored_as_tuples(make, make_twin, use):
+    record, twin = make(), make_twin()
+    assert record == twin and hash(record) == hash(twin) and repr(record) == repr(twin)
+    assert use(record) == use(twin)
