@@ -28,11 +28,9 @@ SEED = 43113
 def random_monomial(gens: GeneratorSet, rng: random.Random):
     ext = tuple(i for i in range(gens.n_exterior) if rng.random() < 0.5)
     exps = []
-    budget = gens.truncation or 10 ** 9
-    for _, deg, cap in gens.poly:
-        emax = budget // deg
-        if cap is not None:
-            emax = min(emax, cap)
+    budget = gens._bound
+    for deg, most in zip(gens._weights, gens._most):
+        emax = min(most, budget // deg)
         e = rng.randint(0, emax) if emax > 0 else 0
         # bias toward sparse exponents so products rarely vanish outright
         if rng.random() < 0.5:

@@ -4,8 +4,10 @@ Everything in this package lives over a fixed :class:`GeneratorSet`: an
 ordered family of odd-degree exterior generators (whose squares vanish)
 and even-degree polynomial generators, together with an optional bound on
 the polynomial-part degree and optional per-generator exponent caps.  The
-degree bound and the caps cut out the only ideals we ever quotient by,
-which keeps every ring a finite combinatorial object.
+degree bound and the caps cut out the only ideals we ever quotient by, and
+every ring is finite: a generator without a cap needs the degree bound.
+So each ring has one largest polynomial-part degree and one largest
+exponent per generator, computed once at construction.
 
 A monomial is a pair ``(ext, exps)``: a strictly increasing tuple of
 positions into the exterior generator list, and a full-length exponent
@@ -15,18 +17,19 @@ sequences; even-degree generators commute with everything, so no other
 sign ever appears.
 
 Coefficients are :class:`fractions.Fraction` throughout, and no floating
-point is used anywhere.  A coefficient is checked once, where it enters:
-the public ``Element(gens, terms)`` and :meth:`Element.scale` accept int
-and Fraction coefficients, store them as Fractions and raise
+point is used anywhere.  A term is checked once, where it enters: the
+public ``Element(gens, terms)`` accepts only monomials of the ring
+(int indices and exponents, else ``TypeError``; within the ring, else
+``ValueError``), and it and :meth:`Element.scale` accept int and Fraction
+coefficients, store them as Fractions and raise
 :class:`InexactCoefficient` on anything else, floats included.  Every
-result the package computes from stored Fractions is built by the trusted
+result the package computes from stored terms is built by the trusted
 :meth:`Element._of`, which only drops zeros.  Equality of elements is
 structural equality of their canonical term maps.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 from functools import lru_cache, total_ordering
@@ -186,17 +189,19 @@ class GeneratorSet(Record):
 
     ``exterior``: tuple of ``(name, degree)`` with odd degrees.
     ``poly``: tuple of ``(name, degree, cap)`` with even degrees; ``cap``
-    is the largest allowed exponent (``None`` = unbounded).  Both, and
+    is the largest allowed exponent (``None`` = no cap).  Both, and
     their entries, are stored as tuples, so a set given in lists hashes.
     ``truncation``: monomials whose polynomial-part degree exceeds this
     bound are zero (0 = no bound).  Exterior degrees never count against
-    the truncation.
+    the truncation.  The ring must be finite, so a generator without a
+    cap needs a truncation (else ``ValueError`` naming it).
 
     The generator order is fixed at construction and is the canonical
     sort order used for all sign computations.
     """
 
-    __slots__ = ("exterior", "poly", "truncation", "_caps", "_weights", "_index")
+    __slots__ = ("exterior", "poly", "truncation", "_bound", "_most", "_caps", "_weights",
+                 "_index")
 
     def __init__(self, exterior: tuple[tuple[str, int], ...],
                  poly: tuple[tuple[str, int, int | None], ...], truncation: int = 0):
@@ -219,11 +224,23 @@ class GeneratorSet(Record):
         require_int("truncation", self.truncation)
         if self.truncation < 0:
             raise ValueError("truncation must be nonnegative")
-        # derived once for mono_mul; not fields, so not compared or hashed
-        caps = [cap for _, _, cap in self.poly]
-        object.__setattr__(self, "_caps", tuple(
-            math.inf if cap is None else cap for cap in caps)
-            if any(cap is not None for cap in caps) else None)
+        uncapped = [name for name, _, cap in self.poly if cap is None]
+        if uncapped and not self.truncation:
+            raise ValueError(f"polynomial generator {uncapped[0]} has no cap, "
+                             "so the ring needs a truncation")
+        # derived once; not fields, so not compared or hashed.  _bound is the
+        # largest polynomial-part degree, _most[j] the largest exponent of
+        # generator j: both the truncation and the caps bind
+        bound = self.truncation
+        if not uncapped:
+            capped = sum(deg * cap for _, deg, cap in self.poly)
+            bound = min(bound, capped) if bound else capped
+        most = tuple(bound // deg if cap is None else min(cap, bound // deg)
+                     for _, deg, cap in self.poly)
+        object.__setattr__(self, "_bound", bound)
+        object.__setattr__(self, "_most", most)
+        # for mono_mul, which checks exponents only when some cap is given
+        object.__setattr__(self, "_caps", None if len(uncapped) == len(most) else most)
         object.__setattr__(self, "_weights", tuple(deg for _, deg, _ in self.poly))
         # for generator(): exterior names first, then polynomial ones
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
@@ -256,12 +273,9 @@ class GeneratorSet(Record):
             return False
         if any(ext[i] >= ext[i + 1] for i in range(len(ext) - 1)):
             return False
-        for e, (_, _, cap) in zip(exps, self.poly):
-            if e < 0 or (cap is not None and e > cap):
-                return False
-        if self.truncation and self.poly_degree(exps) > self.truncation:
+        if not all(0 <= e <= most for e, most in zip(exps, self._most)):
             return False
-        return True
+        return self.poly_degree(exps) <= self._bound
 
     # -- multiplication ------------------------------------------------
 
@@ -299,94 +313,67 @@ class GeneratorSet(Record):
 
     def monomial(self, ext: tuple[int, ...], exps: tuple[int, ...],
                  coeff=_ONE) -> "Element":
-        m = (tuple(ext), tuple(exps))
-        require_int("exterior index", *m[0])
-        require_int("exponent", *m[1])
-        if not self.mono_valid(m):
-            raise ValueError(f"invalid monomial {m} over this generator set")
-        return Element(self, {m: coeff})
+        return Element(self, {(tuple(ext), tuple(exps)): coeff})
 
     # -- counting and printing -------------------------------------------
 
-    def dimension(self) -> int | None:
-        """Total number of monomials, or None when infinite."""
-        n_poly = count_poly_monomials(self)
-        if n_poly is None:
-            return None
-        return (1 << self.n_exterior) * n_poly
+    def dimension(self) -> int:
+        """Total number of monomials."""
+        return (1 << self.n_exterior) * count_poly_monomials(self)
 
-    def top_degree(self) -> int | None:
-        """Largest degree of a nonzero monomial, or None when unbounded."""
-        bound = _poly_degree_bound(self)
-        return None if bound is None else sum(d for _, d in self.exterior) + bound
+    def top_degree(self) -> int:
+        """Largest degree of a nonzero monomial."""
+        counts = _poly_counts(self)
+        top = max(d for d, ways in enumerate(counts) if ways)
+        return sum(d for _, d in self.exterior) + top
 
     def mono_str(self, m: Mono) -> str:
         ext, exps = m
-        parts = [self.exterior[i][0] for i in ext]
-        for (name, _, _), e in zip(self.poly, exps):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts) if parts else "1"
+        return power_label([(self.exterior[i][0], 1) for i in ext]
+                           + [(name, e) for (name, _, _), e in zip(self.poly, exps)])
 
 
-def _poly_degree_bound(gens: GeneratorSet) -> int | None:
-    """The largest polynomial-part degree of a monomial: the smaller of the
-    truncation and sum deg * cap, None when both are unbounded."""
-    if any(cap is None for _, _, cap in gens.poly):
-        return gens.truncation or None
-    capped = sum(deg * cap for _, deg, cap in gens.poly)
-    return min(gens.truncation, capped) if gens.truncation else capped
+def power_label(pairs) -> str:
+    """``name`` or ``name^e`` for each ``(name, e)`` with e nonzero, joined
+    by ``*``; ``1`` when none is left."""
+    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in pairs if e) or "1"
 
 
 @lru_cache(maxsize=None)
-def count_poly_monomials(gens: GeneratorSet) -> int | None:
-    """Number of polynomial monomials respecting caps and truncation.
+def _poly_counts(gens: GeneratorSet) -> tuple[int, ...]:
+    """The number of polynomial monomials of each degree 0..``_bound``.
 
-    Counted without enumeration so dimension guards stay cheap.  Returns
-    None when the count is infinite (some generator unbounded and no
-    truncation).
+    Counted without enumeration, so dimension guards stay cheap.
     """
-    bound = _poly_degree_bound(gens)
-    if bound is None:
-        return None
+    bound = gens._bound
     # ways[d] = number of exponent vectors of polynomial degree exactly d
     ways = [0] * (bound + 1)
     ways[0] = 1
-    for _, deg, cap in gens.poly:
+    for deg, most in zip(gens._weights, gens._most):
         nxt = [0] * (bound + 1)
-        emax_global = bound // deg if cap is None else cap
         for d in range(bound + 1):
             if not ways[d]:
                 continue
-            emax = min(emax_global, (bound - d) // deg)
-            for e in range(emax + 1):
+            for e in range(min(most, (bound - d) // deg) + 1):
                 nxt[d + e * deg] += ways[d]
         ways = nxt
-    return sum(ways)
+    return tuple(ways)
+
+
+def count_poly_monomials(gens: GeneratorSet) -> int:
+    """Number of polynomial monomials respecting caps and truncation."""
+    return sum(_poly_counts(gens))
 
 
 @lru_cache(maxsize=None)
-def _poly_parts_by_degree(gens: GeneratorSet, budget: int) -> dict[int, list[tuple[int, ...]]]:
-    """Polynomial exponent tuples of degree <= budget, bucketed by degree."""
-    weights = [deg for _, deg, _ in gens.poly]
-    caps = [cap for _, _, cap in gens.poly]
+def poly_parts(gens: GeneratorSet) -> dict[int, list[tuple[int, ...]]]:
+    """Every polynomial exponent tuple of the ring, bucketed by degree, each
+    bucket in lexicographic order; enumerated once per generator set, with
+    the exponent ceilings ``_most`` as caps."""
     out: dict[int, list[tuple[int, ...]]] = {}
-    for exps, degree in exponent_vectors(weights, budget, caps):
+    for exps, degree in exponent_vectors(gens._weights, gens._bound, gens._most):
         out.setdefault(degree, []).append(exps)
     return out
-
-
-def poly_parts(gens: GeneratorSet, n: int) -> dict[int, list[tuple[int, ...]]]:
-    """The polynomial exponent tuples of degree <= n, at least, bucketed by
-    degree, each bucket in lexicographic order.
-
-    A bounded ring shares one enumeration across every n; an unbounded one
-    needs polynomial parts up to n.
-    """
-    budget = _poly_degree_bound(gens)
-    return _poly_parts_by_degree(gens, n if budget is None else budget)
 
 
 @lru_cache(maxsize=None)
@@ -405,7 +392,7 @@ def basis_of_degree(gens: GeneratorSet, n: int) -> tuple[Mono, ...]:
     """
     if n < 0:
         return ()
-    poly = poly_parts(gens, n)
+    poly = poly_parts(gens)
     out: list[Mono] = []
     for ext, d in exterior_subsets(gens):
         parts = poly.get(n - d)
@@ -427,8 +414,15 @@ class Element:
     __slots__ = ("gens", "terms")
 
     def __init__(self, gens: GeneratorSet, terms: dict[Mono, Fraction] | None = None):
+        terms = terms or {}
+        for m in terms:
+            ext, exps = m
+            require_int("exterior index", *ext)
+            require_int("exponent", *exps)
+            if not gens.mono_valid(m):
+                raise ValueError(f"invalid monomial {m} over this generator set")
         self.gens = gens
-        self.terms = {m: v for m, c in (terms or {}).items() if (v := _exact(c))}
+        self.terms = {m: v for m, c in terms.items() if (v := _exact(c))}
 
     @classmethod
     def _of(cls, gens: GeneratorSet, terms: dict[Mono, Fraction]) -> "Element":

@@ -2,8 +2,9 @@
 
 A complex is pure: d maps each exterior generator into the polynomial
 subring and vanishes on the polynomial generators, as on every complex of
-the paper, so d^2 = 0.  Degree slices are finite thanks to truncation, so
-cohomology reduces to exact rank computations degree by degree.
+the paper, so d^2 = 0.  Every complex is finite (a :class:`GeneratorSet`
+rejects an unbounded ring), so cohomology reduces to exact rank
+computations degree by degree.
 
 Cohomology dimensions come from ranks,
 ``dim H^n = chain_dim_n - rank d_n - rank d_{n-1}``, computed on Python
@@ -220,10 +221,10 @@ class _Layout:
     d(y_(E_p)), T being the id of E without E_p and c that term's
     coefficient times (-1)^p and the scale s.
 
-    ``code(x)`` is x as one integer, digit j in radix 2 M_j + 1, M_j the
-    largest exponent of generator j in a part.  code(x + b) = code(x) +
-    code(b), and for b_j in [0, M_j] every digit of x + b is in [0, 2 M_j],
-    where no two vectors share a code.  So the one lookup
+    ``code(x)`` is x as one integer, digit j in radix 2 M_j + 1, M_j =
+    ``gens._most[j]`` the largest exponent of generator j in a part.
+    code(x + b) = code(x) + code(b), and for b_j in [0, M_j] every digit of
+    x + b is in [0, 2 M_j], where no two vectors share a code.  So the one lookup
     ``pos.get(code(x) + code(b))`` in :meth:`_shift` also drops the
     products that break a cap or the truncation.
 
@@ -237,12 +238,10 @@ class _Layout:
     def __init__(self, gens: GeneratorSet, d: Differential, top: int):
         self.gens = gens
         ext, self.ext_degrees = zip(*exterior_subsets(gens))
-        self.parts = poly_parts(gens, top)
-        self.most = [max(e) for e in zip(*(x for bucket in self.parts.values()
-                                           for x in bucket))]
+        self.parts = poly_parts(gens)
         self.radix = []
         r = 1
-        for m in self.most:
+        for m in gens._most:
             self.radix.append(r)
             r *= 2 * m + 1
         self.codes = {k: [self._code(x) for x in bucket]
@@ -260,7 +259,7 @@ class _Layout:
         terms = [[(b, c.numerator * (s // c.denominator))
                   for (_, b), c in image.terms.items()] for image in d.ext_images]
         # code(b) of each shift b, None when some b_j exceeds M_j
-        self.shift_codes = {b: self._code(b) if all(map(operator.le, b, self.most))
+        self.shift_codes = {b: self._code(b) if all(map(operator.le, b, gens._most))
                             else None for t in terms for b, _ in t}
         # a subset of degree top or more is never the source of a column
         self.images = [[(ext_id[E[:p] + E[p + 1:]], b, -c if p & 1 else c)
@@ -354,9 +353,9 @@ def cohomology(gens: GeneratorSet, d: Differential, max_degree: int | None = Non
     """Exact cohomology dimensions up to ``max_degree``, and representatives
     when ``representatives`` is true (else every slice's are None).
 
-    ``max_degree`` defaults to the top degree of the finite complex; the
-    degrees above the top one are empty and are neither laid out nor
-    stored.  Each dimension is ``chain_dim - rank d_n - rank d_{n-1}``,
+    Every complex is finite, and ``max_degree`` defaults to its top degree,
+    the largest degree of a nonzero monomial; the degrees above the top
+    one are empty and are neither laid out nor stored.  Each dimension is ``chain_dim - rank d_n - rank d_{n-1}``,
     rank d_n from one fraction-free elimination of the degree's columns,
     which :class:`_Layout` computes by index arithmetic up to degree
     ``min(max_degree, top) + 1`` as dicts of ints, and ranks with no
@@ -371,12 +370,10 @@ def cohomology(gens: GeneratorSet, d: Differential, max_degree: int | None = Non
     top = gens.top_degree()
     if max_degree is None:
         max_degree = top
-        if max_degree is None:
-            raise ValueError("complex is infinite; pass an explicit max_degree")
     require_int("max_degree", max_degree)
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    last = max_degree if top is None else min(max_degree, top)
+    last = min(max_degree, top)
     layout = _Layout(gens, d, last + 1)
     computed: dict[int, DegreeSlice] = {}
     prev_rank = 0

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import (Element, GeneratorMismatch, GeneratorSet, Mono, Record,
-                      exponent_vectors, require_int)
+                      exponent_vectors, power_label, require_int)
 from .dga import DegreeMismatch
 from .linalg import IntegerEliminator
 
@@ -212,13 +212,7 @@ class PontrjaginMonomial(Record, order=True):
         return sum(4 * i * e for i, e in enumerate(self.exps, start=1))
 
     def label(self) -> str:
-        parts = []
-        for i, e in enumerate(self.exps, start=1):
-            if e == 1:
-                parts.append(f"p{i}")
-            elif e > 1:
-                parts.append(f"p{i}^{e}")
-        return "*".join(parts)
+        return power_label((f"p{i}", e) for i, e in enumerate(self.exps, start=1))
 
 
 def admissible_monomials(q: int) -> list[PontrjaginMonomial]:

@@ -14,9 +14,10 @@ by :func:`spherical_rigid_classes`.
 from __future__ import annotations
 
 import operator
+from itertools import groupby
 
 from .algebra import (Element, GeneratorSet, Record, SecclassesError, exponent_vectors,
-                      require_int, subsets)
+                      power_label, require_int, subsets)
 from .dga import Differential
 
 
@@ -107,16 +108,8 @@ class VeyIndex(Record, order=True):
         return self.is_member(q) and self.I[0] + sum(self.J) >= q + 2
 
     def label(self) -> str:
-        parts = [f"y{i}" for i in self.I]
-        j = 0
-        while j < len(self.J):
-            k = j
-            while k < len(self.J) and self.J[k] == self.J[j]:
-                k += 1
-            e = k - j
-            parts.append(f"c{self.J[j]}" if e == 1 else f"c{self.J[j]}^{e}")
-            j = k
-        return "*".join(parts) if parts else "1"
+        return power_label([(f"y{i}", 1) for i in self.I]
+                           + [(f"c{j}", len(list(run))) for j, run in groupby(self.J)])
 
     def element(self, gens: GeneratorSet) -> Element:
         """The monomial y_I c_J over a framed complex's generators."""

@@ -9,8 +9,8 @@ import pytest
 from secclasses.algebra import (Element, GeneratorMismatch, GeneratorSet,
                                 InexactCoefficient, basis_of_degree,
                                 count_poly_monomials, exponent_vectors,
-                                exterior_subsets, merge_exterior, subsets)
-from secclasses.dga import cohomology
+                                exterior_subsets, merge_exterior, poly_parts, subsets)
+from secclasses.dga import Differential, cohomology
 from secclasses.frames import (CharacteristicMap, projective_base_model,
                                projective_reduced_model)
 from secclasses.models import Factor, canonical_bundle, product_model
@@ -255,6 +255,84 @@ def test_element_str():
     assert str(gens.zero()) == "0"
     assert str(gens.unit()) == "1"
     assert str(-gens.generator("y2")) == "-y2"
+
+
+def test_element_constructor_rejects_monomials_outside_the_ring():
+    gens, _ = weil_complex(1)
+    for m in (((0,), (5,)),    # y1*c1^5, above the truncation
+              ((0,), (-1,)),   # a negative exponent
+              ((0, 0), (0,)),  # a repeated exterior index
+              ((3,), (0,))):   # an exterior index out of range
+        with pytest.raises(ValueError, match=r"^invalid monomial"):
+            Element(gens, {m: 1})
+    with pytest.raises(TypeError, match="^exponent must be an int"):
+        Element(gens, {((0,), (1.0,)): 1})
+
+
+def test_unbounded_ring_is_rejected():
+    with pytest.raises(ValueError, match="generator p has no cap"):
+        GeneratorSet((), (("p", 2, None),))
+    with pytest.raises(ValueError, match="generator q has no cap"):
+        GeneratorSet((("x", 1),), (("p", 2, 1), ("q", 4, None)))
+    # a truncation or a cap on every generator makes the ring finite
+    assert GeneratorSet((), (("p", 2, None),), truncation=4).dimension() == 3
+    assert GeneratorSet((), (("p", 2, 3),)).dimension() == 4
+
+
+def test_top_degree_is_the_largest_nonempty_degree():
+    # p1^2 has degree 8 > 6, so the polynomial parts stop at p1 (degree 4)
+    # and the top is u1*p1, of degree 7, below 3 + truncation
+    gens = GeneratorSet((("u1", 3),), (("p1", 4, None),), truncation=6)
+    assert gens.top_degree() == 7
+    d = Differential(gens, {"u1": gens.generator("p1")})
+    report = cohomology(gens, d)
+    assert report.max_degree == 7 and list(report.by_degree) == list(range(8))
+
+
+def _random_ring(rng):
+    """1-4 polynomial generators of degree 2-6, caps None or 0-4,
+    truncation 0-12 (redrawn from 1-12 when the ring would be infinite),
+    and 0-2 exterior generators of degree 1-5."""
+    poly = tuple((f"p{j}", rng.choice((2, 4, 6)), rng.choice((None, 0, 1, 2, 3, 4)))
+                 for j in range(rng.randint(1, 4)))
+    exterior = tuple((f"x{i}", rng.choice((1, 3, 5))) for i in range(rng.randint(0, 2)))
+    truncation = rng.randint(0, 12)
+    if truncation == 0 and any(cap is None for _, _, cap in poly):
+        with pytest.raises(ValueError, match="has no cap"):
+            GeneratorSet(exterior, poly)
+        truncation = rng.randint(1, 12)
+    return GeneratorSet(exterior, poly, truncation)
+
+
+RING_SHAPES = [
+    # the truncation binds before the caps
+    GeneratorSet((("x", 1),), (("a", 2, 4), ("b", 4, 3)), truncation=6),
+    # b's degree exceeds the bound, so b never appears
+    GeneratorSet((("x", 1), ("y", 3)), (("a", 2, 1), ("b", 6, None)), truncation=4),
+    # no truncation: the caps alone bound the ring, one of them 0
+    GeneratorSet((("x", 3),), (("a", 2, 2), ("b", 4, 0), ("c", 6, 1))),
+]
+
+
+def test_ring_shape_matches_the_enumeration():
+    rng = random.Random(2026)
+    rings = RING_SHAPES + [_random_ring(rng) for _ in range(100)]
+    for gens in rings:
+        parts = [x for bucket in poly_parts(gens).values() for x in bucket]
+        assert list(gens._most) == [max(e) for e in zip(*parts)], gens
+        assert count_poly_monomials(gens) == len(parts), gens
+        ext_total = sum(deg for _, deg in gens.exterior)
+        sizes = [len(basis_of_degree(gens, n))
+                 for n in range(ext_total + gens._bound + 3)]
+        assert gens.dimension() == sum(sizes), gens
+        assert gens.top_degree() == max(n for n, size in enumerate(sizes) if size), gens
+        basis = {m for n, size in enumerate(sizes) if size
+                 for m in basis_of_degree(gens, n)}
+        for _ in range(40):
+            ext = tuple(sorted(rng.sample(range(gens.n_exterior + 1),
+                                          rng.randint(0, gens.n_exterior))))
+            exps = tuple(rng.randint(-1, most + 2) for most in gens._most)
+            assert gens.mono_valid((ext, exps)) == ((ext, exps) in basis), (gens, ext, exps)
 
 
 def test_generator_set_validation():

@@ -399,7 +399,7 @@ def test_certify_rejects_a_term_outside_the_model():
     # u1*a1^3 breaks the cap a1^3 = 0 of CP^2; d kills it, so the basis
     # check, not the cocycle check, must catch it
     model = projective_base_model(2)
-    bad = Element(model.gens, {((0,), (3, 0)): Fraction(1)})
+    bad = Element._of(model.gens, {((0,), (3, 0)): Fraction(1)})
     assert model.d(bad).is_zero()
     with pytest.raises(ValueError, match="outside the model"):
         _certify(model, [bad], ["bad"])

@@ -25,9 +25,9 @@ SLICES = _Slices({0: DegreeSlice(1, 1, ())}, 1, EMPTY)
 # (class, keyword arguments in field order, defaults left out of them,
 #  how records with equal fields compare, repr)
 CASES = [
-    (GeneratorSet, {"exterior": (("y1", 1),), "poly": (("c1", 2, None),)},
-     {"truncation": 0}, "fields",
-     "GeneratorSet(exterior=(('y1', 1),), poly=(('c1', 2, None),), truncation=0)"),
+    (GeneratorSet, {"exterior": (("y1", 1),), "poly": (("c1", 2, None),), "truncation": 2},
+     {}, "fields",
+     "GeneratorSet(exterior=(('y1', 1),), poly=(('c1', 2, None),), truncation=2)"),
     (DegreeSlice, {"chain_dim": 2, "dim": 1, "representatives": None}, {}, "fields",
      "DegreeSlice(chain_dim=2, dim=1, representatives=None)"),
     (_Slices, {"computed": {0: EMPTY}, "max_degree": 3, "empty": EMPTY}, {}, "unhashable",
