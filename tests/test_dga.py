@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from secclasses.algebra import Element, GeneratorMismatch, GeneratorSet, basis_of_degree
+from secclasses.algebra import (Element, GeneratorMismatch, GeneratorSet, basis_of_degree,
+                                exponent_vectors)
 from secclasses import dga, frames, linalg
 from secclasses.dga import (DegreeMismatch, Differential, NotACocycle,
                             class_nonzero, classes_mod_image, cohomology)
@@ -19,6 +20,7 @@ from secclasses.frames import (certify_projective_family, certify_sphere_family,
 from secclasses.linalg import rank
 from fraction_linalg import Echelon, kernel_from_columns
 from secclasses.weil import weil_complex
+from test_algebra import _random_ring
 
 
 def test_apply_d_on_generators():
@@ -699,3 +701,59 @@ def test_membership_reads_a_zero_element_as_zero():
     gens, d = weil_complex(2)
     assert classes_mod_image(d, [gens.zero()]) == ([False], False)
     assert classes_mod_image(d, [gens.unit(), gens.zero()]) == ([True, False], False)
+
+
+# -- seeded random pure complexes ----------------------------------------------
+
+def _random_pure_complex(rng):
+    """A ring of :func:`test_algebra._random_ring`'s polynomial shape with
+    1-4 exterior generators of odd degree 1-9, at most 240 monomials, and
+    a random pure differential: each image has 0-3 terms of degree
+    deg + 1, coefficients +-1..4 over 1, 2 or 3 (so the layout's scale
+    is not always 1)."""
+    while True:
+        base = _random_ring(rng)
+        exterior = tuple((f"x{i}", rng.choice((1, 3, 5, 7, 9)))
+                         for i in range(rng.randint(1, 4)))
+        gens = GeneratorSet(exterior, base.poly, base.truncation)
+        if gens.dimension() <= 240:
+            break
+    parts = list(exponent_vectors(gens._weights, gens._bound, gens._most))
+    images = {}
+    for name, deg in exterior:
+        pool = [e for e, total in parts if total == deg + 1]
+        image = gens.zero()
+        for _ in range(rng.randint(0, 3) if pool else 0):
+            image = image + gens.monomial((), rng.choice(pool), Fraction(
+                rng.choice((-1, 1)) * rng.randint(1, 4), rng.choice((1, 2, 3))))
+        images[name] = image
+    return gens, Differential(gens, images)
+
+
+def test_random_pure_complexes_match_the_oracles():
+    rng = random.Random(1913)
+    for _ in range(100):
+        gens, d = _random_pure_complex(rng)
+        full, ranks = cohomology(gens, d), cohomology(gens, d, representatives=False)
+        got = {n: (s.dim, [str(r) for r in s.representatives])
+               for n, s in full.by_degree.items()}
+        assert got == global_cohomology(gens, d), (gens, d.ext_images)
+        assert [(s.chain_dim, s.dim) for s in ranks.by_degree.values()] == \
+            [(s.chain_dim, s.dim) for s in full.by_degree.values()]
+        chain, cohom = _euler_characteristics(full)
+        assert chain == cohom
+        reps = [r for s in full.by_degree.values() for r in s.representatives]
+        assert all(reps)
+        assert classes_mod_image(d, reps) == ([True] * len(reps), True)
+        for n, s in full.by_degree.items():
+            boundary = d(_random_in_degree(gens, rng, n - 1))
+            assert classes_mod_image(d, [boundary]) == ([False], False)
+            if s.representatives:
+                r = rng.choice(s.representatives)
+                assert classes_mod_image(d, [r + boundary]) == ([True], True)
+        top = gens.top_degree()
+        layout = dga._Layout(gens, d, top + 1)
+        for n in range(top + 1):
+            basis_n = basis_of_degree(gens, n)
+            assert [layout.row(m) for m in basis_n] == \
+                [(n, i) for i in range(len(basis_n))], n
