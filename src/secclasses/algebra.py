@@ -7,25 +7,24 @@ the polynomial-part degree and optional per-generator exponent caps.  The
 degree bound and the caps cut out the only ideals we ever quotient by, and
 every ring is finite: a generator without a cap needs the degree bound.
 So each ring has one largest polynomial-part degree and one largest
-exponent per generator, computed once at construction.
+exponent per generator, computed once, and so fixed field widths.
 
-A monomial is a pair ``(ext, exps)``: a strictly increasing tuple of
-positions into the exterior generator list, and a full-length exponent
-tuple over the polynomial generators.  Products carry the Koszul sign,
-the parity of the permutation sorting the concatenated exterior index
-sequences; even-degree generators commute with everything, so no other
-sign ever appears.
+A monomial y_E c^x is one int, its word (:data:`Mono`), laid out by its
+:class:`GeneratorSet` alone, which packs ``(ext, exps)`` (increasing
+exterior positions, all exponents) into a word with the checked ``pack``
+and reads it back with ``unpack``.  A product is one addition and one
+mask test, with the Koszul sign: the parity of the permutation sorting
+the concatenated exterior index sequences.
 
 Coefficients are :class:`fractions.Fraction` throughout, and no floating
 point is used anywhere.  A term is checked once, where it enters: the
-public ``Element(gens, terms)`` accepts only monomials of the ring
-(int indices and exponents, else ``TypeError``; within the ring, else
-``ValueError``), and it and :meth:`Element.scale` accept int and Fraction
-coefficients, store them as Fractions and raise
-:class:`InexactCoefficient` on anything else, floats included.  Every
-result the package computes from stored terms is built by the trusted
-:meth:`Element._of`, which only drops zeros.  Equality of elements is
-structural equality of their canonical term maps.
+public ``Element(gens, terms)`` accepts only words of the ring (an int,
+else ``TypeError``; a word of the ring, else ``ValueError``), and it and
+:meth:`Element.scale` accept int and Fraction coefficients, store them as
+Fractions and raise :class:`InexactCoefficient` on anything else, floats
+and bools included.  Every result the package computes from stored terms
+is built by the trusted :meth:`Element._of`, which only drops zeros.
+Equality of elements is structural equality of their canonical term maps.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache, total_ordering
 from itertools import combinations
 
-Mono = tuple[tuple[int, ...], tuple[int, ...]]
+Mono = int
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -51,11 +50,11 @@ class GeneratorMismatch(SecclassesError, ValueError):
 
 
 class InexactCoefficient(SecclassesError, TypeError):
-    """A coefficient that is not an int or a Fraction reached an element."""
+    """A coefficient other than an int or a Fraction (a bool, say) reached an element."""
 
 
 def _exact(c) -> Fraction:
-    if not isinstance(c, (int, Fraction)):
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
         raise InexactCoefficient(
             f"coefficients must be int or Fraction, not {type(c).__name__}")
     return Fraction(c)
@@ -106,36 +105,12 @@ def exponent_vectors(weights, budget: int, caps=None):
     return rec(0, 0)
 
 
-def merge_exterior(a: tuple[int, ...], b: tuple[int, ...]):
-    """Merge strictly increasing index tuples, counting transpositions.
-
-    Returns ``(parity, merged)`` with parity in {0, 1}, or ``None`` when an
-    index repeats (odd generators square to zero).  The parity is the number
-    of transpositions, mod 2, needed to sort the concatenation ``a + b``.
-    """
-    if not a:
-        return 0, b
-    if not b:
-        return 0, a
-    merged = []
-    swaps = 0
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        x, y = a[i], b[j]
-        if x == y:
-            return None
-        if x < y:
-            merged.append(x)
-            i += 1
-        else:
-            # y jumps over the remaining entries of a
-            merged.append(y)
-            swaps += na - i
-            j += 1
-    merged.extend(a[i:])
-    merged.extend(b[j:])
-    return swaps & 1, tuple(merged)
+def bits(e: int):
+    """The positions of the set bits of ``e``, lowest first."""
+    while e:
+        low = e & -e
+        yield low.bit_length() - 1
+        e ^= low
 
 
 class Record:
@@ -196,12 +171,18 @@ class GeneratorSet(Record):
     the truncation.  The ring must be finite, so a generator without a
     cap needs a truncation (else ``ValueError`` naming it).
 
-    The generator order is fixed at construction and is the canonical
-    sort order used for all sign computations.
+    The generator order, fixed at construction, orders the signs and the
+    word of y_E c^x.  From the low bits up: x_j in ``_most[j].bit_length()``
+    bits and a guard bit, generator 0 highest; the polynomial degree in
+    ``_bound.bit_length()`` bits and a guard bit; exterior generator i at
+    bit ``_ext_at + i``.  Two words sum with no carry out of a field, and
+    ``_bias`` lifts each field so that exactly the values above its
+    ceiling reach its guard bit.  Equal ``poly`` and ``truncation`` give
+    equal fields.
     """
 
-    __slots__ = ("exterior", "poly", "truncation", "_bound", "_most", "_caps", "_weights",
-                 "_index")
+    __slots__ = ("exterior", "poly", "truncation", "_bound", "_most", "_weights",
+                 "_index", "_offsets", "_masks", "_deg_at", "_ext_at", "_bias", "_guard")
 
     def __init__(self, exterior: tuple[tuple[str, int], ...],
                  poly: tuple[tuple[str, int, int | None], ...], truncation: int = 0):
@@ -237,13 +218,21 @@ class GeneratorSet(Record):
             bound = min(bound, capped) if bound else capped
         most = tuple(bound // deg if cap is None else min(cap, bound // deg)
                      for _, deg, cap in self.poly)
-        object.__setattr__(self, "_bound", bound)
-        object.__setattr__(self, "_most", most)
-        # for mono_mul, which checks exponents only when some cap is given
-        object.__setattr__(self, "_caps", None if len(uncapped) == len(most) else most)
-        object.__setattr__(self, "_weights", tuple(deg for _, deg, _ in self.poly))
-        # for generator(): exterior names first, then polynomial ones
-        object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
+        # the word's fields from the lowest: the exponents, last one first, then the degree
+        offsets, bias, guard, at = [], 0, 0, 0
+        for ceiling in most[::-1] + (bound,):
+            width = ceiling.bit_length()
+            offsets.append(at)
+            bias += ((1 << width) - 1 - ceiling) << at
+            guard += 1 << (at + width)
+            at += width + 1
+        # _index, for generator(): exterior names first, then polynomial ones
+        for name, value in {"_bound": bound, "_most": most, "_deg_at": offsets.pop(),
+                            "_offsets": tuple(offsets[::-1]), "_ext_at": at, "_bias": bias,
+                            "_guard": guard, "_weights": tuple(d for _, d, _ in self.poly),
+                            "_masks": tuple((1 << m.bit_length()) - 1 for m in most),
+                            "_index": {n: i for i, n in enumerate(names)}}.items():
+            object.__setattr__(self, name, value)
 
     # -- basic queries -------------------------------------------------
 
@@ -255,42 +244,49 @@ class GeneratorSet(Record):
     def n_poly(self) -> int:
         return len(self.poly)
 
-    def unit_mono(self) -> Mono:
-        return ((), (0,) * self.n_poly)
+    def _word(self, ext, exps) -> Mono:
+        """The word with these fields, unchecked."""
+        return (sum(map(operator.lshift, exps, self._offsets))
+                + (sum(map(operator.mul, exps, self._weights)) << self._deg_at)
+                + (sum(1 << i for i in ext) << self._ext_at))
 
-    def poly_degree(self, exps: tuple[int, ...]) -> int:
-        return sum(map(operator.mul, exps, self._weights))
+    def pack(self, ext: tuple[int, ...], exps: tuple[int, ...]) -> Mono:
+        """The word of y_ext c^exps: ``TypeError`` for a non-int index or
+        exponent, ``ValueError`` for a monomial outside the ring."""
+        ext, exps = tuple(ext), tuple(exps)
+        require_int("exterior index", *ext)
+        require_int("exponent", *exps)
+        if min(ext + exps, default=0) >= 0:
+            m = self._word(ext, exps)
+            if self.mono_valid(m) and self.unpack(m) == (ext, exps):
+                return m
+        raise ValueError(f"invalid monomial {(ext, exps)} over this generator set")
+
+    def unpack(self, m: Mono) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(ext, exps)`` of the word ``m``, the inverse of :meth:`pack`."""
+        return (tuple(bits(m >> self._ext_at)),
+                tuple((m >> at) & mask for at, mask in zip(self._offsets, self._masks)))
 
     def mono_degree(self, m: Mono) -> int:
-        ext, exps = m
-        return sum(self.exterior[i][1] for i in ext) + self.poly_degree(exps)
+        return (sum(self.exterior[i][1] for i in bits(m >> self._ext_at))
+                + ((m >> self._deg_at) & ((1 << (self._ext_at - self._deg_at)) - 1)))
 
     def mono_valid(self, m: Mono) -> bool:
-        ext, exps = m
-        if len(exps) != self.n_poly:
-            return False
-        if any(i < 0 or i >= self.n_exterior for i in ext):
-            return False
-        if any(ext[i] >= ext[i + 1] for i in range(len(ext) - 1)):
-            return False
-        if not all(0 <= e <= most for e, most in zip(exps, self._most)):
-            return False
-        return self.poly_degree(exps) <= self._bound
+        """Whether the int ``m`` is the word of a monomial of the ring."""
+        return (0 <= m < 1 << (self._ext_at + self.n_exterior)
+                and not (m + self._bias) & self._guard
+                and self._word(*self.unpack(m)) == m)
 
     # -- multiplication ------------------------------------------------
 
     def mono_mul(self, a: Mono, b: Mono):
-        """Product of two monomials: ``(sign, mono)`` or ``None`` if zero."""
-        merged = merge_exterior(a[0], b[0])
-        if merged is None:
+        """Product of two monomials: ``(sign, mono)`` or ``None`` if zero.
+        The sign's parity counts the exterior indices of ``a`` above one of ``b``."""
+        ea, eb = a >> self._ext_at, b >> self._ext_at
+        if ea & eb or (a + b + self._bias) & self._guard:
             return None
-        parity, ext = merged
-        exps = tuple(map(operator.add, a[1], b[1]))
-        if self._caps and not all(map(operator.le, exps, self._caps)):
-            return None
-        if self.truncation and self.poly_degree(exps) > self.truncation:
-            return None
-        return (-1 if parity else 1), (ext, exps)
+        parity = sum((ea >> (i + 1)).bit_count() for i in bits(eb)) if eb else 0
+        return (-1 if parity & 1 else 1), a + b
 
     # -- element constructors -------------------------------------------
 
@@ -298,22 +294,23 @@ class GeneratorSet(Record):
         return Element._of(self, {})
 
     def unit(self) -> "Element":
-        return Element._of(self, {self.unit_mono(): _ONE})
+        return Element._of(self, {0: _ONE})
 
     def generator(self, name: str) -> "Element":
-        """The named generator as an element."""
+        """The named generator as an element; zero when the caps or the
+        truncation kill it."""
         i = self._index.get(name)
         if i is None:
             raise KeyError(f"no generator named {name!r}")
-        n_poly = self.n_poly
         if i < self.n_exterior:
-            return Element._of(self, {((i,), (0,) * n_poly): _ONE})
+            return Element._of(self, {1 << (self._ext_at + i): _ONE})
         j = i - self.n_exterior
-        return Element._of(self, {((), (0,) * j + (1,) + (0,) * (n_poly - j - 1)): _ONE})
+        m = (1 << self._offsets[j]) + (self._weights[j] << self._deg_at)
+        return Element._of(self, {m: _ONE} if self._most[j] else {})
 
     def monomial(self, ext: tuple[int, ...], exps: tuple[int, ...],
                  coeff=_ONE) -> "Element":
-        return Element(self, {(tuple(ext), tuple(exps)): coeff})
+        return Element(self, {self.pack(ext, exps): coeff})
 
     # -- counting and printing -------------------------------------------
 
@@ -328,7 +325,9 @@ class GeneratorSet(Record):
         return sum(d for _, d in self.exterior) + top
 
     def mono_str(self, m: Mono) -> str:
-        ext, exps = m
+        return self._label(*self.unpack(m))
+
+    def _label(self, ext, exps) -> str:
         return power_label([(self.exterior[i][0], 1) for i in ext]
                            + [(name, e) for (name, _, _), e in zip(self.poly, exps)])
 
@@ -366,29 +365,30 @@ def count_poly_monomials(gens: GeneratorSet) -> int:
 
 
 @lru_cache(maxsize=None)
-def poly_parts(gens: GeneratorSet) -> dict[int, list[tuple[int, ...]]]:
-    """Every polynomial exponent tuple of the ring, bucketed by degree, each
-    bucket in lexicographic order; enumerated once per generator set, with
-    the exponent ceilings ``_most`` as caps."""
-    out: dict[int, list[tuple[int, ...]]] = {}
+def poly_parts(gens: GeneratorSet) -> dict[int, list[Mono]]:
+    """The word of every polynomial monomial of the ring, bucketed by
+    degree, each bucket in lexicographic order of the exponents; enumerated
+    once per generator set, with the exponent ceilings ``_most`` as caps."""
+    out: dict[int, list[Mono]] = {}
     for exps, degree in exponent_vectors(gens._weights, gens._bound, gens._most):
-        out.setdefault(degree, []).append(exps)
+        out.setdefault(degree, []).append(gens._word((), exps))
     return out
 
 
 @lru_cache(maxsize=None)
-def exterior_subsets(gens: GeneratorSet) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Every exterior index tuple in :func:`subsets` order, with its degree."""
-    return tuple((ext, sum(gens.exterior[i][1] for i in ext))
+def exterior_subsets(gens: GeneratorSet) -> tuple[tuple[Mono, int], ...]:
+    """The word of every exterior monomial, its index tuples in
+    :func:`subsets` order, with its degree."""
+    return tuple((gens._word(ext, ()), sum(gens.exterior[i][1] for i in ext))
                  for ext in subsets(range(gens.n_exterior)))
 
 
 @lru_cache(maxsize=None)
 def basis_of_degree(gens: GeneratorSet, n: int) -> tuple[Mono, ...]:
-    """All monomials of total degree ``n`` in canonical order.
+    """The words of all monomials of total degree ``n`` in canonical order.
 
     Exterior index tuples run lexicographically (:func:`exterior_subsets`),
-    and for each the polynomial exponent tuples of :func:`poly_parts` follow.
+    and for each the polynomial parts of :func:`poly_parts` follow.
     """
     if n < 0:
         return ()
@@ -397,18 +397,18 @@ def basis_of_degree(gens: GeneratorSet, n: int) -> tuple[Mono, ...]:
     for ext, d in exterior_subsets(gens):
         parts = poly.get(n - d)
         if parts:
-            out.extend((ext, exps) for exps in parts)
+            out.extend(ext + x for x in parts)
     return tuple(out)
 
 
 class Element:
-    """Sparse rational linear combination of monomials, in canonical form.
-
-    Canonical means: no stored zero coefficients, so two elements are equal
-    iff their term maps are equal.  Elements are immutable by convention
-    (operations always build new ones) and safe to share across threads.
-    The constructor checks each coefficient (int or Fraction, stored as a
-    Fraction); :meth:`_of` builds the package's own results unchecked.
+    """Sparse rational linear combination of monomials, ``terms`` keyed by
+    their words, in canonical form: no stored zero coefficients, so two
+    elements are equal iff their term maps are equal.  Elements are
+    immutable by convention (operations always build new ones) and safe to
+    share across threads.  The constructor checks each word and coefficient
+    (int or Fraction, stored as a Fraction); :meth:`_of` builds the
+    package's own results unchecked.
     """
 
     __slots__ = ("gens", "terms")
@@ -416,9 +416,7 @@ class Element:
     def __init__(self, gens: GeneratorSet, terms: dict[Mono, Fraction] | None = None):
         terms = terms or {}
         for m in terms:
-            ext, exps = m
-            require_int("exterior index", *ext)
-            require_int("exponent", *exps)
+            require_int("monomial", m)
             if not gens.mono_valid(m):
                 raise ValueError(f"invalid monomial {m} over this generator set")
         self.gens = gens
@@ -510,15 +508,17 @@ class Element:
     # -- presentation ------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
-        return sorted(self.terms.items(),
-                      key=lambda t: (self.gens.mono_degree(t[0]), t[0]))
+        return sorted(self.terms.items(), key=lambda t: (self.gens.mono_degree(t[0]),
+                                                         self.gens.unpack(t[0])))
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            s = self.gens.mono_str(m)
+        parts, gens = [], self.gens
+        # each word is read once, for the order and the label
+        for _, mono, c in sorted((gens.mono_degree(m), gens.unpack(m), c)
+                                 for m, c in self.terms.items()):
+            s = gens._label(*mono)
             if s == "1":
                 body = str(c)
             elif c == 1:

@@ -27,8 +27,8 @@ d(y_E c^x) = sum_p (-1)^p y_(E without E_p) c^x d(y_(E_p)), the terms of
 each subset (target subset, exponent shift, coefficient) are listed once
 per call, and one table per (bucket, shift) maps each position to the
 position of x + shift, or drops it when x + shift breaks a cap or the
-truncation; a part is one integer there, so a shift is one addition and
-one lookup.
+truncation; a part is its word (:class:`GeneratorSet`), so a shift is
+one addition and one lookup.
 
 Representatives are searched only when asked for, and only in degrees
 with classes, by a second elimination over the whole degree: a
@@ -52,13 +52,12 @@ cohomology representatives.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
 
 from .algebra import (Element, GeneratorMismatch, GeneratorSet, Mono, Record,
-                      SecclassesError, basis_of_degree, exterior_subsets,
+                      SecclassesError, basis_of_degree, bits, exterior_subsets,
                       poly_parts, require_int)
 from .linalg import Echelon, IntegerEliminator, _rank_int, kernel_from_columns
 
@@ -100,7 +99,7 @@ class Differential:
             if img.degree() != degree + 1:
                 raise DegreeMismatch(
                     f"d({name}) must have degree {degree + 1}, got {img.degree()}")
-            if any(ext for ext, _ in img.terms):
+            if any(m >> gens._ext_at for m in img.terms):
                 raise ValueError(f"d({name}) = {img} is not pure: it has an exterior term")
             return img
 
@@ -121,18 +120,17 @@ class Differential:
         if x.gens != self.gens:
             raise GeneratorMismatch("element does not live over the differential's generators")
         acc: dict[Mono, Fraction] = {}
-        mono_mul = self.gens.mono_mul
-        for (ext, exps), coeff in x.terms.items():
-            for pos, idx in enumerate(ext):
+        mono_mul, ext_at = self.gens.mono_mul, self.gens._ext_at
+        for m, coeff in x.terms.items():
+            for pos, idx in enumerate(bits(m >> ext_at)):
                 image = self.ext_images[idx]
                 if image:
-                    rest = (ext[:pos] + ext[pos + 1:], exps)
+                    rest = m - (1 << (ext_at + idx))
                     c = -coeff if pos & 1 else coeff
                     for b, b_c in image.terms.items():
                         # b has no exterior part, so the product's sign is +1
                         if (r := mono_mul(rest, b)) is not None:
-                            m = r[1]
-                            acc[m] = acc.get(m, 0) + c * b_c
+                            acc[r[1]] = acc.get(r[1], 0) + c * b_c
         return Element._of(self.gens, acc)
 
 
@@ -214,19 +212,18 @@ class _Layout:
     """The degrees 0..``top`` of a complex laid out by index arithmetic.
 
     In the order of :func:`basis_of_degree`, y_E c^x of degree n has row
-    ``offsets[n][0][E] + pos[code(x)]``, E being a subset id and
-    ``pos[code(x)]`` the position of x in its :func:`poly_parts` bucket.
+    ``offsets[n][0][E] + pos[x]``, E being a subset id and ``pos[x]`` the
+    position of the word x in its :func:`poly_parts` bucket.
     ``images[E]`` lists the terms (T, b, c) of d(y_E c^x) =
     sum c y_T c^(x + b): one per position p in E and term c^b of
     d(y_(E_p)), T being the id of E without E_p and c that term's
     coefficient times (-1)^p and the scale s.
 
-    ``code(x)`` is x as one integer, digit j in radix 2 M_j + 1, M_j =
-    ``gens._most[j]`` the largest exponent of generator j in a part.
-    code(x + b) = code(x) + code(b), and for b_j in [0, M_j] every digit of
-    x + b is in [0, 2 M_j], where no two vectors share a code.  So the one lookup
-    ``pos.get(code(x) + code(b))`` in :meth:`_shift` also drops the
-    products that break a cap or the truncation.
+    The code of a polynomial part is its word.  Two parts' words sum with
+    no carry out of any field, to the word of x + b when that is a part,
+    and otherwise to an int that is no part's word.  So the one lookup
+    ``pos.get(x + b)`` in :meth:`_shift` also drops the products that
+    break a cap or the truncation.
 
     The scale s is the lcm of the denominators of d's coefficients, one
     for the whole layout, so every c is an int and every column is a dict
@@ -239,15 +236,7 @@ class _Layout:
         self.gens = gens
         ext, self.ext_degrees = zip(*exterior_subsets(gens))
         self.parts = poly_parts(gens)
-        self.radix = []
-        r = 1
-        for m in gens._most:
-            self.radix.append(r)
-            r *= 2 * m + 1
-        self.codes = {k: [self._code(x) for x in bucket]
-                      for k, bucket in self.parts.items()}
-        self.pos = {c: i for codes in self.codes.values()
-                    for i, c in enumerate(codes)}
+        self.pos = {x: i for bucket in self.parts.values() for i, x in enumerate(bucket)}
         by_degree: dict[int, list[int]] = {}
         for sid, e in enumerate(self.ext_degrees):
             by_degree.setdefault(e, []).append(sid)
@@ -257,39 +246,36 @@ class _Layout:
         # the terms (b, s c) of each d(g), s the lcm of d's denominators
         s = lcm(*(c.denominator for image in d.ext_images for c in image.terms.values()))
         terms = [[(b, c.numerator * (s // c.denominator))
-                  for (_, b), c in image.terms.items()] for image in d.ext_images]
-        # code(b) of each shift b, None when some b_j exceeds M_j
-        self.shift_codes = {b: self._code(b) if all(map(operator.le, b, gens._most))
-                            else None for t in terms for b, _ in t}
+                  for b, c in image.terms.items()] for image in d.ext_images]
         # a subset of degree top or more is never the source of a column
-        self.images = [[(ext_id[E[:p] + E[p + 1:]], b, -c if p & 1 else c)
-                        for p, g in enumerate(E) for b, c in terms[g]]
+        at = self.ext_at = gens._ext_at
+        self.images = [[(ext_id[E - (1 << (at + g))], b, -c if p & 1 else c)
+                        for p, g in enumerate(bits(E >> at)) for b, c in terms[g]]
                        if e < top else ()
                        for E, e in zip(ext, self.ext_degrees)]
         self._tables: dict = {}
 
-    def _code(self, x) -> int:
-        return sum(map(operator.mul, x, self.radix))
+    def _split(self, m: Mono) -> tuple[int, Mono, int]:
+        """The subset id and the polynomial part of ``m``, and its degree."""
+        x = m & ((1 << self.ext_at) - 1)
+        sid = self.ext_id[m - x]
+        return sid, x, self.ext_degrees[sid] + self.gens.mono_degree(x)
 
     def row(self, m: Mono) -> tuple[int, int]:
         """The degree of ``m``, a monomial of the complex of degree at most
         ``top``, and its row in that degree's basis."""
-        ext, x = m
-        sid = self.ext_id[ext]
-        n = self.ext_degrees[sid] + self.gens.poly_degree(x)
-        return n, self.offsets[n][0][sid] + self.pos[self._code(x)]
+        sid, x, n = self._split(m)
+        return n, self.offsets[n][0][sid] + self.pos[x]
 
-    def _shift(self, k: int, b) -> list[tuple[int, int]]:
-        """``(i, pos[code(x + b)])`` for the parts x of bucket k whose shift
-        is valid; none when some b_j exceeds M_j."""
+    def _shift(self, k: int, b: Mono) -> list[tuple[int, int]]:
+        """``(i, pos[x + b])`` for the parts x of bucket k whose shift
+        is a part."""
         table = self._tables.get((k, b))
         if table is None:
             pos = self.pos
-            cb = self.shift_codes[b]
             table = self._tables[k, b] = [
-                (i, p) for i, c in enumerate(self.codes[k])
-                if (p := pos.get(c + cb)) is not None
-            ] if cb is not None else []
+                (i, p) for i, x in enumerate(self.parts[k])
+                if (p := pos.get(x + b)) is not None]
         return table
 
     def image(self, x: Element) -> dict[tuple[int, int], int | Fraction]:
@@ -297,14 +283,12 @@ class _Layout:
         monomials of the complex, as ``{(degree, row): coefficient}``; a
         coefficient may be 0 where terms cancel."""
         out: dict = {}
-        for (ext, e), a in x.terms.items():
-            sid = self.ext_id[ext]
-            n = self.ext_degrees[sid] + self.gens.poly_degree(e) + 1
-            targets, code = self.offsets[n][0], self._code(e)
+        for m, a in x.terms.items():
+            sid, e, n = self._split(m)
+            targets = self.offsets[n + 1][0]
             for T, b, c in self.images[sid]:
-                cb = self.shift_codes[b]
-                if cb is not None and (p := self.pos.get(code + cb)) is not None:
-                    key = n, targets[T] + p
+                if (p := self.pos.get(e + b)) is not None:
+                    key = n + 1, targets[T] + p
                     out[key] = out.get(key, 0) + a * c
         return out
 

@@ -40,7 +40,6 @@ nonzero unless it is expected to vanish, in which case it is zero.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from math import factorial
 
@@ -75,8 +74,9 @@ def _family_size(k: int, family: str) -> None:
 def _lift(gens: GeneratorSet, x: Element) -> Element:
     """Re-house ``x`` over ``gens``, which extends x's ring by exterior generators.
 
-    The polynomial slots are shared and exterior positions of ``x`` are
-    empty, so every monomial keeps its meaning.
+    ``gens`` has the same polynomial generators and truncation as x's
+    ring, so the same word fields up to the exterior bits, and x has no
+    exterior part: every word keeps its meaning, with no re-encoding.
     """
     return Element._of(gens, x.terms)
 
@@ -157,8 +157,9 @@ class _GeneratorMap:
         if x.gens != self.source_gens:
             raise GeneratorMismatch("element does not live over the map's source")
         acc: dict[Mono, Fraction] = {}
-        unit = self.target.unit()
-        for (ext, exps), coeff in x.terms.items():
+        unit, unpack = self.target.unit(), self.source_gens.unpack
+        for m, coeff in x.terms.items():
+            ext, exps = unpack(m)
             term = unit
             for pos in ext:
                 img = self.ext_images[pos]
@@ -238,8 +239,7 @@ def _classes_mod_image(d: Differential, elements, labels) -> tuple[list[bool], b
     jointly independent modulo the image of ``d``.
 
     Every element must be a combination of monomials of the basis of
-    ``d.gens``, checked by a binary search in the cached, sorted basis of
-    each degree.  The elements then go to one :func:`dga.classes_mod_image`
+    ``d.gens``, checked against the cached basis of each degree.  The elements then go to one :func:`dga.classes_mod_image`
     call, which checks that they are cocycles, lays the complex out once
     and ranks it in one elimination; a zero element reads as zero, and
     its presence makes the elements jointly dependent.
@@ -249,12 +249,10 @@ def _classes_mod_image(d: Differential, elements, labels) -> tuple[list[bool], b
         if x:
             by_degree.setdefault(x.degree(), []).append((label, x))
     for n, classes in by_degree.items():
-        basis_n = basis_of_degree(d.gens, n)
+        basis_n = set(basis_of_degree(d.gens, n))
         for label, x in classes:
-            for m in x.terms:
-                i = bisect_left(basis_n, m)
-                if i == len(basis_n) or basis_n[i] != m:
-                    raise ValueError(f"{label} has a term {m} outside the model")
+            if outside := x.terms.keys() - basis_n:
+                raise ValueError(f"{label} has a term {min(outside)} outside the model")
     return dga.classes_mod_image(d, elements)
 
 

@@ -44,12 +44,13 @@ IntRow = dict[int, int]
 def _integer_row(row: Row | IntRow) -> tuple[IntRow, int]:
     """The row times the lcm of its denominators, as a new dict, and that lcm.
 
-    The one entry check: every coefficient must be an int or a Fraction.
+    The one entry check: every coefficient must be an int or a Fraction,
+    and a bool is neither.
     """
     denom = 1
     for v in row.values():
         if type(v) is not int:
-            if not isinstance(v, (int, Fraction)):
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
                 raise InexactCoefficient(
                     f"coefficients must be int or Fraction, not {type(v).__name__}")
             denom = lcm(denom, v.denominator)

@@ -99,7 +99,7 @@ def product_model(factors: list[Factor] | tuple[Factor, ...]) -> ModelRing:
                                    f.gen_degree, f.cap)
                                   for j, f in zip(suffixes, factors)))
     label = " x ".join(f.label() for f in factors)
-    return ModelRing(gens, ((), tuple(f.cap for f in factors)), label, factors)
+    return ModelRing(gens, gens.pack((), tuple(f.cap for f in factors)), label, factors)
 
 
 class BundleMap(Record, eq=False):

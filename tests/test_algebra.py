@@ -1,30 +1,41 @@
 """Sign conventions, truncation, and basis enumeration of the algebra core."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import secclasses
 from secclasses.algebra import (Element, GeneratorMismatch, GeneratorSet,
-                                InexactCoefficient, basis_of_degree,
+                                InexactCoefficient, basis_of_degree, bits,
                                 count_poly_monomials, exponent_vectors,
-                                exterior_subsets, merge_exterior, poly_parts, subsets)
+                                exterior_subsets, poly_parts, subsets)
 from secclasses.dga import Differential, cohomology
 from secclasses.frames import (CharacteristicMap, projective_base_model,
                                projective_reduced_model)
 from secclasses.models import Factor, canonical_bundle, product_model
 from secclasses.weil import VeyIndex, weil_complex
+from tuple_monomials import merge_exterior, mono_mul as tuple_mono_mul
 
 
 def test_merge_exterior_signs():
-    assert merge_exterior((0,), (1,)) == (0, (0, 1))
-    assert merge_exterior((1,), (0,)) == (1, (0, 1))
-    assert merge_exterior((0,), (0,)) is None
-    assert merge_exterior((), (0, 2)) == (0, (0, 2))
-    # two transpositions: 2 jumps over both 0 and 1
-    assert merge_exterior((2,), (0, 1)) == (0, (0, 1, 2))
-    assert merge_exterior((1, 2), (0,)) == (0, (0, 1, 2))
+    # each case through the tuple reference and through the packed product
+    gens = GeneratorSet((("x", 1), ("y", 3), ("z", 5)), ())
+
+    def packed(a, b):
+        r = gens.mono_mul(gens.pack(a, ()), gens.pack(b, ()))
+        return r and (int(r[0] < 0), gens.unpack(r[1])[0])
+    for merge in (merge_exterior, packed):
+        assert merge((0,), (1,)) == (0, (0, 1))
+        assert merge((1,), (0,)) == (1, (0, 1))
+        assert merge((0,), (0,)) is None
+        assert merge((), (0, 2)) == (0, (0, 2))
+        # two transpositions: 2 jumps over both 0 and 1
+        assert merge((2,), (0, 1)) == (0, (0, 1, 2))
+        assert merge((1, 2), (0,)) == (0, (0, 1, 2))
 
 
 def test_exterior_anticommute():
@@ -65,14 +76,14 @@ def test_exterior_square_inside_product():
 
 def test_basis_w1():
     gens, _ = weil_complex(1)
-    assert basis_of_degree(gens, 3) == (((0,), (1,)),)
-    assert basis_of_degree(gens, 0) == (((), (0,)),)
+    assert basis_of_degree(gens, 3) == (gens.pack((0,), (1,)),)
+    assert basis_of_degree(gens, 0) == (gens.pack((), (0,)),)
     assert [gens.mono_str(m) for m in basis_of_degree(gens, 3)] == ["y1*c1"]
 
 
 def test_basis_w2_degree7_against_brute_force():
     gens, _ = weil_complex(2)
-    got = set(basis_of_degree(gens, 7))
+    got = set(map(gens.unpack, basis_of_degree(gens, 7)))
     # independent brute-force enumeration of the complex
     expected = set()
     for e1, e2 in product((0, 1), repeat=2):
@@ -101,7 +112,7 @@ def test_basis_sizes_sum_to_product_formula():
 def test_basis_canonical_order_is_deterministic():
     gens, _ = weil_complex(3)
     for n in (5, 7, 9):
-        monos = basis_of_degree(gens, n)
+        monos = [gens.unpack(m) for m in basis_of_degree(gens, n)]
         exts = [m[0] for m in monos]
         assert exts == sorted(exts)
         for ext in set(exts):
@@ -128,34 +139,40 @@ def test_enumerators_match_brute_force_product():
         expected = tuple(
             (ext, e) for ext in exts for e, d in vectors
             if d <= 10 and sum((1, 3, 5)[i] for i in ext) + d == n)
-        assert basis_of_degree(gens, n) == expected
+        assert tuple(map(gens.unpack, basis_of_degree(gens, n))) == expected
 
 
 def test_exterior_subsets_table_is_shared_and_in_subsets_order():
     gens = GeneratorSet((("x", 1), ("y", 3), ("z", 5)), (("a", 2, None),),
                         truncation=4)
     table = exterior_subsets(gens)
-    assert [ext for ext, _ in table] == subsets(range(3))
+    assert [gens.unpack(ext)[0] for ext, _ in table] == subsets(range(3))
     assert [d for _, d in table] == [0, 1, 4, 9, 6, 3, 8, 5]
     assert exterior_subsets(gens) is table
-    assert exterior_subsets(GeneratorSet((), (("a", 2, 1),))) == (((), 0),)
+    assert exterior_subsets(GeneratorSet((), (("a", 2, 1),))) == ((0, 0),)
 
 
 def test_float_coefficients_rejected():
     gens, _ = weil_complex(1)
-    m = ((0,), (1,))
+    m = gens.pack((0,), (1,))
     y1 = gens.generator("y1")
     for bad in (lambda: Element(gens, {m: 0.1}),
                 lambda: gens.monomial((0,), (1,), coeff=0.5),
                 lambda: y1.scale(0.1),
                 lambda: 0.5 * y1,
-                lambda: y1 * 0.5):
+                lambda: y1 * 0.5,
+                # a bool is no coefficient: True would read as 1, False drop the term
+                lambda: Element(gens, {m: True}),
+                lambda: Element(gens, {m: False}),
+                lambda: gens.monomial((0,), (1,), coeff=True),
+                lambda: y1.scale(True),
+                lambda: False * y1):
         with pytest.raises(InexactCoefficient):
             bad()
     assert issubclass(InexactCoefficient, TypeError)
     half = Fraction(1, 2)
     assert Element(gens, {m: half}) == gens.monomial((0,), (1,), coeff=half)
-    assert 2 * y1 == y1.scale(Fraction(2)) == Element(gens, {((0,), (0,)): 2})
+    assert 2 * y1 == y1.scale(Fraction(2)) == Element(gens, {gens.pack((0,), (0,)): 2})
 
 
 def test_every_internal_route_stores_nonzero_fractions():
@@ -234,7 +251,7 @@ def test_subtraction_of_distinct_elements():
     y1, c1, c2 = (gens.generator(n) for n in ("y1", "c1", "c2"))
     x = y1 * c1.scale(Fraction(3, 2)) + y1 * c2
     y = y1 * c1.scale(Fraction(3, 2)) - y1 * c2.scale(Fraction(1, 3))
-    assert (x - y).terms == {((0,), (0, 1)): Fraction(4, 3)}  # y1*c1 cancels
+    assert (x - y).terms == {gens.pack((0,), (0, 1)): Fraction(4, 3)}  # y1*c1 cancels
     assert (x - y) + y == x
 
 
@@ -264,9 +281,15 @@ def test_element_constructor_rejects_monomials_outside_the_ring():
               ((0, 0), (0,)),  # a repeated exterior index
               ((3,), (0,))):   # an exterior index out of range
         with pytest.raises(ValueError, match=r"^invalid monomial"):
+            gens.monomial(*m)
+    # an int that is no word of the ring: a guard bit, a foreign exterior bit
+    for m in (gens._guard, 1 << (gens._ext_at + 1), -1):
+        with pytest.raises(ValueError, match=r"^invalid monomial"):
             Element(gens, {m: 1})
     with pytest.raises(TypeError, match="^exponent must be an int"):
-        Element(gens, {((0,), (1.0,)): 1})
+        gens.monomial((0,), (1.0,))
+    with pytest.raises(TypeError, match="^monomial must be an int"):
+        Element(gens, {((0,), (1,)): 1})
 
 
 def test_unbounded_ring_is_rejected():
@@ -318,7 +341,7 @@ def test_ring_shape_matches_the_enumeration():
     rng = random.Random(2026)
     rings = RING_SHAPES + [_random_ring(rng) for _ in range(100)]
     for gens in rings:
-        parts = [x for bucket in poly_parts(gens).values() for x in bucket]
+        parts = [gens.unpack(x)[1] for bucket in poly_parts(gens).values() for x in bucket]
         assert list(gens._most) == [max(e) for e in zip(*parts)], gens
         assert count_poly_monomials(gens) == len(parts), gens
         ext_total = sum(deg for _, deg in gens.exterior)
@@ -328,11 +351,74 @@ def test_ring_shape_matches_the_enumeration():
         assert gens.top_degree() == max(n for n, size in enumerate(sizes) if size), gens
         basis = {m for n, size in enumerate(sizes) if size
                  for m in basis_of_degree(gens, n)}
+        decoded = set(map(gens.unpack, basis))
         for _ in range(40):
             ext = tuple(sorted(rng.sample(range(gens.n_exterior + 1),
                                           rng.randint(0, gens.n_exterior))))
             exps = tuple(rng.randint(-1, most + 2) for most in gens._most)
-            assert gens.mono_valid((ext, exps)) == ((ext, exps) in basis), (gens, ext, exps)
+            if (ext, exps) in decoded:
+                assert gens.pack(ext, exps) in basis, (gens, ext, exps)
+            else:
+                with pytest.raises(ValueError, match="^invalid monomial"):
+                    gens.pack(ext, exps)
+
+
+def test_packed_words_match_the_tuple_reference():
+    # the word's fields, guard bits and sign rule against the tuple product
+    # of tests/tuple_monomials.py, on rings with 1-4 exterior generators
+    rng = random.Random(4049)
+    rings = RING_SHAPES + [
+        GeneratorSet(tuple((f"x{i}", rng.choice((1, 3, 5, 7, 9)))
+                           for i in range(rng.randint(1, 4))), base.poly, base.truncation)
+        for base in (_random_ring(rng) for _ in range(100))]
+    signs = set()
+    for gens in rings:
+        basis = [m for n in range(gens.top_degree() + 1) for m in basis_of_degree(gens, n)]
+        decoded = [gens.unpack(m) for m in basis]
+        assert [gens.pack(*mono) for mono in decoded] == basis, gens
+        for _ in range(200):
+            i, j = rng.randrange(len(basis)), rng.randrange(len(basis))
+            got = gens.mono_mul(basis[i], basis[j])
+            expected = tuple_mono_mul(gens, decoded[i], decoded[j])
+            assert (got and (got[0], gens.unpack(got[1]))) == expected, (gens, i, j)
+            signs.add(got and got[0])
+        # hostile ints: a guard bit set, an exterior bit at n_exterior, a
+        # negative int, a degree field that disagrees with the exponents
+        members, top = set(basis), 1 << (gens._ext_at + gens.n_exterior)
+        guards = [1 << i for i in bits(gens._guard)]
+        for m in rng.sample(basis, min(len(basis), 20)):
+            hostile = [m | g for g in guards] + [
+                m | top, -m - 1, m + (1 << gens._deg_at), m - (1 << gens._deg_at),
+                rng.randrange(top)]
+            for h in hostile:
+                assert gens.mono_valid(h) == (h in members), (gens, m, h)
+    assert signs == {None, 1, -1}
+
+
+WORD_PRIVATES = ("_word", "_offsets", "_masks", "_bias", "_guard", "_deg_at", "_ext_at")
+# (ext, exps) pairs taken from an element's terms, as in
+# ``for (ext, exps), c in x.terms.items()`` or ``for ext, _ in x.terms``
+TUPLE_KEYS = re.compile(r"for\s*\(\s*\w+\s*,\s*\w+\s*\)\s*,\s*\w+\s+in\s+[\w.()]*terms\b"
+                        r"|for\s+\w+\s*,\s*\w+\s+in\s+[\w.()]*\.terms\b(?!\.(items|values))")
+
+
+def test_only_algebra_knows_the_word_layout():
+    # every other module reaches a word through GeneratorSet's methods;
+    # dga reads _ext_at, since its layout is exterior tensor polynomial
+    src = Path(secclasses.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        text = path.read_text()
+        allowed = {"_ext_at"} if path.name == "dga.py" else set()
+        named = {name for name in WORD_PRIVATES
+                 if re.search(rf"\b{name}\b", text)} - allowed
+        assert not named, (path.name, named)
+        assert not TUPLE_KEYS.search(text), (path.name, TUPLE_KEYS.search(text).group())
+    for line in ("for (ext, exps), coeff in x.terms.items():",
+                 "if any(ext for ext, _ in img.terms):"):
+        assert TUPLE_KEYS.search(line), line
+    assert not TUPLE_KEYS.search("for m, c in x.terms.items():")
 
 
 def test_generator_set_validation():
@@ -373,11 +459,11 @@ def _scanned_generator(gens, name):
     """The generator as the name scan built it before the name index."""
     for i, (n, _) in enumerate(gens.exterior):
         if n == name:
-            return Element(gens, {((i,), (0,) * gens.n_poly): 1})
+            return gens.monomial((i,), (0,) * gens.n_poly)
     for j, (n, _, _) in enumerate(gens.poly):
         if n == name:
             exps = tuple(1 if k == j else 0 for k in range(gens.n_poly))
-            return Element(gens, {((), exps): 1})
+            return gens.monomial((), exps)
     raise AssertionError(f"no generator named {name!r}")
 
 

@@ -417,9 +417,11 @@ def test_catalog_budget_exit_3(capsys):
     ("frame --case 2k --k 1000", 1, "at least 2^1008 monomials"),
     # 2^1500 exterior subsets are over the budget before the exact count
     ("cohomology --q 1500", 1.5, "at least 2^1500 monomials"),
+    # a generator is one bit of its word, so building W_q is linear in q
+    ("cohomology --q 4000", 0.5, "at least 2^4000 monomials"),
     # 2^14999 classes, a count whose decimal form Python refuses to print
     ("catalog --q 60000 --dim 5", 1, "at least 2^14999 classes"),
-], ids=["frame-2k-k1000", "cohomology-q1500", "catalog-q60000"])
+], ids=["frame-2k-k1000", "cohomology-q1500", "cohomology-q4000", "catalog-q60000"])
 def test_huge_sizes_exit_3_quickly(capsys, argv, limit, message):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv.split())

@@ -319,10 +319,10 @@ def test_layout_columns_take_only_the_trusted_entries(complex_, monkeypatch):
 
 def test_layout_columns_drop_an_image_term_beyond_a_cap():
     # d(y) = p^3 is given outside the ring (p is capped at 1), so the
-    # Leibniz rule drops every product with it; by digits alone, p + p^3
-    # would carry into the digit of q and read as the code of q
+    # Leibniz rule drops every product with it; by fields alone, p + p^3
+    # would carry out of the field of p
     gens = GeneratorSet((("y", 5),), (("p", 2, 1), ("q", 2, 2)))
-    d = Differential(gens, {"y": Element._of(gens, {((), (3, 0)): Fraction(1)})})
+    d = Differential(gens, {"y": Element._of(gens, {gens._word((), (3, 0)): Fraction(1)})})
     layout = dga._Layout(gens, d, 10)
     for n in range(10):
         basis_n, cols = _public_image_columns(gens, d, n)
@@ -602,22 +602,22 @@ def test_membership_lays_out_each_degree_of_the_support_once(monkeypatch):
 
 def test_membership_rejects_a_monomial_outside_the_complex():
     gens, d = _koszul_model()
-    for exps in ((0, 3),   # breaks the cap of q
-                 (3, 1),   # breaks the truncation, each exponent in range
-                 (-1, 2), (1,)):
-        x = Element._of(gens, {((), exps): Fraction(1)})
+    for m in (gens._word((), (0, 3)),   # breaks the cap of q
+              gens._word((), (3, 1)),   # breaks the truncation, each exponent in range
+              -1, gens._word((), (1, 0)) + (1 << gens._deg_at)):  # a wrong degree field
+        x = Element._of(gens, {m: Fraction(1)})
         with pytest.raises(ValueError, match="not a monomial of the complex"):
             classes_mod_image(d, [x])
-    # the layout's lookups do not catch every such part, so mono_valid must:
-    # on W_2, c1^-3 c2 has the code of c1^2 and polynomial degree -2, so on
-    # the layout for c1^2 + c1^-3 c2 (degrees 0..5) _Layout.row reads
-    # offsets[-2], that is offsets[4], and returns the row of c1^2
+    # the layout's lookups do not check such words, so mono_valid must: on
+    # W_2, c1^2 with the degree field of c1 reads the degree-2 offsets, and
+    # finds no part there
     gens, d = weil_complex(2)
-    square, alias = ((), (2, 0)), ((), (-3, 1))
+    square = gens.pack((), (2, 0))
+    alias = square - (2 << gens._deg_at)
     layout = dga._Layout(gens, d, 5)
-    assert layout._code(alias[1]) == layout._code(square[1])
-    assert gens.poly_degree(alias[1]) == -2
-    assert layout.row(alias) == (-2, layout.row(square)[1])
+    assert layout.row(square) == (4, basis_of_degree(gens, 4).index(square))
+    with pytest.raises(KeyError):
+        layout.row(alias)
     with pytest.raises(ValueError, match="not a monomial of the complex"):
         classes_mod_image(d, [Element._of(gens, {square: Fraction(1), alias: Fraction(1)})])
 
@@ -628,7 +628,7 @@ def test_membership_on_a_cocycle_spanning_two_blocks():
     gens, d = weil_complex(3)
 
     def mu(m):
-        ext, x = m
+        ext, x = gens.unpack(m)
         return tuple(e + (j in ext) for j, e in enumerate(x))
 
     def block(x):
@@ -691,8 +691,8 @@ def test_membership_checks_generators_then_monomials_then_cocycle():
     foreign = GeneratorSet(gens.exterior, gens.poly, truncation=8).monomial((0,), (4, 0))
     with pytest.raises(GeneratorMismatch):
         classes_mod_image(d, [foreign])
-    bad = Element._of(gens, {((), (0, 3)): Fraction(1),  # q^3 + x
-                             ((0,), (0, 0)): Fraction(1)})
+    bad = Element._of(gens, {gens._word((), (0, 3)): Fraction(1),  # q^3 + x
+                             gens.pack((0,), (0, 0)): Fraction(1)})
     with pytest.raises(ValueError, match="not a monomial of the complex"):
         classes_mod_image(d, [bad])
 

@@ -322,7 +322,8 @@ def naive_characteristic_map(delta, x):
     """Oracle: the map term by term, powers recomputed, sums built pairwise."""
     gens = delta.model.gens
     out = gens.zero()
-    for (ext, exps), coeff in x.terms.items():
+    for m, coeff in x.terms.items():
+        ext, exps = x.gens.unpack(m)
         term = gens.unit().scale(coeff)
         for pos in ext:
             term = term * delta.ext_images[pos]
@@ -346,7 +347,7 @@ def test_characteristic_map_matches_naive_route():
         for _ in range(60):
             x = random_element(delta.source_gens, rng, n_terms=5)
             samples.append(Element(x.gens, {m: c for m, c in x.terms.items()
-                                            if housed.issuperset(m[0])}))
+                                            if housed.issuperset(x.gens.unpack(m)[0])}))
         for x in samples:
             got = delta(x)
             assert got == naive_characteristic_map(delta, x)
@@ -399,7 +400,7 @@ def test_certify_rejects_a_term_outside_the_model():
     # u1*a1^3 breaks the cap a1^3 = 0 of CP^2; d kills it, so the basis
     # check, not the cocycle check, must catch it
     model = projective_base_model(2)
-    bad = Element._of(model.gens, {((0,), (3, 0)): Fraction(1)})
+    bad = Element._of(model.gens, {model.gens._word((0,), (3, 0)): Fraction(1)})
     assert model.d(bad).is_zero()
     with pytest.raises(ValueError, match="outside the model"):
         _certify(model, [bad], ["bad"])
@@ -451,11 +452,12 @@ BRIDGES = [pytest.param(_projective_bridge, id="projective"),
 
 def _retract(r, gens_s, x):
     out = {}
-    for (ext, exps), c in x.terms.items():
-        image = r(ext, exps)
+    for m, c in x.terms.items():
+        image = r(*x.gens.unpack(m))
         if image is not None:
-            m, scale = image
-            out[m] = out.get(m, 0) + c * scale
+            mono, scale = image
+            w = gens_s.pack(*mono)
+            out[w] = out.get(w, 0) + c * scale
     return Element(gens_s, out)
 
 

@@ -265,6 +265,10 @@ def test_independent_keeps_nothing_and_equals_the_oracle():
                  id="integer-independent"),
     pytest.param(lambda: kernel_from_columns([{0: 0.5}, {0: 1}]), id="kernel"),
     pytest.param(lambda: rank([{0: 0.5}]), id="rank"),
+    # a bool is no coefficient: True would read as 1, and False as a dropped 0
+    pytest.param(lambda: rank([{0: True}]), id="rank-true"),
+    pytest.param(lambda: IntegerEliminator().add({0: 1, 1: False}), id="integer-add-false"),
+    pytest.param(lambda: Echelon().add({0: F(1, 2), 1: True}), id="echelon-add-true"),
 ])
 def test_inexact_entries_rejected(call):
     with pytest.raises(InexactCoefficient):
