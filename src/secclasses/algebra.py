@@ -105,12 +105,10 @@ def exponent_vectors(weights, budget: int, caps=None):
     return rec(0, 0)
 
 
-def bits(e: int):
+@lru_cache(maxsize=1 << 12)
+def bits(e: int) -> tuple[int, ...]:
     """The positions of the set bits of ``e``, lowest first."""
-    while e:
-        low = e & -e
-        yield low.bit_length() - 1
-        e ^= low
+    return tuple(i for i in range(e.bit_length()) if e >> i & 1)
 
 
 class Record:
@@ -182,7 +180,7 @@ class GeneratorSet(Record):
     """
 
     __slots__ = ("exterior", "poly", "truncation", "_bound", "_most", "_weights",
-                 "_index", "_offsets", "_masks", "_deg_at", "_ext_at", "_bias", "_guard")
+                 "_index", "_offsets", "_deg_at", "_ext_at", "_bias", "_guard", "_exps")
 
     def __init__(self, exterior: tuple[tuple[str, int], ...],
                  poly: tuple[tuple[str, int, int | None], ...], truncation: int = 0):
@@ -226,12 +224,13 @@ class GeneratorSet(Record):
             bias += ((1 << width) - 1 - ceiling) << at
             guard += 1 << (at + width)
             at += width + 1
-        # _index, for generator(): exterior names first, then polynomial ones
-        for name, value in {"_bound": bound, "_most": most, "_deg_at": offsets.pop(),
-                            "_offsets": tuple(offsets[::-1]), "_ext_at": at, "_bias": bias,
-                            "_guard": guard, "_weights": tuple(d for _, d, _ in self.poly),
-                            "_masks": tuple((1 << m.bit_length()) - 1 for m in most),
-                            "_index": {n: i for i, n in enumerate(names)}}.items():
+        # _index, for generator(): exterior names first, then polynomial ones;
+        # _exps, for unpack(): the exponents of each polynomial part read so far
+        derived = {"_bound": bound, "_most": most, "_deg_at": offsets.pop(),
+                   "_offsets": tuple(offsets[::-1]), "_ext_at": at, "_bias": bias,
+                   "_guard": guard, "_weights": tuple(d for _, d, _ in self.poly),
+                   "_index": {n: i for i, n in enumerate(names)}, "_exps": {}}
+        for name, value in derived.items():
             object.__setattr__(self, name, value)
 
     # -- basic queries -------------------------------------------------
@@ -264,8 +263,12 @@ class GeneratorSet(Record):
 
     def unpack(self, m: Mono) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """``(ext, exps)`` of the word ``m``, the inverse of :meth:`pack`."""
-        return (tuple(bits(m >> self._ext_at)),
-                tuple((m >> at) & mask for at, mask in zip(self._offsets, self._masks)))
+        e = m >> self._ext_at
+        x = m ^ (e << self._ext_at)
+        if (exps := self._exps.get(x)) is None:
+            exps = self._exps[x] = tuple((x >> at) & ((1 << most.bit_length()) - 1)
+                                         for at, most in zip(self._offsets, self._most))
+        return bits(e), exps
 
     def mono_degree(self, m: Mono) -> int:
         return (sum(self.exterior[i][1] for i in bits(m >> self._ext_at))
@@ -297,8 +300,7 @@ class GeneratorSet(Record):
         return Element._of(self, {0: _ONE})
 
     def generator(self, name: str) -> "Element":
-        """The named generator as an element; zero when the caps or the
-        truncation kill it."""
+        """The named generator as an element, zero if the caps or truncation kill it."""
         i = self._index.get(name)
         if i is None:
             raise KeyError(f"no generator named {name!r}")
@@ -325,9 +327,7 @@ class GeneratorSet(Record):
         return sum(d for _, d in self.exterior) + top
 
     def mono_str(self, m: Mono) -> str:
-        return self._label(*self.unpack(m))
-
-    def _label(self, ext, exps) -> str:
+        ext, exps = self.unpack(m)
         return power_label([(self.exterior[i][0], 1) for i in ext]
                            + [(name, e) for (name, _, _), e in zip(self.poly, exps)])
 
@@ -508,17 +508,17 @@ class Element:
     # -- presentation ------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: (self.gens.mono_degree(t[0]),
-                                                         self.gens.unpack(t[0])))
+        """The terms by degree, exterior indices, then word: so by exponents."""
+        gens = self.gens
+        return sorted(self.terms.items(), key=lambda t: (
+            gens.mono_degree(t[0]), bits(t[0] >> gens._ext_at), t[0]))
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        parts, gens = [], self.gens
-        # each word is read once, for the order and the label
-        for _, mono, c in sorted((gens.mono_degree(m), gens.unpack(m), c)
-                                 for m, c in self.terms.items()):
-            s = gens._label(*mono)
+        parts = []
+        for m, c in self.sorted_terms():
+            s = self.gens.mono_str(m)
             if s == "1":
                 body = str(c)
             elif c == 1:

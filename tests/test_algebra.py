@@ -395,7 +395,7 @@ def test_packed_words_match_the_tuple_reference():
     assert signs == {None, 1, -1}
 
 
-WORD_PRIVATES = ("_word", "_offsets", "_masks", "_bias", "_guard", "_deg_at", "_ext_at")
+WORD_PRIVATES = ("_word", "_offsets", "_bias", "_guard", "_deg_at", "_ext_at", "_exps")
 # (ext, exps) pairs taken from an element's terms, as in
 # ``for (ext, exps), c in x.terms.items()`` or ``for ext, _ in x.terms``
 TUPLE_KEYS = re.compile(r"for\s*\(\s*\w+\s*,\s*\w+\s*\)\s*,\s*\w+\s+in\s+[\w.()]*terms\b"
