@@ -91,8 +91,8 @@ def criterion_algebra_laws() -> tuple[bool, str]:
                 for c in monos:
                     ec = Element(gens, {c: Fraction(1)})
                     if (ea * eb) * ec != ea * (eb * ec):
-                        return False, ("associativity fails on " + ", ".join(
-                            map(gens.mono_str, (a, b, c))) + f" in W_{q}")
+                        return False, (f"associativity fails on {gens.mono_str(a)}, "
+                                       f"{gens.mono_str(b)}, {gens.mono_str(c)} in W_{q}")
     rng = random.Random(SEED)
     per_q = 250
     for q in (3, 4, 5, 6):

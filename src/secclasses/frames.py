@@ -240,9 +240,10 @@ def _classes_mod_image(d: Differential, elements, labels) -> tuple[list[bool], b
 
     Every element must be a combination of monomials of the basis of
     ``d.gens``, checked against the cached basis of each degree.  The
-    elements then go to one :func:`dga.classes_mod_image` call, which checks that they are cocycles, lays the complex out once
-    and ranks it in one elimination; a zero element reads as zero, and
-    its presence makes the elements jointly dependent.
+    elements then go to one :func:`dga.classes_mod_image` call, which
+    checks that they are cocycles, lays the complex out once and ranks it
+    in one elimination; a zero element reads as zero, and its presence
+    makes the elements jointly dependent.
     """
     by_degree: dict[int, list[tuple[str, Element]]] = {}
     for label, x in zip(labels, elements):

@@ -302,6 +302,18 @@ def test_unbounded_ring_is_rejected():
     assert GeneratorSet((), (("p", 2, 3),)).dimension() == 4
 
 
+def test_a_generator_the_ring_kills_is_zero():
+    # b's degree 6 is above the bound 4, and c's cap is 0: both are zero in
+    # the ring, so each equals its product with the unit
+    gens = GeneratorSet((("x", 1),), (("a", 2, 1), ("b", 6, None), ("c", 2, 0)),
+                        truncation=4)
+    for name in ("b", "c"):
+        g = gens.generator(name)
+        assert g.is_zero() and g == g * gens.unit(), name
+    a = gens.generator("a")
+    assert a == a * gens.unit() and a
+
+
 def test_top_degree_is_the_largest_nonempty_degree():
     # p1^2 has degree 8 > 6, so the polynomial parts stop at p1 (degree 4)
     # and the top is u1*p1, of degree 7, below 3 + truncation
