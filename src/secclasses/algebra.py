@@ -16,15 +16,15 @@ and reads it back with ``unpack``.  A product is one addition and one
 mask test, with the Koszul sign: the parity of the permutation sorting
 the concatenated exterior index sequences.
 
-Coefficients are :class:`fractions.Fraction` throughout, and no floating
-point is used anywhere.  A term is checked once, where it enters: the
-public ``Element(gens, terms)`` accepts only words of the ring (an int,
-else ``TypeError``; a word of the ring, else ``ValueError``), and it and
-:meth:`Element.scale` accept int and Fraction coefficients, store them as
-Fractions and raise :class:`InexactCoefficient` on anything else, floats
-and bools included.  Every result the package computes from stored terms
-is built by the trusted :meth:`Element._of`, which only drops zeros.
-Equality of elements is structural equality of their canonical term maps.
+Coefficients are ints and :class:`fractions.Fraction` values, stored as
+given; no floating point is used anywhere.  A term is checked once, where
+it enters: the public ``Element(gens, terms)`` accepts only words of the
+ring (an int, else ``TypeError``; a word of the ring, else
+``ValueError``), and it and :meth:`Element.scale` raise
+:class:`InexactCoefficient` on any other coefficient, floats and bools
+included.  Every result computed from stored terms is built by the trusted
+:meth:`Element._of`, which only drops zeros, so integer data stays integer.
+Equality of elements is structural equality of their term maps (2 == Fraction(2)).
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ from functools import lru_cache, total_ordering
 from itertools import combinations
 
 Mono = int
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class SecclassesError(Exception):
@@ -53,11 +50,11 @@ class InexactCoefficient(SecclassesError, TypeError):
     """A coefficient other than an int or a Fraction (a bool, say) reached an element."""
 
 
-def _exact(c) -> Fraction:
-    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+def _exact(c: int | Fraction) -> int | Fraction:
+    if type(c) is not int and type(c) is not Fraction:
         raise InexactCoefficient(
             f"coefficients must be int or Fraction, not {type(c).__name__}")
-    return Fraction(c)
+    return c
 
 
 def require_int(name: str, *values) -> None:
@@ -297,7 +294,7 @@ class GeneratorSet(Record):
         return Element._of(self, {})
 
     def unit(self) -> "Element":
-        return Element._of(self, {0: _ONE})
+        return Element._of(self, {0: 1})
 
     def generator(self, name: str) -> "Element":
         """The named generator as an element, zero if the caps or truncation kill it."""
@@ -305,13 +302,13 @@ class GeneratorSet(Record):
         if i is None:
             raise KeyError(f"no generator named {name!r}")
         if i < self.n_exterior:
-            return Element._of(self, {1 << (self._ext_at + i): _ONE})
+            return Element._of(self, {1 << (self._ext_at + i): 1})
         j = i - self.n_exterior
         m = (1 << self._offsets[j]) + (self._weights[j] << self._deg_at)
-        return Element._of(self, {m: _ONE} if self._most[j] else {})
+        return Element._of(self, {m: 1} if self._most[j] else {})
 
     def monomial(self, ext: tuple[int, ...], exps: tuple[int, ...],
-                 coeff=_ONE) -> "Element":
+                 coeff: int | Fraction = 1) -> "Element":
         return Element(self, {self.pack(ext, exps): coeff})
 
     # -- counting and printing -------------------------------------------
@@ -383,13 +380,14 @@ def exterior_subsets(gens: GeneratorSet) -> tuple[tuple[Mono, int], ...]:
                  for ext in subsets(range(gens.n_exterior)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # so 5.0 and True miss 5's and 1's entries
 def basis_of_degree(gens: GeneratorSet, n: int) -> tuple[Mono, ...]:
     """The words of all monomials of total degree ``n`` in canonical order.
 
     Exterior index tuples run lexicographically (:func:`exterior_subsets`),
     and for each the polynomial parts of :func:`poly_parts` follow.
     """
+    require_int("n", n)
     if n < 0:
         return ()
     poly = poly_parts(gens)
@@ -407,25 +405,25 @@ class Element:
     elements are equal iff their term maps are equal.  Elements are
     immutable by convention (operations always build new ones) and safe to
     share across threads.  The constructor checks each word and coefficient
-    (int or Fraction, stored as a Fraction); :meth:`_of` builds the
+    (an int or a Fraction, stored as given); :meth:`_of` builds the
     package's own results unchecked.
     """
 
     __slots__ = ("gens", "terms")
 
-    def __init__(self, gens: GeneratorSet, terms: dict[Mono, Fraction] | None = None):
+    def __init__(self, gens: GeneratorSet, terms: dict[Mono, int | Fraction] | None = None):
         terms = terms or {}
         for m in terms:
             require_int("monomial", m)
             if not gens.mono_valid(m):
                 raise ValueError(f"invalid monomial {m} over this generator set")
         self.gens = gens
-        self.terms = {m: v for m, c in terms.items() if (v := _exact(c))}
+        self.terms = {m: c for m, c in terms.items() if _exact(c)}
 
     @classmethod
-    def _of(cls, gens: GeneratorSet, terms: dict[Mono, Fraction]) -> "Element":
-        """The element with ``terms``, whose coefficients are Fractions
-        computed by the package; zeros are dropped, nothing is checked."""
+    def _of(cls, gens: GeneratorSet, terms: dict[Mono, int | Fraction]) -> "Element":
+        """The element with ``terms``, whose coefficients the package
+        computed; zeros are dropped, nothing is checked."""
         x = cls.__new__(cls)
         x.gens = gens
         x.terms = {m: c for m, c in terms.items() if c}
@@ -448,8 +446,9 @@ class Element:
             raise ValueError(f"element is not homogeneous (degrees {sorted(degs)})")
         return degs.pop()
 
-    def coefficient(self, m: Mono) -> Fraction:
-        return self.terms.get(m, _ZERO)
+    def coefficient(self, m: Mono) -> int | Fraction:
+        """The coefficient of the word ``m``: the int 0 when it is absent."""
+        return self.terms.get(m, 0)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -461,7 +460,7 @@ class Element:
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, _ZERO) + c
+            out[m] = out.get(m, 0) + c
         return Element._of(self.gens, out)
 
     def __sub__(self, other: "Element") -> "Element":
@@ -477,7 +476,7 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check(other)
-            out: dict[Mono, Fraction] = {}
+            out: dict[Mono, int | Fraction] = {}
             mono_mul = self.gens.mono_mul
             for ma, ca in self.terms.items():
                 for mb, cb in other.terms.items():
@@ -485,7 +484,7 @@ class Element:
                     if r is None:
                         continue
                     s, m = r
-                    out[m] = out.get(m, _ZERO) + (ca * cb if s > 0 else -(ca * cb))
+                    out[m] = out.get(m, 0) + (ca * cb if s > 0 else -(ca * cb))
             return Element._of(self.gens, out)
         return self.scale(other)
 
@@ -507,7 +506,7 @@ class Element:
 
     # -- presentation ------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Mono, int | Fraction]]:
         """The terms by degree, exterior indices, then word: so by exponents."""
         gens = self.gens
         return sorted(self.terms.items(), key=lambda t: (

@@ -38,14 +38,13 @@ only where it needs one.  Their number must equal the rank formula's
 dimension, a cross-check of the two eliminations.
 
 Coboundary tests (:func:`classes_mod_image`, behind :func:`class_nonzero`
-and the frame certificates) use the same layout, once per call, up to one
-degree above the cocycles' top degree.  s d of each input, by the same
-index arithmetic term by term, tested for zero, is the cocycle check.
-Every nonzero column of s d_{n-1}, for each degree n of their support,
-is ranked in one fraction-free elimination, each degree in its own
-index range, since the tests need only ranks; each input is reduced
-against it without being kept, and only then are the inputs added to
-it, for the joint answer.
+and the frame certificates) check each input by d(x), the
+:class:`Differential` applied to it, and then use the same layout, once
+per call, up to the inputs' top degree.  Every nonzero column of
+s d_{n-1}, for each degree n of their support, is ranked in one
+fraction-free elimination, each degree in its own index range, since the
+tests need only ranks; each input is reduced against it without being
+kept, and only then are the inputs added to it, for the joint answer.
 ``Echelon``, which also returns each row's monic residual, serves the
 cohomology representatives.
 """
@@ -119,7 +118,7 @@ class Differential:
         """
         if x.gens != self.gens:
             raise GeneratorMismatch("element does not live over the differential's generators")
-        acc: dict[Mono, Fraction] = {}
+        acc: dict[Mono, int | Fraction] = {}
         mono_mul, ext_at = self.gens.mono_mul, self.gens._ext_at
         for m, coeff in x.terms.items():
             for pos, idx in enumerate(bits(m >> ext_at)):
@@ -228,8 +227,8 @@ class _Layout:
     The scale s is the lcm of the denominators of d's coefficients, one
     for the whole layout, so every c is an int and every column is a dict
     of nonzero ints, which the rank routes hand to the trusted entries of
-    :mod:`.linalg`.  :meth:`columns` and :meth:`image` give s d, of the
-    same ranks, spans and kernels as d.
+    :mod:`.linalg`.  :meth:`columns` gives s d, of the same ranks, spans
+    and kernels as d.
     """
 
     def __init__(self, gens: GeneratorSet, d: Differential, top: int):
@@ -278,20 +277,6 @@ class _Layout:
                 if (p := pos.get(x + b)) is not None]
         return table
 
-    def image(self, x: Element) -> dict[tuple[int, int], int | Fraction]:
-        """s d(x), for an element x of degree below ``top`` whose terms are
-        monomials of the complex, as ``{(degree, row): coefficient}``; a
-        coefficient may be 0 where terms cancel."""
-        out: dict = {}
-        for m, a in x.terms.items():
-            sid, e, n = self._split(m)
-            targets = self.offsets[n + 1][0]
-            for T, b, c in self.images[sid]:
-                if (p := self.pos.get(e + b)) is not None:
-                    key = n + 1, targets[T] + p
-                    out[key] = out.get(key, 0) + a * c
-        return out
-
     def columns(self, n: int) -> tuple[int, list[dict[int, int]]]:
         """The size of the degree-n basis, and the coordinates of s d on it
         over the degree-(n+1) basis, one column per basis monomial."""
@@ -322,8 +307,7 @@ def _representatives(gens: GeneratorSet, basis_n, cols, prev_image):
     for vec in kernel_from_columns(cols):
         residual = stack.add(vec)
         if residual is not None:
-            reps.append(Element._of(gens, {basis_n[j]: Fraction(c)
-                                           for j, c in residual.items()}))
+            reps.append(Element._of(gens, {basis_n[j]: c for j, c in residual.items()}))
     return tuple(reps)
 
 
@@ -388,10 +372,10 @@ def classes_mod_image(d: Differential, cocycles) -> tuple[list[bool], bool]:
     Each input must live over ``d.gens`` (else :class:`GeneratorMismatch`)
     and have only monomials of the complex as terms (else ``ValueError``),
     both checked on every input in turn; then each must be a cocycle (else
-    :class:`NotACocycle`), s d(x) being read off the layout and tested for
-    zero.  A zero input reads as zero.  Exact: the nonzero columns of
-    s d_{n-1}, for each degree n of the support, laid out on one
-    :class:`_Layout` and added by the trusted entry to one fraction-free
+    :class:`NotACocycle`), d(x) being tested for zero.  A zero input reads
+    as zero.  Exact: the nonzero columns of s d_{n-1}, for each degree n
+    of the support, laid out on one :class:`_Layout` up to the inputs' top
+    degree and added by the trusted entry to one fraction-free
     elimination with row r of degree n at index
     ``last[n] - r``.  So each degree has its own index range (the image of
     d is graded), and a row's pivot is its last target, which keeps the
@@ -409,12 +393,11 @@ def classes_mod_image(d: Differential, cocycles) -> tuple[list[bool], bool]:
         for m in x.terms:
             if not gens.mono_valid(m):
                 raise ValueError(f"{m} is not a monomial of the complex")
-    # one degree above the cocycles, for d of their top degree
-    layout = _Layout(gens, d, 1 + max((gens.mono_degree(m) for x in cocycles
-                                       for m in x.terms), default=0))
     for i, x in enumerate(cocycles):
-        if any(layout.image(x).values()):
-            raise NotACocycle(f"cocycle {i}: d(x) = {d(x)} != 0")
+        if dx := d(x):
+            raise NotACocycle(f"cocycle {i}: d(x) = {dx} != 0")
+    layout = _Layout(gens, d, max((gens.mono_degree(m) for x in cocycles
+                                   for m in x.terms), default=0))
     terms = [[(*layout.row(m), c) for m, c in x.terms.items()] for x in cocycles]
     degrees = sorted({n for row in terms for n, _, _ in row})
     image, last, size = IntegerEliminator(), {}, 0

@@ -156,7 +156,7 @@ class _GeneratorMap:
     def __call__(self, x: Element) -> Element:
         if x.gens != self.source_gens:
             raise GeneratorMismatch("element does not live over the map's source")
-        acc: dict[Mono, Fraction] = {}
+        acc: dict[Mono, int | Fraction] = {}
         unit, unpack = self.target.unit(), self.source_gens.unpack
         for m, coeff in x.terms.items():
             ext, exps = unpack(m)

@@ -251,8 +251,9 @@ def pullback(mono: PontrjaginMonomial, bundle: BundleMap) -> Element:
     return out
 
 
-def evaluate_on_cycle(x: Element, ring: ModelRing) -> Fraction:
-    """Pairing with the fundamental class: the top-monomial coefficient."""
+def evaluate_on_cycle(x: Element, ring: ModelRing) -> int | Fraction:
+    """Pairing with the fundamental class: the top-monomial coefficient,
+    the int 0 when x has no top term."""
     if ring.top is None:
         raise ValueError(f"{ring.label} has no fundamental class")
     if x.gens != ring.gens:
@@ -261,10 +262,13 @@ def evaluate_on_cycle(x: Element, ring: ModelRing) -> Fraction:
 
 
 class CertificateBlock(Record):
+    """One degree of an independence certificate: ``matrix[i][j]`` pairs
+    class i with cycle j, an int on the canonical bundles."""
+
     __slots__ = ("degree", "classes", "cycles", "matrix", "rank", "full")
 
     def __init__(self, degree: int, classes: tuple[str, ...], cycles: tuple[str, ...],
-                 matrix: tuple[tuple[Fraction, ...], ...], rank: int, full: bool):
+                 matrix: tuple[tuple[int | Fraction, ...], ...], rank: int, full: bool):
         self._set(degree, classes, cycles, matrix, rank, full)
 
 
@@ -332,5 +336,6 @@ def verify_symmetric_multiple(k: int, ell: int) -> tuple[Fraction | None, bool]:
     if p_ell.is_zero() or p1_pow.is_zero():
         return None, False
     m, c = p_ell.sorted_terms()[0]
-    ratio = c / p1_pow.coefficient(m)
+    # two ints would divide to a float
+    ratio = Fraction(c) / p1_pow.coefficient(m)
     return ratio, p_ell == p1_pow.scale(ratio)

@@ -90,6 +90,7 @@ class VeyIndex(Record, order=True):
 
     def is_member(self, q: int) -> bool:
         """Basis membership: sum(J) <= q, i_1 + sum(J) >= q+1, i_1 <= j_1."""
+        require_int("q", q)
         if not self.I:
             return False
         if any(i > q for i in self.I) or any(j > q for j in self.J):
@@ -130,6 +131,9 @@ def vey_basis(q: int, min_degree: int | None = None,
     report it separately when counting degree 0.
     """
     _codimension(q)
+    for name, bound in (("min_degree", min_degree), ("max_degree", max_degree)):
+        if bound is not None:
+            require_int(name, bound)
     out = []
     for i1 in range(1, q + 1):
         parts = range(i1, q + 1)

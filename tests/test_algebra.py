@@ -175,28 +175,42 @@ def test_float_coefficients_rejected():
     assert 2 * y1 == y1.scale(Fraction(2)) == Element(gens, {gens.pack((0,), (0,)): 2})
 
 
-def test_every_internal_route_stores_nonzero_fractions():
+def test_every_internal_route_stores_nonzero_exact_coefficients():
     # coefficients are checked once where they enter (the entry points are
-    # test_float_coefficients_rejected's); every element built from them
-    # holds only nonzero Fractions, whichever route built it
+    # test_float_coefficients_rejected's) and stored as given: every element
+    # built from them holds only nonzero ints and Fractions, whichever route
+    # built it, and a route over integer data holds only ints
     def exact(x):
-        return all(type(c) is Fraction and c for c in x.terms.values())
+        return all(type(c) in (int, Fraction) and c for c in x.terms.values())
+
+    def integral(x):
+        return all(type(c) is int and c for c in x.terms.values())
 
     gens, d = weil_complex(3)
     y1, y2, c1, c2 = (gens.generator(n) for n in ("y1", "y2", "c1", "c2"))
     x = y1 * c1.scale(Fraction(2, 3)) + y2 - c2 * 3
-    routes = [gens.zero(), gens.unit(), y1, x + x, x - x, x + (-x), -x, x * x,
-              (x + c1) ** 2, x * y1, x.scale(Fraction(1, 2)), x.scale(0), 5 * x,
-              d(x), d(y1 * c1 * c2)]
+    assert {type(c) for c in x.terms.values()} == {int, Fraction}
+    mixed = [x + x, x - x, x + (-x), -x, x * x, (x + c1) ** 2, x * y1,
+             x.scale(Fraction(1, 2)), x.scale(0), 5 * x, d(x)]
+    w = y1 * c1 * c2 - y2.scale(2) * c1 + c2 * 3
+    integer = [gens.zero(), gens.unit(), y1, w, w + w, w - w, -w, w * w,
+               (w + c1) ** 2, w * y1, w.scale(-4), 5 * w, d(w), d(y1 * c1 * c2),
+               *d.ext_images]
     delta = CharacteristicMap(projective_base_model(2))
-    routes += [delta(VeyIndex(I, J).element(delta.source_gens))
-               for I, J in (((2,), (2, 2)), ((1,), (1, 1)), ((2,), (1, 1, 1)))]
+    integer += [delta(VeyIndex(I, J).element(delta.source_gens))
+                for I, J in (((2,), (2, 2)), ((1,), (1, 1)), ((2,), (1, 1, 1)))]
     bundle = canonical_bundle(product_model([Factor("cp2", 1)] * 2))
-    routes += list(bundle.p_images.values())
-    routes += [rep for s in cohomology(*weil_complex(2)).by_degree.values()
-               for rep in s.representatives]
-    assert x - x == x + (-x) == x.scale(0) == gens.zero()
-    assert all(map(exact, routes))
+    integer += list(bundle.p_images.values())
+    integer += [rep for s in cohomology(*weil_complex(2)).by_degree.values()
+                for rep in s.representatives]
+    assert x - x == x + (-x) == x.scale(0) == w - w == gens.zero()
+    assert all(map(exact, mixed + integer))
+    assert all(map(integral, integer))
+    # d u_i = t^i/i! keeps its Fractions, 1/1! included
+    _, d4 = projective_reduced_model(4)
+    coefficients = [c for image in d4.ext_images for c in image.terms.values()]
+    assert coefficients == [1, Fraction(1, 2), Fraction(1, 6)]
+    assert all(type(c) is Fraction for c in coefficients)
 
 
 def test_caps_model_projective_plane():

@@ -580,6 +580,12 @@ def test_selftest_contract(capsys):
      "73e77ddbcfd419fb27d48f24e0cfafb351cdf55c88877a2ff5c0736b34f7f140"),
     ("cohomology --q 9 --representatives --format json",
      "d46e2caf2983a6b1543d9ea0adff82ba1f0f34b44a36bf059597a161d787e6b7"),
+    # int and Fraction coefficients mixed in the pairings and the frame
+    # certificates, at sizes where the Element arithmetic dominates
+    ("pontrjagin --q 24 --format json",
+     "7fa7dbf5949c604e289b017ce28c068920bbfa3a34538c7a185bb9d905380823"),
+    ("frame --case 2k --k 12 --format json",
+     "a2fdcc0b8f1512ae30c26ed8c598e7a6957b629001f838395bf30ef757c42d12"),
 ])
 def test_golden_output_sha256(capsys, argv, digest):
     # pins the enumeration order of every family behind these reports

@@ -21,7 +21,7 @@ from secclasses.models import (BundleMap, Factor, admissible_monomials,
                                independence_certificate, product_model, sphere_model,
                                verify_symmetric_multiple, whitney_sum)
 from secclasses.weil import (VeyIndex, godbillon_vey, spherical_rigid_classes,
-                             spherical_rigid_count)
+                             spherical_rigid_count, vey_basis, weil_complex)
 from test_dga import _random_in_degree
 
 
@@ -366,6 +366,12 @@ def test_a_zero_element_leaves_the_certified_classes_dependent():
     assert dga.classes_mod_image(model.d, elements) == ([True, False], False)
 
 
+def _basis_after_int(n):
+    gens, _ = weil_complex(2)
+    assert basis_of_degree(gens, int(n))
+    return basis_of_degree(gens, n)
+
+
 @pytest.mark.parametrize("call, name", [
     (lambda: certify_projective_family(2.0), "k"),
     (lambda: certify_projective_family(True), "k"),
@@ -386,11 +392,20 @@ def test_a_zero_element_leaves_the_certified_classes_dependent():
     (lambda: permanence_family((2,), (2, 2), 4, (2.0,)), "twisting index"),
     (lambda: permanence_family((2,), (2, 2, 2), 6, (True,)), "twisting index"),
     (lambda: build_frame_model(cp2(), canonical_bundle(cp2()), 2.0), "q"),
+    # the int entry is cached first: a float or bool key must miss it
+    (lambda: _basis_after_int(5.0), "n"),
+    (lambda: _basis_after_int(True), "n"),
+    (lambda: vey_basis(3, min_degree=2.5), "min_degree"),
+    (lambda: vey_basis(3, max_degree=True), "max_degree"),
+    (lambda: VeyIndex((1,), (1, 1)).is_member(2.0), "q"),
+    (lambda: VeyIndex((1,), (1, 1)).is_rigid(True), "q"),
 ], ids=["projective-float", "projective-bool", "sphere-float", "projective-base",
         "sphere-base", "projective-reduced", "sphere-reduced", "independence",
         "admissible", "spherical-classes", "spherical-count", "symmetric-k",
         "symmetric-ell", "godbillon-vey-float", "godbillon-vey-bool", "permanence-q",
-        "permanence-r-float", "permanence-r-bool", "frame-model-q-float"])
+        "permanence-r-float", "permanence-r-bool", "frame-model-q-float",
+        "basis-degree-float", "basis-degree-bool", "vey-min-degree", "vey-max-degree",
+        "vey-member-q", "vey-rigid-q"])
 def test_family_sizes_must_be_ints(call, name):
     with pytest.raises(TypeError, match=f"^{name} must be an int"):
         call()

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from secclasses.algebra import GeneratorSet, basis_of_degree
+from secclasses.linalg import Echelon
 from secclasses.models import (Factor, ModelRing, PontrjaginMonomial,
                                admissible_monomials, canonical_bundle,
                                canonical_factor_bundles, cp2, evaluate_on_cycle,
@@ -173,6 +175,37 @@ def test_symmetric_multiple():
         assert ok and ratio == 1
     with pytest.raises(ValueError):
         verify_symmetric_multiple(2, 3)
+
+
+def test_every_division_stays_exact():
+    # fed an int or an integral Fraction, every public route that divides or
+    # returns a coefficient gives an int or a Fraction: two ints must never
+    # divide to a float, and no value is a bool
+    def exact(*values):
+        return all(type(v) in (int, Fraction) for v in values)
+
+    for k in range(1, 6):
+        for ell in range(1, k + 1):
+            ratio, ok = verify_symmetric_multiple(k, ell)
+            assert ok and type(ratio) is Fraction and ratio == Fraction(1, factorial(ell))
+    ring = product_model([Factor("cp2", 1)] * 2)
+    a1, a2 = (ring.gens.generator(n) for n in ("a1", "a2"))
+    x, absent = a1 * a1 * a2 * a2 - a1 * a2, next(iter(a1.terms))
+    for c in (3, Fraction(3), Fraction(3, 2)):
+        y = x.scale(c)
+        values = (*y.terms.values(), y.coefficient(ring.top), y.coefficient(absent),
+                  evaluate_on_cycle(y, ring), evaluate_on_cycle(y * a1, ring))
+        assert exact(*values) and values[-4:] == (c, 0, c, 0)
+    for two, three in ((2, 3), (Fraction(2), Fraction(3))):
+        echelon = Echelon()
+        first = echelon.add({0: two, 1: three, 2: 2 * two})
+        second = echelon.add({1: 2 * two, 2: three})
+        assert first == {0: 1, 1: Fraction(3, 2), 2: 2}
+        assert second == {1: 1, 2: Fraction(3, 4)}
+        assert exact(*first.values(), *second.values())
+    report = independence_certificate(10)
+    assert report.passed
+    assert all(exact(*row) for block in report.blocks for row in block.matrix)
 
 
 @pytest.mark.parametrize("make, name", [
