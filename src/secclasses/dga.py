@@ -14,9 +14,9 @@ The columns are those of s d, s the lcm of the denominators of d's
 coefficients: 1 on the Weil and frame models, lcm(1!, ..., (k-1)!) on
 the reduced projective model, whose d u_i = t^i/i!.  One factor for
 every column changes no rank, span or kernel, and makes every column a
-dict of nonzero ints, which goes to the trusted entries of
-:mod:`.linalg` with no per-row check or copy.  A row built from an
-``Element``, a cocycle or a kernel vector, goes to the checked ones.
+dict of nonzero ints, which goes to the trusted entry of :mod:`.linalg`
+with no per-row check or copy.  A row built from an ``Element``, a
+cocycle or a kernel vector, goes to the checked ones.
 
 The columns come from index arithmetic on the exterior tensor polynomial
 layout of the basis, with no monomial built (:class:`_Layout`).  Degree n
@@ -31,11 +31,10 @@ truncation; a part is its word (:class:`GeneratorSet`), so a shift is
 one addition and one lookup.
 
 Representatives are searched only when asked for, and only in degrees
-with classes, by a second elimination over the whole degree: a
-representative is the residual of a kernel vector modulo the image and
-the earlier kernel vectors, made monic at its lead, with a ``Fraction``
-only where it needs one.  Their number must equal the rank formula's
-dimension, a cross-check of the two eliminations.
+with classes: a representative is the residual of a kernel vector modulo
+the image, held by the pivots the rank of d_{n-1} kept, and the earlier
+kernel vectors, made monic at its lead, with a ``Fraction`` only where
+it needs one.  Their number must equal the rank formula's dimension.
 
 Coboundary tests (:func:`classes_mod_image`, behind :func:`class_nonzero`
 and the frame certificates) check each input by d(x), the
@@ -43,10 +42,9 @@ and the frame certificates) check each input by d(x), the
 per call, up to the inputs' top degree.  Every nonzero column of
 s d_{n-1}, for each degree n of their support, is ranked in one
 fraction-free elimination, each degree in its own index range, since the
-tests need only ranks; each input is reduced against it without being
-kept, and only then are the inputs added to it, for the joint answer.
-``Echelon``, which also returns each row's monic residual, serves the
-cohomology representatives.
+tests need only ranks; each input is reduced against its pivots without
+being kept, and only then are the inputs added to them, for the joint
+answer.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ from math import lcm
 from .algebra import (Element, GeneratorMismatch, GeneratorSet, Mono, Record,
                       SecclassesError, basis_of_degree, bits, exterior_subsets,
                       poly_parts, require_int)
-from .linalg import Echelon, IntegerEliminator, _rank_int, kernel_from_columns
+from .linalg import Echelon, IntegerEliminator, _pivots_int, kernel_from_columns
 
 
 class DegreeMismatch(SecclassesError, ValueError):
@@ -226,7 +224,7 @@ class _Layout:
 
     The scale s is the lcm of the denominators of d's coefficients, one
     for the whole layout, so every c is an int and every column is a dict
-    of nonzero ints, which the rank routes hand to the trusted entries of
+    of nonzero ints, which the rank routes hand to the trusted entry of
     :mod:`.linalg`.  :meth:`columns` gives s d, of the same ranks, spans
     and kernels as d.
     """
@@ -295,14 +293,13 @@ class _Layout:
         return chain_dim, cols
 
 
-def _representatives(gens: GeneratorSet, basis_n, cols, prev_image):
-    """The degree-n representatives, from one elimination over the degree:
-    the nonzero monic residuals of the kernel vectors, in the order of
-    their free columns, each modulo the image of d_{n-1} (``prev_image``)
-    and the earlier kernel vectors."""
+def _representatives(gens: GeneratorSet, basis_n, cols, image):
+    """The degree-n representatives: the nonzero monic residuals of the
+    kernel vectors, in the order of their free columns, each modulo the
+    image of d_{n-1} and the earlier kernel vectors.  ``image``, the
+    pivots of d_{n-1}, seeds the elimination and is extended in place."""
     stack = Echelon()
-    for row in prev_image:
-        stack.add(row)
+    stack.pivots = image
     reps = []
     for vec in kernel_from_columns(cols):
         residual = stack.add(vec)
@@ -323,14 +320,15 @@ def cohomology(gens: GeneratorSet, d: Differential, max_degree: int | None = Non
 
     Every complex is finite, and ``max_degree`` defaults to its top degree,
     the largest degree of a nonzero monomial; the degrees above the top
-    one are empty and are neither laid out nor stored.  Each dimension is ``chain_dim - rank d_n - rank d_{n-1}``,
-    rank d_n from one fraction-free elimination of the degree's columns,
-    which :class:`_Layout` computes by index arithmetic up to degree
-    ``min(max_degree, top) + 1`` as dicts of ints, and ranks with no
-    per-row check.  Monomials are built only to name the
+    one are empty and are neither laid out nor stored.  Each dimension is
+    ``chain_dim - rank d_n - rank d_{n-1}``, rank d_n the number of pivots
+    one fraction-free elimination of the degree's columns keeps, which
+    :class:`_Layout` computes by index arithmetic up to degree
+    ``min(max_degree, top) + 1`` as dicts of ints.  Those pivots seed the
+    representatives of degree n + 1, so no image row is eliminated twice.
+    Monomials are built only to name the
     representatives, by :func:`basis_of_degree` in the degrees with
-    classes; the rank route builds none.  The residuals of
-    :func:`_representatives`, in the degrees with classes, follow a
+    classes; the rank route builds none.  The residuals follow a
     deterministic pivot rule, so output is reproducible; their number must
     equal the dimension, a cross-check of the two eliminations.
     """
@@ -344,23 +342,20 @@ def cohomology(gens: GeneratorSet, d: Differential, max_degree: int | None = Non
     last = min(max_degree, top)
     layout = _Layout(gens, d, last + 1)
     computed: dict[int, DegreeSlice] = {}
-    prev_rank = 0
-    prev_image: list[dict] = []
+    prev: dict = {}  # the pivots of the image of d_{n-1}
     for n in range(last + 1):
         chain_dim, cols = layout.columns(n)
-        image = [c for c in cols if c]
-        rank_n = _rank_int(image)
-        dim = chain_dim - rank_n - prev_rank
+        pivots = _pivots_int([c for c in cols if c])
+        dim = chain_dim - len(pivots) - len(prev)
         reps = None
         if representatives:
             reps = _representatives(gens, basis_of_degree(gens, n), cols,
-                                    prev_image) if dim else ()
+                                    prev) if dim else ()
             if len(reps) != dim:
                 raise RuntimeError(
                     f"degree {n}: {len(reps)} representatives but rank gives dim {dim}")
-            prev_image = image
         computed[n] = DegreeSlice(chain_dim, dim, reps)
-        prev_rank = rank_n
+        prev = pivots
     empty = DegreeSlice(0, 0, () if representatives else None)
     return CohomologyReport(max_degree, _Slices(computed, max_degree, empty))
 
@@ -375,12 +370,12 @@ def classes_mod_image(d: Differential, cocycles) -> tuple[list[bool], bool]:
     :class:`NotACocycle`), d(x) being tested for zero.  A zero input reads
     as zero.  Exact: the nonzero columns of s d_{n-1}, for each degree n
     of the support, laid out on one :class:`_Layout` up to the inputs' top
-    degree and added by the trusted entry to one fraction-free
-    elimination with row r of degree n at index
-    ``last[n] - r``.  So each degree has its own index range (the image of
-    d is graded), and a row's pivot is its last target, which keeps the
-    elimination short on the frame models.  Each input is reduced against
-    that elimination without being kept; then the inputs are added to it
+    degree and ranked by one call of the trusted entry, with row r of
+    degree n at index ``last[n] - r``.  So each degree has its own index
+    range (the image of d is graded), and a row's pivot is its last
+    target, which keeps the elimination short on the frame models.  The
+    pivots seed an :class:`IntegerEliminator`; each input is reduced
+    against them without being kept, then the inputs are added to them
     for the joint answer, which stops at the first dependent one, both by
     the checked entries.
     """
@@ -400,13 +395,13 @@ def classes_mod_image(d: Differential, cocycles) -> tuple[list[bool], bool]:
                                    for m in x.terms), default=0))
     terms = [[(*layout.row(m), c) for m, c in x.terms.items()] for x in cocycles]
     degrees = sorted({n for row in terms for n, _, _ in row})
-    image, last, size = IntegerEliminator(), {}, 0
+    last, size = {}, 0
     for n in degrees:
         size += layout.offsets[n][1]
         last[n] = size - 1
-        for col in layout.columns(n - 1)[1] if n else ():
-            if col:
-                image._add_int({last[n] - t: c for t, c in col.items()})
+    image = IntegerEliminator()
+    image.pivots = _pivots_int({last[n] - t: c for t, c in col.items()}
+                               for n in degrees if n for col in layout.columns(n - 1)[1] if col)
     coords = [{last[n] - r: c for n, r, c in row} for row in terms]
     nonzero = [image.independent(row) for row in coords]
     return nonzero, all(map(image.add, coords))

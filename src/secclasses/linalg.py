@@ -9,20 +9,22 @@ of nonzero Python ints, has two kinds of entry:
   else, floats included, raises :class:`InexactCoefficient`.  The one
   entry check, :func:`_integer_row`, scales each row to integers once, in
   a new dict;
-* the trusted entries, :func:`_rank_int` and
-  :meth:`IntegerEliminator._add_int`, take rows that are already dicts of
-  nonzero ints and skip both the check and the copy.  Only the package
-  calls them, on the columns of ``dga._Layout``, which clears the
-  denominators of d by one scale and so gives ints on every complex.
+* the one trusted entry, :func:`_pivots_int`, takes rows that are already
+  dicts of nonzero ints, skips both the check and the copy, and returns
+  the pivots it kept, which may seed an :class:`IntegerEliminator` or an
+  :class:`Echelon`.  Only ``dga`` calls it, on the columns of
+  ``dga._Layout``, which clears the denominators of d by one scale and so
+  gives ints on every complex.
 
 Elimination is fraction-free: cross-multiplication with content
 stripping, or a plain r - a p where the pivot's lead is 1, so no rational
 division happens.  The core never mutates a row it is given, nor a
-stored pivot: every changed row is a new dict.  So a trusted row may be
-stored as a pivot and still be read by its caller, as ``dga.cohomology``
-reads the image rows it ranked again for the representatives.  The one
-place a ``Fraction`` is made is the monic residual :meth:`Echelon.add`
-returns, and only where its lead does not divide an entry.
+stored pivot: every changed row is a new dict.  So a layout column
+stored unchanged as a pivot is still the column that ``dga.cohomology``
+hands to :func:`kernel_from_columns`, and pivots handed on keep their
+rows as they were.  The one place a ``Fraction`` is made is the monic
+residual :meth:`Echelon.add` returns, and only where its lead does not
+divide an entry.
 
 Pivot rule everywhere, kernels included: rows are processed in the order
 given, the smallest column index of a row becomes its pivot, and
@@ -121,7 +123,9 @@ class IntegerEliminator:
     """Incremental fraction-free forward elimination over the integers.
 
     Each pivot row is content stripped with a positive lead, and has
-    entries only at its lead column and beyond.
+    entries only at its lead column and beyond, as :func:`_keep` stores
+    it; a seed assigned to ``pivots``, as from :func:`_pivots_int`, must
+    hold such rows.
     """
 
     def __init__(self):
@@ -133,12 +137,7 @@ class IntegerEliminator:
 
     def add(self, row: Row | IntRow) -> bool:
         """Reduce a row against the pivots; keep it if independent."""
-        return self._add_int(_integer_row(row)[0])
-
-    def _add_int(self, r: IntRow) -> bool:
-        """:meth:`add` for a trusted row of nonzero ints, which may be
-        stored as it is."""
-        if r := _reduce(self.pivots, r):
+        if r := _reduce(self.pivots, _integer_row(row)[0]):
             _keep(self.pivots, r, min(r))
             return True
         return False
@@ -148,8 +147,9 @@ class IntegerEliminator:
         return bool(_reduce(self.pivots, _integer_row(row)[0]))
 
 
-def _rank_int(rows) -> int:
-    """:func:`rank` for trusted rows of nonzero ints."""
+def _pivots_int(rows) -> dict[int, IntRow]:
+    """The pivots, by lead column, that eliminating trusted rows of
+    nonzero ints in order keeps; their number is the rank."""
     pivots: dict[int, IntRow] = {}
     for r in rows:
         # _reduce inlined: a call per row is a tenth of the Weil-complex ranks
@@ -160,12 +160,12 @@ def _rank_int(rows) -> int:
                 _keep(pivots, r, lead)
                 break
             r = _cancel(r, p, lead)
-    return len(pivots)
+    return pivots
 
 
 def rank(rows) -> int:
     """Rank of a sparse matrix given as an iterable of rows."""
-    return _rank_int(_integer_row(row)[0] for row in rows)
+    return len(_pivots_int(_integer_row(row)[0] for row in rows))
 
 
 class Echelon(IntegerEliminator):
@@ -175,7 +175,10 @@ class Echelon(IntegerEliminator):
     cancels every pivot column beyond the lead.  A vector of the row space
     that is zero at every pivot column is zero, so the residual left
     modulo the row space is unique up to scale, and made monic it is the
-    residual a reduced row echelon form over Fraction gives.
+    residual a reduced row echelon form over Fraction gives.  That needs
+    only pivot rows with no entry before their lead, so a seed from
+    :func:`_pivots_int`, with entries at later pivot columns, gives the
+    same residuals.
     """
 
     def add(self, row: Row | IntRow) -> Row | None:

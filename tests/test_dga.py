@@ -279,27 +279,21 @@ def test_layout_columns_take_only_the_trusted_entries(complex_, monkeypatch):
     # d u_i = t^i/i! puts 1/2 and 1/6 into the reduced projective model,
     # and its layout scales them away: no trusted entry sees a non-int,
     # and no layout column passes the entry check
-    calls = []
-    rank_int, add_int = dga._rank_int, linalg.IntegerEliminator._add_int
-    integer_row = linalg._integer_row
+    calls, ranked = [], []
+    pivots_int, integer_row = dga._pivots_int, linalg._integer_row
 
-    def trusted_rank(rows):
+    def trusted(rows):
         rows = list(rows)
         assert all(type(v) is int and v for row in rows for v in row.values())
         calls.append("trusted")
-        return rank_int(rows)
-
-    def trusted_add(self, row):
-        assert all(type(v) is int and v for v in row.values())
-        calls.append("trusted")
-        return add_int(self, row)
+        ranked.append(len(rows))
+        return pivots_int(rows)
 
     def checked(row):
         calls.append("checked")
         return integer_row(row)
 
-    monkeypatch.setattr(dga, "_rank_int", trusted_rank)
-    monkeypatch.setattr(linalg.IntegerEliminator, "_add_int", trusted_add)
+    monkeypatch.setattr(dga, "_pivots_int", trusted)
     monkeypatch.setattr(linalg, "_integer_row", checked)
     gens, d = complex_()
     slices = cohomology(gens, d, representatives=False).by_degree
@@ -308,13 +302,35 @@ def test_layout_columns_take_only_the_trusted_entries(complex_, monkeypatch):
                for r in s.representatives]
     calls.clear()
     # the image rows, the nonzero columns of d below each class degree,
-    # are added by the trusted entry; then each class row is checked by
+    # are ranked by one trusted call; then each class row is checked by
     # ``independent``, and checked again by ``add`` for the joint answer
     image = sum(1 for n in {x.degree() for x in classes} if n
                 for col in _public_image_columns(gens, d, n - 1)[1] if col)
     assert classes_mod_image(d, classes) == ([True] * len(classes), True)
-    assert calls == (["trusted"] * image + ["checked"] * len(classes)
-                     + ["checked", "trusted"] * len(classes))
+    assert calls == ["trusted"] + ["checked"] * (2 * len(classes))
+    assert ranked[-1] == image
+
+
+@pytest.mark.parametrize("complex_", BLOCK_CASES)
+def test_representatives_add_no_image_row(complex_, monkeypatch):
+    # the image of d_{n-1} seeds the elimination as the pivots its rank
+    # kept, so only the kernel vectors of the degrees with classes go
+    # through ``Echelon.add``
+    gens, d = complex_()
+    kernels = 0
+    for n, (dim, _) in global_cohomology(gens, d).items():
+        if dim:
+            kernels += len(kernel_from_columns(_public_image_columns(gens, d, n)[1]))
+    calls = []
+    add = linalg.Echelon.add
+
+    def counted(self, row):
+        calls.append(row)
+        return add(self, row)
+
+    monkeypatch.setattr(linalg.Echelon, "add", counted)
+    cohomology(gens, d)
+    assert len(calls) == kernels
 
 
 def test_layout_columns_drop_an_image_term_beyond_a_cap():

@@ -1,15 +1,18 @@
 """Exact rank, echelon, and kernel routines, cross-checked against the
 reduced echelon form over Fraction in ``fraction_linalg``."""
 
+import ast
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 import fraction_linalg as oracle
+import secclasses
 from secclasses.algebra import InexactCoefficient
-from secclasses.linalg import (Echelon, IntegerEliminator, _cancel, _rank_int,
+from secclasses.linalg import (Echelon, IntegerEliminator, _cancel, _pivots_int,
                                kernel_from_columns, rank)
 
 
@@ -195,10 +198,20 @@ def test_trusted_rank_equals_the_checked_rank_and_the_oracle(unit):
     rng = random.Random(29)
     for _ in range(200):
         rows = _random_int_rows(rng, rng.randint(1, 12), rng.randint(1, 10), unit)
-        ref = oracle.Echelon()
+        ref, checked = oracle.Echelon(), IntegerEliminator()
         for row in rows:
-            ref.add(row)
-        assert _rank_int(rows) == rank(rows) == ref.rank
+            checked.add(row)
+        want = [ref.add(row) for row in rows]
+        pivots = _pivots_int(rows)
+        assert pivots == checked.pivots
+        assert len(pivots) == rank(rows) == ref.rank
+        # pivots handed on: an Echelon seeded with the first i rows' pivots
+        # gives each later row the residual of one fed every row (i = 0),
+        # which is the oracle's
+        for i in range(len(rows) + 1):
+            seeded = Echelon()
+            seeded.pivots = _pivots_int(rows[:i])
+            assert [seeded.add(row) for row in rows[i:]] == want[i:], i
 
 
 def test_no_entry_mutates_a_row_it_is_given():
@@ -209,16 +222,21 @@ def test_no_entry_mutates_a_row_it_is_given():
         for _ in range(100):
             rows = _random_int_rows(rng, rng.randint(1, 10), rng.randint(1, 8), unit)
             before = [dict(r) for r in rows]
-            _rank_int(rows)
+            half = len(rows) // 2
+            seeded = Echelon()
+            seeded.pivots = _pivots_int(rows[:half])
+            held = {c: dict(p) for c, p in seeded.pivots.items()}
             rank(rows)
-            trusted, checked, ech = IntegerEliminator(), IntegerEliminator(), Echelon()
+            checked, ech = IntegerEliminator(), Echelon()
             for row in rows:
-                trusted._add_int(row)
                 checked.add(row)
                 checked.independent(row)
                 ech.add(row)
+                seeded.add(row)
             kernel_from_columns(rows)
             assert rows == before
+            # nor a pivot it was handed: the seed's rows are as they were
+            assert {c: seeded.pivots[c] for c in held} == held
 
 
 def test_cancel_drops_every_cancelled_entry():
@@ -273,3 +291,33 @@ def test_independent_keeps_nothing_and_equals_the_oracle():
 def test_inexact_entries_rejected(call):
     with pytest.raises(InexactCoefficient):
         call()
+
+
+TRUSTED = {"_pivots_int"}
+
+
+def _linalg_privates(source: str) -> set[str]:
+    """The private names of ``linalg`` a module imports from it, or reads
+    off an imported ``linalg`` module."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            names |= {a.name for a in node.names if a.name.startswith("_")}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "linalg" and node.attr.startswith("_")):
+            names.add(node.attr)
+    return names
+
+
+def test_only_the_one_trusted_entry_leaves_linalg():
+    # every other row goes through the entry check; a second trusted entry
+    # would be a second way to eliminate, unchecked
+    src = Path(secclasses.__file__).parent
+    imported = {}
+    for path in sorted(src.glob("*.py")):
+        if path.name != "linalg.py":
+            imported[path.name] = _linalg_privates(path.read_text())
+    assert set().union(*imported.values()) == TRUSTED, imported
+    assert _linalg_privates("from .linalg import Echelon, _rank_int\n"
+                            "from secclasses import linalg\n"
+                            "linalg._integer_row({})") == {"_rank_int", "_integer_row"}
