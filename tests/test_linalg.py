@@ -226,6 +226,7 @@ def test_no_entry_mutates_a_row_it_is_given():
             seeded = Echelon()
             seeded.pivots = _pivots_int(rows[:half])
             held = {c: dict(p) for c, p in seeded.pivots.items()}
+            _pivots_int(rows)
             rank(rows)
             checked, ech = IntegerEliminator(), Echelon()
             for row in rows:
@@ -309,15 +310,64 @@ def _linalg_privates(source: str) -> set[str]:
     return names
 
 
+# The functions outside ``linalg`` that seed an eliminator's pivots, each
+# with the pivots ``_pivots_int`` kept: the representatives with those of
+# d_{n-1}, and ``classes_mod_image`` with those of its image rows.
+SEEDS = [("dga.py", "_representatives"), ("dga.py", "classes_mod_image")]
+DICT_WRITES = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__"}
+
+
+def _pivots_writes(source: str) -> list[str]:
+    """The functions of a module that store to a ``.pivots`` attribute, to
+    an item of one, or call a method of one that writes it; once per write."""
+    def writes(node):
+        if isinstance(node, ast.Attribute) and node.attr == "pivots":
+            return not isinstance(node.ctx, ast.Load)
+        if isinstance(node, ast.Subscript):
+            return (not isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "pivots")
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            return (node.func.attr in DICT_WRITES
+                    and isinstance(owner, ast.Attribute) and owner.attr == "pivots")
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            return (node.func.id == "setattr" and len(node.args) > 1
+                    and isinstance(node.args[1], ast.Constant) and node.args[1].value == "pivots")
+        return False
+
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if writes(node):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
 def test_only_the_one_trusted_entry_leaves_linalg():
-    # every other row goes through the entry check; a second trusted entry
-    # would be a second way to eliminate, unchecked
+    # every other row goes through the entry check; a second trusted entry,
+    # or pivots stored from outside linalg without it, would be a second way
+    # to eliminate, unchecked
     src = Path(secclasses.__file__).parent
-    imported = {}
+    imported, seeds = {}, []
     for path in sorted(src.glob("*.py")):
         if path.name != "linalg.py":
             imported[path.name] = _linalg_privates(path.read_text())
+            seeds += [(path.name, f) for f in _pivots_writes(path.read_text())]
     assert set().union(*imported.values()) == TRUSTED, imported
+    assert seeds == SEEDS
     assert _linalg_privates("from .linalg import Echelon, _rank_int\n"
                             "from secclasses import linalg\n"
                             "linalg._integer_row({})") == {"_rank_int", "_integer_row"}
+    assert _pivots_writes("e.pivots = {}\n"
+                          "def f(e, r):\n"
+                          "    e.pivots[0] = r; e.pivots.update({}); n = len(e.pivots)\n"
+                          "    setattr(e, 'pivots', {}); del e.pivots\n"
+                          "class C:\n"
+                          "    def g(self, rows): self.pivots |= rows\n"
+                          ) == ["<module>", "f", "f", "f", "f", "g"]
