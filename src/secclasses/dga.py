@@ -9,14 +9,16 @@ computations degree by degree.
 Cohomology dimensions come from ranks,
 ``dim H^n = chain_dim_n - rank d_n - rank d_{n-1}``, computed on Python
 ints from the differential to the last pivot, and the elimination is
-fraction-free.  Rank d_n is one elimination of the degree's columns.
+fraction-free.  Rank d_n is the rank of one :class:`.linalg.Echelon`
+built from the degree's columns.
 The columns are those of s d, s the lcm of the denominators of d's
 coefficients: 1 on the Weil and frame models, lcm(1!, ..., (k-1)!) on
 the reduced projective model, whose d u_i = t^i/i!.  One factor for
 every column changes no rank, span or kernel, and makes every column a
-dict of nonzero ints, which goes to the trusted entry of :mod:`.linalg`
-with no per-row check or copy.  A row built from an ``Element``, a
-cocycle or a kernel vector, goes to the checked ones.
+dict of nonzero ints, which goes to the trusted constructor of
+:mod:`.linalg`, ``_of``, with no per-row check or copy.  A row built from
+an ``Element``, a cocycle or a kernel vector, goes to the checked entries.
+This module never writes an eliminator's pivots.
 
 The columns come from index arithmetic on the exterior tensor polynomial
 layout of the basis, with no monomial built (:class:`_Layout`).  Degree n
@@ -32,19 +34,20 @@ one addition and one lookup.
 
 Representatives are searched only when asked for, and only in degrees
 with classes: a representative is the residual of a kernel vector modulo
-the image, held by the pivots the rank of d_{n-1} kept, and the earlier
+the image, held by the echelon that ranked d_{n-1}, and the earlier
 kernel vectors, made monic at its lead, with a ``Fraction`` only where
-it needs one.  Their number must equal the rank formula's dimension.
+it needs one.  The kernel vectors are added to that echelon in place.
+Their number must equal the rank formula's dimension.
 
 Coboundary tests (:func:`classes_mod_image`, behind :func:`class_nonzero`
 and the frame certificates) check each input by d(x), the
 :class:`Differential` applied to it, and then use the same layout, once
 per call, up to the inputs' top degree.  Every nonzero column of
-s d_{n-1}, for each degree n of their support, is ranked in one
-fraction-free elimination, each degree in its own index range, since the
-tests need only ranks; each input is reduced against its pivots without
-being kept, and only then are the inputs added to them, for the joint
-answer.
+s d_{n-1}, for each degree n of their support, goes into one
+:class:`.linalg.IntegerEliminator`, each degree in its own index range,
+since the tests need only ranks; each input is reduced against it
+without being kept, and only then are the inputs added to it, for the
+joint answer.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from math import lcm
 from .algebra import (Element, GeneratorMismatch, GeneratorSet, Mono, Record,
                       SecclassesError, basis_of_degree, bits, exterior_subsets,
                       poly_parts, require_int)
-from .linalg import Echelon, IntegerEliminator, _pivots_int, kernel_from_columns
+from .linalg import Echelon, IntegerEliminator, kernel_from_columns
 
 
 class DegreeMismatch(SecclassesError, ValueError):
@@ -224,13 +227,12 @@ class _Layout:
 
     The scale s is the lcm of the denominators of d's coefficients, one
     for the whole layout, so every c is an int and every column is a dict
-    of nonzero ints, which the rank routes hand to the trusted entry of
-    :mod:`.linalg`.  :meth:`columns` gives s d, of the same ranks, spans
+    of nonzero ints, which the rank routes hand to the trusted constructor
+    of :mod:`.linalg`.  :meth:`columns` gives s d, of the same ranks, spans
     and kernels as d.
     """
 
     def __init__(self, gens: GeneratorSet, d: Differential, top: int):
-        self.gens = gens
         ext, self.ext_degrees = zip(*exterior_subsets(gens))
         self.parts = poly_parts(gens)
         self.pos = {x: i for bucket in self.parts.values() for i, x in enumerate(bucket)}
@@ -252,17 +254,11 @@ class _Layout:
                        for E, e in zip(ext, self.ext_degrees)]
         self._tables: dict = {}
 
-    def _split(self, m: Mono) -> tuple[int, Mono, int]:
-        """The subset id and the polynomial part of ``m``, and its degree."""
+    def row(self, m: Mono, n: int) -> int:
+        """The row of ``m``, a monomial of the complex of degree ``n`` at
+        most ``top``, in the degree-n basis."""
         x = m & ((1 << self.ext_at) - 1)
-        sid = self.ext_id[m - x]
-        return sid, x, self.ext_degrees[sid] + self.gens.mono_degree(x)
-
-    def row(self, m: Mono) -> tuple[int, int]:
-        """The degree of ``m``, a monomial of the complex of degree at most
-        ``top``, and its row in that degree's basis."""
-        sid, x, n = self._split(m)
-        return n, self.offsets[n][0][sid] + self.pos[x]
+        return self.offsets[n][0][self.ext_id[m - x]] + self.pos[x]
 
     def _shift(self, k: int, b: Mono) -> list[tuple[int, int]]:
         """``(i, pos[x + b])`` for the parts x of bucket k whose shift
@@ -293,16 +289,15 @@ class _Layout:
         return chain_dim, cols
 
 
-def _representatives(gens: GeneratorSet, basis_n, cols, image):
+def _representatives(gens: GeneratorSet, basis_n, cols, image: Echelon):
     """The degree-n representatives: the nonzero monic residuals of the
     kernel vectors, in the order of their free columns, each modulo the
     image of d_{n-1} and the earlier kernel vectors.  ``image``, the
-    pivots of d_{n-1}, seeds the elimination and is extended in place."""
-    stack = Echelon()
-    stack.pivots = image
+    echelon of the columns of d_{n-1}, takes each kernel vector in place
+    by :meth:`Echelon.add`, so it holds the degree-n cocycles afterwards."""
     reps = []
     for vec in kernel_from_columns(cols):
-        residual = stack.add(vec)
+        residual = image.add(vec)
         if residual is not None:
             reps.append(Element._of(gens, {basis_n[j]: c for j, c in residual.items()}))
     return tuple(reps)
@@ -321,11 +316,12 @@ def cohomology(gens: GeneratorSet, d: Differential, max_degree: int | None = Non
     Every complex is finite, and ``max_degree`` defaults to its top degree,
     the largest degree of a nonzero monomial; the degrees above the top
     one are empty and are neither laid out nor stored.  Each dimension is
-    ``chain_dim - rank d_n - rank d_{n-1}``, rank d_n the number of pivots
-    one fraction-free elimination of the degree's columns keeps, which
-    :class:`_Layout` computes by index arithmetic up to degree
-    ``min(max_degree, top) + 1`` as dicts of ints.  Those pivots seed the
-    representatives of degree n + 1, so no image row is eliminated twice.
+    ``chain_dim - rank d_n - rank d_{n-1}``, rank d_n the rank of the
+    :class:`.linalg.Echelon` built from the degree's nonzero columns,
+    which :class:`_Layout` computes by index arithmetic up to degree
+    ``min(max_degree, top) + 1`` as dicts of ints.  That echelon is kept
+    for degree n + 1, whose kernel vectors :func:`_representatives` adds
+    to it, so no image row is eliminated twice.
     Monomials are built only to name the
     representatives, by :func:`basis_of_degree` in the degrees with
     classes; the rank route builds none.  The residuals follow a
@@ -342,11 +338,11 @@ def cohomology(gens: GeneratorSet, d: Differential, max_degree: int | None = Non
     last = min(max_degree, top)
     layout = _Layout(gens, d, last + 1)
     computed: dict[int, DegreeSlice] = {}
-    prev: dict = {}  # the pivots of the image of d_{n-1}
+    prev = Echelon()  # the image of d_{n-1}
     for n in range(last + 1):
         chain_dim, cols = layout.columns(n)
-        pivots = _pivots_int([c for c in cols if c])
-        dim = chain_dim - len(pivots) - len(prev)
+        image = Echelon._of([c for c in cols if c])
+        dim = chain_dim - image.rank - prev.rank
         reps = None
         if representatives:
             reps = _representatives(gens, basis_of_degree(gens, n), cols,
@@ -355,7 +351,7 @@ def cohomology(gens: GeneratorSet, d: Differential, max_degree: int | None = Non
                 raise RuntimeError(
                     f"degree {n}: {len(reps)} representatives but rank gives dim {dim}")
         computed[n] = DegreeSlice(chain_dim, dim, reps)
-        prev = pivots
+        prev = image
     empty = DegreeSlice(0, 0, () if representatives else None)
     return CohomologyReport(max_degree, _Slices(computed, max_degree, empty))
 
@@ -370,14 +366,13 @@ def classes_mod_image(d: Differential, cocycles) -> tuple[list[bool], bool]:
     :class:`NotACocycle`), d(x) being tested for zero.  A zero input reads
     as zero.  Exact: the nonzero columns of s d_{n-1}, for each degree n
     of the support, laid out on one :class:`_Layout` up to the inputs' top
-    degree and ranked by one call of the trusted entry, with row r of
-    degree n at index ``last[n] - r``.  So each degree has its own index
-    range (the image of d is graded), and a row's pivot is its last
-    target, which keeps the elimination short on the frame models.  The
-    pivots seed an :class:`IntegerEliminator`; each input is reduced
-    against them without being kept, then the inputs are added to them
-    for the joint answer, which stops at the first dependent one, both by
-    the checked entries.
+    degree and built into one :class:`IntegerEliminator` by its trusted
+    constructor, with row r of degree n at index ``last[n] - r``.  So
+    each degree has its own index range (the image of d is graded), and a
+    row's pivot is its last target, which keeps the elimination short on
+    the frame models.  Each input is reduced against the image without
+    being kept, then the inputs are added to it for the joint answer,
+    which stops at the first dependent one, both by the checked entries.
     """
     gens = d.gens
     cocycles = list(cocycles)
@@ -391,18 +386,18 @@ def classes_mod_image(d: Differential, cocycles) -> tuple[list[bool], bool]:
     for i, x in enumerate(cocycles):
         if dx := d(x):
             raise NotACocycle(f"cocycle {i}: d(x) = {dx} != 0")
-    layout = _Layout(gens, d, max((gens.mono_degree(m) for x in cocycles
-                                   for m in x.terms), default=0))
-    terms = [[(*layout.row(m), c) for m, c in x.terms.items()] for x in cocycles]
+    terms = [[(gens.mono_degree(m), m, c) for m, c in x.terms.items()]
+             for x in cocycles]
     degrees = sorted({n for row in terms for n, _, _ in row})
+    layout = _Layout(gens, d, degrees[-1] if degrees else 0)
     last, size = {}, 0
     for n in degrees:
         size += layout.offsets[n][1]
         last[n] = size - 1
-    image = IntegerEliminator()
-    image.pivots = _pivots_int({last[n] - t: c for t, c in col.items()}
-                               for n in degrees if n for col in layout.columns(n - 1)[1] if col)
-    coords = [{last[n] - r: c for n, r, c in row} for row in terms]
+    image = IntegerEliminator._of(
+        {last[n] - t: c for t, c in col.items()}
+        for n in degrees if n for col in layout.columns(n - 1)[1] if col)
+    coords = [{last[n] - layout.row(m, n): c for n, m, c in row} for row in terms]
     nonzero = [image.independent(row) for row in coords]
     return nonzero, all(map(image.add, coords))
 

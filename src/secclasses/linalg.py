@@ -9,22 +9,24 @@ of nonzero Python ints, has two kinds of entry:
   else, floats included, raises :class:`InexactCoefficient`.  The one
   entry check, :func:`_integer_row`, scales each row to integers once, in
   a new dict;
-* the one trusted entry, :func:`_pivots_int`, takes rows that are already
-  dicts of nonzero ints, skips both the check and the copy, and returns
-  the pivots it kept, which may seed an :class:`IntegerEliminator` or an
-  :class:`Echelon`.  Only ``dga`` calls it, on the columns of
-  ``dga._Layout``, which clears the denominators of d by one scale and so
-  gives ints on every complex.
+* the one trusted entry, the constructor :meth:`IntegerEliminator._of`,
+  takes rows that are already dicts of nonzero ints, skips both the
+  check and the copy, and returns an eliminator of the class it is
+  called on, holding the pivots it kept.  :func:`rank` calls it on
+  checked rows; outside this module only ``dga`` calls it, on the
+  columns of ``dga._Layout``, which clears the denominators of d by one
+  scale and so gives ints on every complex.
 
-Elimination is fraction-free: cross-multiplication with content
-stripping, or a plain r - a p where the pivot's lead is 1, so no rational
-division happens.  The core never mutates a row it is given, nor a
-stored pivot: every changed row is a new dict.  So a layout column
-stored unchanged as a pivot is still the column that ``dga.cohomology``
-hands to :func:`kernel_from_columns`, and pivots handed on keep their
-rows as they were.  The one place a ``Fraction`` is made is the monic
-residual :meth:`Echelon.add` returns, and only where its lead does not
-divide an entry.
+Only this module writes an eliminator's pivots, so only it knows what a
+pivot row is (:func:`_keep`).  Elimination is fraction-free:
+cross-multiplication with content stripping, or a plain r - a p where
+the pivot's lead is 1, so no rational division happens.  The core never
+mutates a row it is given, nor a stored pivot: every changed row is a
+new dict.  So a layout column stored unchanged as a pivot is still the
+column that ``dga.cohomology`` hands to :func:`kernel_from_columns`.
+The one place a ``Fraction`` is made is the monic residual
+:meth:`Echelon.add` returns, and only where its lead does not divide an
+entry.
 
 Pivot rule everywhere, kernels included: rows are processed in the order
 given, the smallest column index of a row becomes its pivot, and
@@ -124,12 +126,28 @@ class IntegerEliminator:
 
     Each pivot row is content stripped with a positive lead, and has
     entries only at its lead column and beyond, as :func:`_keep` stores
-    it; a seed assigned to ``pivots``, as from :func:`_pivots_int`, must
-    hold such rows.
+    it.  An eliminator starts empty, or from :meth:`_of`.
     """
 
     def __init__(self):
         self.pivots: dict[int, IntRow] = {}
+
+    @classmethod
+    def _of(cls, rows):
+        """The trusted constructor: an eliminator holding the pivots that
+        eliminating rows of nonzero ints in order keeps, unchecked."""
+        self = cls()
+        pivots = self.pivots
+        for r in rows:
+            # _reduce inlined: a call per row is a tenth of the Weil-complex ranks
+            while r:
+                lead = min(r)
+                p = pivots.get(lead)
+                if p is None:
+                    _keep(pivots, r, lead)
+                    break
+                r = _cancel(r, p, lead)
+        return self
 
     @property
     def rank(self) -> int:
@@ -147,25 +165,9 @@ class IntegerEliminator:
         return bool(_reduce(self.pivots, _integer_row(row)[0]))
 
 
-def _pivots_int(rows) -> dict[int, IntRow]:
-    """The pivots, by lead column, that eliminating trusted rows of
-    nonzero ints in order keeps; their number is the rank."""
-    pivots: dict[int, IntRow] = {}
-    for r in rows:
-        # _reduce inlined: a call per row is a tenth of the Weil-complex ranks
-        while r:
-            lead = min(r)
-            p = pivots.get(lead)
-            if p is None:
-                _keep(pivots, r, lead)
-                break
-            r = _cancel(r, p, lead)
-    return pivots
-
-
 def rank(rows) -> int:
     """Rank of a sparse matrix given as an iterable of rows."""
-    return len(_pivots_int(_integer_row(row)[0] for row in rows))
+    return IntegerEliminator._of(_integer_row(row)[0] for row in rows).rank
 
 
 class Echelon(IntegerEliminator):
@@ -176,9 +178,9 @@ class Echelon(IntegerEliminator):
     that is zero at every pivot column is zero, so the residual left
     modulo the row space is unique up to scale, and made monic it is the
     residual a reduced row echelon form over Fraction gives.  That needs
-    only pivot rows with no entry before their lead, so a seed from
-    :func:`_pivots_int`, with entries at later pivot columns, gives the
-    same residuals.
+    only pivot rows with no entry before their lead, so an echelon from
+    :meth:`_of`, whose pivots keep entries at later pivot columns, gives
+    the same residuals.
     """
 
     def add(self, row: Row | IntRow) -> Row | None:

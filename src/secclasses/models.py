@@ -23,7 +23,7 @@ from fractions import Fraction
 from .algebra import (Element, GeneratorMismatch, GeneratorSet, Mono, Record,
                       exponent_vectors, power_label, require_int)
 from .dga import DegreeMismatch
-from .linalg import IntegerEliminator
+from .linalg import rank
 
 SPHERE_NORMALIZATION_NOTE = (
     "sphere pullbacks normalized so that p_k evaluates to 1 on S^(4k); "
@@ -302,16 +302,14 @@ def independence_certificate(q: int) -> IndependenceReport:
             row = tuple(evaluate_on_cycle(pullback(cls, b), r)
                         for r, b in zip(cycles, bundles))
             matrix.append(row)
-        elim = IntegerEliminator()
-        for row in matrix:
-            elim.add({j: v for j, v in enumerate(row) if v})
+        block_rank = rank({j: v for j, v in enumerate(row) if v} for row in matrix)
         blocks.append(CertificateBlock(
             degree,
             tuple(m.label() for m in group),
             tuple(r.label for r in cycles),
             tuple(matrix),
-            elim.rank,
-            elim.rank == len(group),
+            block_rank,
+            block_rank == len(group),
         ))
     return IndependenceReport(q, tuple(m.label() for m in monos),
                               tuple(blocks), all(b.full for b in blocks))

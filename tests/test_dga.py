@@ -280,20 +280,20 @@ def test_layout_columns_take_only_the_trusted_entries(complex_, monkeypatch):
     # and its layout scales them away: no trusted entry sees a non-int,
     # and no layout column passes the entry check
     calls, ranked = [], []
-    pivots_int, integer_row = dga._pivots_int, linalg._integer_row
+    of, integer_row = linalg.IntegerEliminator._of.__func__, linalg._integer_row
 
-    def trusted(rows):
+    def trusted(cls, rows):
         rows = list(rows)
         assert all(type(v) is int and v for row in rows for v in row.values())
         calls.append("trusted")
         ranked.append(len(rows))
-        return pivots_int(rows)
+        return of(cls, rows)
 
     def checked(row):
         calls.append("checked")
         return integer_row(row)
 
-    monkeypatch.setattr(dga, "_pivots_int", trusted)
+    monkeypatch.setattr(linalg.IntegerEliminator, "_of", classmethod(trusted))
     monkeypatch.setattr(linalg, "_integer_row", checked)
     gens, d = complex_()
     slices = cohomology(gens, d, representatives=False).by_degree
@@ -313,9 +313,9 @@ def test_layout_columns_take_only_the_trusted_entries(complex_, monkeypatch):
 
 @pytest.mark.parametrize("complex_", BLOCK_CASES)
 def test_representatives_add_no_image_row(complex_, monkeypatch):
-    # the image of d_{n-1} seeds the elimination as the pivots its rank
-    # kept, so only the kernel vectors of the degrees with classes go
-    # through ``Echelon.add``
+    # the echelon that ranked d_{n-1} takes the kernel vectors in place,
+    # so only the kernel vectors of the degrees with classes go through
+    # ``Echelon.add``
     gens, d = complex_()
     kernels = 0
     for n, (dim, _) in global_cohomology(gens, d).items():
@@ -631,9 +631,10 @@ def test_membership_rejects_a_monomial_outside_the_complex():
     square = gens.pack((), (2, 0))
     alias = square - (2 << gens._deg_at)
     layout = dga._Layout(gens, d, 5)
-    assert layout.row(square) == (4, basis_of_degree(gens, 4).index(square))
+    assert gens.mono_degree(square) == 4
+    assert layout.row(square, 4) == basis_of_degree(gens, 4).index(square)
     with pytest.raises(KeyError):
-        layout.row(alias)
+        layout.row(alias, gens.mono_degree(alias))
     with pytest.raises(ValueError, match="not a monomial of the complex"):
         classes_mod_image(d, [Element._of(gens, {square: Fraction(1), alias: Fraction(1)})])
 
@@ -771,5 +772,5 @@ def test_random_pure_complexes_match_the_oracles():
         layout = dga._Layout(gens, d, top + 1)
         for n in range(top + 1):
             basis_n = basis_of_degree(gens, n)
-            assert [layout.row(m) for m in basis_n] == \
+            assert [(gens.mono_degree(m), layout.row(m, n)) for m in basis_n] == \
                 [(n, i) for i in range(len(basis_n))], n

@@ -12,8 +12,8 @@ import pytest
 import fraction_linalg as oracle
 import secclasses
 from secclasses.algebra import InexactCoefficient
-from secclasses.linalg import (Echelon, IntegerEliminator, _cancel, _pivots_int,
-                               kernel_from_columns, rank)
+from secclasses.linalg import (Echelon, IntegerEliminator, _cancel, kernel_from_columns,
+                               rank)
 
 
 def F(a, b=1):
@@ -202,16 +202,17 @@ def test_trusted_rank_equals_the_checked_rank_and_the_oracle(unit):
         for row in rows:
             checked.add(row)
         want = [ref.add(row) for row in rows]
-        pivots = _pivots_int(rows)
-        assert pivots == checked.pivots
-        assert len(pivots) == rank(rows) == ref.rank
-        # pivots handed on: an Echelon seeded with the first i rows' pivots
+        trusted = IntegerEliminator._of(rows)
+        assert type(trusted) is IntegerEliminator
+        assert trusted.pivots == checked.pivots
+        assert trusted.rank == rank(rows) == ref.rank
+        # an Echelon built from the first i rows by the trusted constructor
         # gives each later row the residual of one fed every row (i = 0),
         # which is the oracle's
         for i in range(len(rows) + 1):
-            seeded = Echelon()
-            seeded.pivots = _pivots_int(rows[:i])
-            assert [seeded.add(row) for row in rows[i:]] == want[i:], i
+            prefix = Echelon._of(rows[:i])
+            assert type(prefix) is Echelon
+            assert [prefix.add(row) for row in rows[i:]] == want[i:], i
 
 
 def test_no_entry_mutates_a_row_it_is_given():
@@ -223,21 +224,20 @@ def test_no_entry_mutates_a_row_it_is_given():
             rows = _random_int_rows(rng, rng.randint(1, 10), rng.randint(1, 8), unit)
             before = [dict(r) for r in rows]
             half = len(rows) // 2
-            seeded = Echelon()
-            seeded.pivots = _pivots_int(rows[:half])
-            held = {c: dict(p) for c, p in seeded.pivots.items()}
-            _pivots_int(rows)
+            prefix = Echelon._of(rows[:half])
+            held = {c: dict(p) for c, p in prefix.pivots.items()}
+            IntegerEliminator._of(rows)
             rank(rows)
             checked, ech = IntegerEliminator(), Echelon()
             for row in rows:
                 checked.add(row)
                 checked.independent(row)
                 ech.add(row)
-                seeded.add(row)
+                prefix.add(row)
             kernel_from_columns(rows)
             assert rows == before
-            # nor a pivot it was handed: the seed's rows are as they were
-            assert {c: seeded.pivots[c] for c in held} == held
+            # nor a stored pivot: the rows the trusted constructor kept are as they were
+            assert {c: prefix.pivots[c] for c in held} == held
 
 
 def test_cancel_drops_every_cancelled_entry():
@@ -294,7 +294,7 @@ def test_inexact_entries_rejected(call):
         call()
 
 
-TRUSTED = {"_pivots_int"}
+ELIMINATORS = {"IntegerEliminator", "Echelon"}
 
 
 def _linalg_privates(source: str) -> set[str]:
@@ -310,64 +310,104 @@ def _linalg_privates(source: str) -> set[str]:
     return names
 
 
-# The functions outside ``linalg`` that seed an eliminator's pivots, each
-# with the pivots ``_pivots_int`` kept: the representatives with those of
-# d_{n-1}, and ``classes_mod_image`` with those of its image rows.
-SEEDS = [("dga.py", "_representatives"), ("dga.py", "classes_mod_image")]
 DICT_WRITES = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__"}
 
 
-def _pivots_writes(source: str) -> list[str]:
-    """The functions of a module that store to a ``.pivots`` attribute, to
-    an item of one, or call a method of one that writes it; once per write."""
-    def writes(node):
-        if isinstance(node, ast.Attribute) and node.attr == "pivots":
-            return not isinstance(node.ctx, ast.Load)
-        if isinstance(node, ast.Subscript):
-            return (not isinstance(node.ctx, ast.Load)
-                    and isinstance(node.value, ast.Attribute) and node.value.attr == "pivots")
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            owner = node.func.value
-            return (node.func.attr in DICT_WRITES
-                    and isinstance(owner, ast.Attribute) and owner.attr == "pivots")
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            return (node.func.id == "setattr" and len(node.args) > 1
-                    and isinstance(node.args[1], ast.Constant) and node.args[1].value == "pivots")
-        return False
+def _pivots_write(node) -> bool:
+    """Whether a node stores to a ``.pivots`` attribute, to an item of one,
+    or calls a method of one that writes it."""
+    if isinstance(node, ast.Attribute) and node.attr == "pivots":
+        return not isinstance(node.ctx, ast.Load)
+    if isinstance(node, ast.Subscript):
+        return (not isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "pivots")
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        owner = node.func.value
+        return (node.func.attr in DICT_WRITES
+                and isinstance(owner, ast.Attribute) and owner.attr == "pivots")
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return (node.func.id == "setattr" and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant) and node.args[1].value == "pivots")
+    return False
 
-    found = []
+
+def _eliminator_names(tree) -> set[str]:
+    """The names of the ``linalg`` eliminator classes, and the aliases a
+    module imports them under."""
+    names = set(ELIMINATORS)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            names |= {a.asname for a in node.names if a.asname and a.name in ELIMINATORS}
+    return names
+
+
+def _trusted_construction(node, eliminators: set[str]) -> bool:
+    """Whether a node calls ``_of`` on a ``linalg`` eliminator class, by
+    name, by alias or as the attribute of a module."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "_of"):
+        return False
+    owner = node.func.value
+    if isinstance(owner, ast.Attribute):
+        return owner.attr in ELIMINATORS
+    return isinstance(owner, ast.Name) and owner.id in eliminators
+
+
+def _where(source: str, found) -> list[str]:
+    """The functions of a module holding a node that ``found(node,
+    eliminators)`` accepts, once per node."""
+    tree = ast.parse(source)
+    eliminators = _eliminator_names(tree)
+    out = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if writes(node):
-            found.append(where)
+        if found(node, eliminators):
+            out.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
-    visit(ast.parse(source), "<module>")
-    return found
+    visit(tree, "<module>")
+    return out
+
+
+# The functions outside ``linalg`` that build an eliminator by its trusted
+# constructor, each from the integer columns of ``dga._Layout``: the ranks
+# of ``cohomology`` and the image of ``classes_mod_image``.
+TRUSTED_CALLERS = [("dga.py", "cohomology"), ("dga.py", "classes_mod_image")]
 
 
 def test_only_the_one_trusted_entry_leaves_linalg():
-    # every other row goes through the entry check; a second trusted entry,
-    # or pivots stored from outside linalg without it, would be a second way
-    # to eliminate, unchecked
+    # every other row goes through the entry check; a private linalg name
+    # used elsewhere, pivots stored from outside linalg, or the trusted
+    # constructor called on rows nobody made integral would each be a
+    # second way to eliminate, unchecked
     src = Path(secclasses.__file__).parent
-    imported, seeds = {}, []
+    imported, writes, trusted = {}, [], []
     for path in sorted(src.glob("*.py")):
         if path.name != "linalg.py":
-            imported[path.name] = _linalg_privates(path.read_text())
-            seeds += [(path.name, f) for f in _pivots_writes(path.read_text())]
-    assert set().union(*imported.values()) == TRUSTED, imported
-    assert seeds == SEEDS
-    assert _linalg_privates("from .linalg import Echelon, _rank_int\n"
+            source = path.read_text()
+            imported[path.name] = _linalg_privates(source)
+            writes += [(path.name, f) for f in _where(source, lambda n, _: _pivots_write(n))]
+            trusted += [(path.name, f) for f in _where(source, _trusted_construction)]
+    assert set().union(*imported.values()) == set(), imported
+    assert writes == []
+    assert trusted == TRUSTED_CALLERS
+    assert _linalg_privates("from .linalg import Echelon, _keep\n"
                             "from secclasses import linalg\n"
-                            "linalg._integer_row({})") == {"_rank_int", "_integer_row"}
-    assert _pivots_writes("e.pivots = {}\n"
-                          "def f(e, r):\n"
-                          "    e.pivots[0] = r; e.pivots.update({}); n = len(e.pivots)\n"
-                          "    setattr(e, 'pivots', {}); del e.pivots\n"
-                          "class C:\n"
-                          "    def g(self, rows): self.pivots |= rows\n"
-                          ) == ["<module>", "f", "f", "f", "f", "g"]
+                            "linalg._integer_row({})") == {"_keep", "_integer_row"}
+    assert _where("e.pivots = {}\n"
+                  "def f(e, r):\n"
+                  "    e.pivots[0] = r; e.pivots.update({}); n = len(e.pivots)\n"
+                  "    setattr(e, 'pivots', {}); del e.pivots\n"
+                  "class C:\n"
+                  "    def g(self, rows): self.pivots |= rows\n",
+                  lambda n, _: _pivots_write(n)) == ["<module>", "f", "f", "f", "f", "g"]
+    assert _where("from .linalg import Echelon as E, IntegerEliminator\n"
+                  "from . import linalg\n"
+                  "x = E._of([])\n"
+                  "def f(rows, g):\n"
+                  "    IntegerEliminator._of(rows); linalg.Echelon._of(rows)\n"
+                  "    Element._of(g, {}); secclasses.linalg.Echelon._of(rows)\n",
+                  _trusted_construction) == ["<module>", "f", "f", "f"]

@@ -11,7 +11,7 @@ import fraction_linalg as oracle
 from secclasses.algebra import Element, basis_of_degree
 from secclasses.dga import _Layout, classes_mod_image, cohomology
 from secclasses.frames import projective_reduced_model
-from secclasses.linalg import IntegerEliminator, _pivots_int, rank
+from secclasses.linalg import IntegerEliminator, rank
 from secclasses.weil import weil_complex
 from test_dga import BLOCK_CASES
 from test_linalg import _random_int_rows
@@ -71,7 +71,7 @@ def test_trusted_rank_matches_sympy_on_random_integer_matrices(seed):
     rng = random.Random(seed)
     nrows, ncols = rng.randint(1, 40), rng.randint(1, 40)
     rows = _random_int_rows(rng, nrows, ncols, unit=seed % 2 == 0)
-    assert len(_pivots_int(rows)) == rank(rows) == sympy_rank(rows, ncols)
+    assert IntegerEliminator._of(rows).rank == rank(rows) == sympy_rank(rows, ncols)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -112,7 +112,8 @@ def test_trusted_ranks_of_integral_layouts_match_sympy(complex_):
         for row in image:
             ref.add(row)
         ncols = 1 + max((i for c in image for i in c), default=-1)
-        assert len(_pivots_int(image)) == rank(image) == ref.rank == sympy_rank(image, ncols), n
+        assert IntegerEliminator._of(image).rank == rank(image) == ref.rank == \
+            sympy_rank(image, ncols), n
 
 
 @pytest.mark.parametrize("complex_", [
