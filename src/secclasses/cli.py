@@ -153,12 +153,12 @@ def cmd_pontrjagin(args) -> str:
 def cmd_frame(args) -> str:
     from . import frames
     if args.case == "2k":
-        reduce, certify = frames.projective_reduced_model, frames.certify_projective_family
+        reduced, certify = frames.projective_reduced_generators, frames.certify_projective_family
     else:
-        reduce, certify = frames.sphere_reduced_model, frames.certify_sphere_family
-    # the budget counts the reduced model, the one laid out, and is checked
-    # before the full model is built
-    _check_budget(reduce(args.k)[0].dimension(), args.max_dim,
+        reduced, certify = frames.sphere_reduced_generators, frames.certify_sphere_family
+    # the budget counts the reduced model, the one laid out, from its
+    # generators alone: before its differential or the full model is built
+    _check_budget(reduced(args.k).dimension(), args.max_dim,
                   "the reduced frame model")
     cert = certify(args.k)
     columns = ["class", "degree", "image", "nonzero", "expected_zero"]

@@ -33,9 +33,12 @@ Both the characteristic map W -> M and the inclusion S -> M are one
 :class:`_GeneratorMap`, given on generators and checked at construction
 to be a chain map: each generator's image has its degree and commutes
 with d.  The inclusion shares the characteristic map's list of powers of
-the p_1 (or p_k) image.  Every certificate passes by one rule
-(:func:`_certificate`): the classes are jointly independent, and each is
-nonzero unless it is expected to vanish, in which case it is zero.
+the p_1 (or p_k) image.  Every family, permanence included, is certified
+by one :func:`_certificate` over (label, lift, image, vey) tuples, a lift
+in S checked by :func:`_reduced_classes` or a permanence class as its own
+lift in M: one :func:`dga.classes_mod_image` call ranks the lifts, and it
+passes when they are jointly independent and each class is nonzero unless
+it is expected to vanish, in which case it is zero.
 """
 
 from __future__ import annotations
@@ -234,68 +237,70 @@ class FrameCertificate(Record):
         self._set(q, model_label, model_dimension, classes, jointly_independent, passed)
 
 
-def _classes_mod_image(d: Differential, elements, labels) -> tuple[list[bool], bool]:
-    """Whether each element is nonzero in cohomology and whether they are
-    jointly independent modulo the image of ``d``.
+def _certificate(model: FrameModel, d: Differential, classes,
+                 expected_zero=()) -> FrameCertificate:
+    """The certificate over ``model`` of the list ``classes`` of (label,
+    lift, image, vey) tuples, each ranked by its lift in the complex of
+    ``d``, then of the ``expected_zero`` (label, image, vey) tuples, each
+    nonzero iff its image is.  An entry shows its image, with no degree if
+    the image is zero.
 
-    Every element must be a combination of monomials of the basis of
-    ``d.gens``, checked against the cached basis of each degree.  The
-    elements then go to one :func:`dga.classes_mod_image` call, which
-    checks that they are cocycles, lays the complex out once and ranks it
-    in one elimination; a zero element reads as zero, and its presence
-    makes the elements jointly dependent.
+    Every lift must be a combination of monomials of the basis of
+    ``d.gens``, checked against the cached basis of each degree.  The lifts
+    then go to one :func:`dga.classes_mod_image` call, which checks that
+    they are cocycles and ranks them; a zero lift reads as zero and makes
+    the classes jointly dependent.  The certificate passes when the classes
+    are jointly independent, and every entry is nonzero except the
+    expected-zero ones, which are zero.
     """
     by_degree: dict[int, list[tuple[str, Element]]] = {}
-    for label, x in zip(labels, elements):
-        if x:
-            by_degree.setdefault(x.degree(), []).append((label, x))
-    for n, classes in by_degree.items():
+    for label, lift, _, _ in classes:
+        if lift:
+            by_degree.setdefault(lift.degree(), []).append((label, lift))
+    for n, group in by_degree.items():
         basis_n = set(basis_of_degree(d.gens, n))
-        for label, x in classes:
+        for label, x in group:
             if outside := x.terms.keys() - basis_n:
                 raise ValueError(f"{label} has a term {min(outside)} outside the model")
-    return dga.classes_mod_image(d, elements)
-
-
-def _certify(model: FrameModel, elements, labels) -> tuple[list[CertifiedClass], bool]:
-    """:func:`_classes_mod_image` over the whole model, one entry per
-    element in the order of ``labels``."""
-    nonzero, joint = _classes_mod_image(model.d, elements, labels)
-    entries = [CertifiedClass(label, str(x), x.degree(), nz) if x
-               else CertifiedClass(label, "0", None, False)
-               for label, x, nz in zip(labels, elements, nonzero)]
-    return entries, joint
-
-
-def _certificate(model: FrameModel, entries, joint: bool) -> FrameCertificate:
-    """The certificate of ``entries`` over ``model``: it passes when the
-    classes are jointly independent, and every entry is nonzero except the
-    expected-zero ones, which are zero."""
-    entries = tuple(entries)
+    nonzero, joint = dga.classes_mod_image(d, [lift for _, lift, _, _ in classes])
+    entries = tuple(
+        [CertifiedClass(label, str(x), x.degree() if x else None, nz, vey=v)
+         for (label, _, x, v), nz in zip(classes, nonzero)]
+        + [CertifiedClass(label, str(x), None, bool(x), expected_zero=True, vey=v)
+           for label, x, v in expected_zero])
     return FrameCertificate(model.q, model.base.label, model.dimension(), entries,
                             joint, joint and all(e.nonzero != e.expected_zero
                                                  for e in entries))
+
+
+def projective_reduced_generators(k: int) -> GeneratorSet:
+    """The generators of ``projective_reduced_model(k)``, with no differential."""
+    _family_size(k, "projective")
+    return GeneratorSet(tuple((f"u{i}", 4 * i - 1) for i in range(1, k)), (("t", 4, k),))
 
 
 def projective_reduced_model(k: int) -> tuple[GeneratorSet, Differential]:
     """S = Lambda(u_1..u_{k-1}) tensor Q[t]/(t^{k+1}), d u_i = t^i / i!: the
     sub-DGA of ``projective_base_model(k)`` fixed by the signed
     permutations of the a_j, with t standing for the p_1 image."""
-    _family_size(k, "projective")
-    gens = GeneratorSet(tuple((f"u{i}", 4 * i - 1) for i in range(1, k)),
-                        (("t", 4, k),))
+    gens = projective_reduced_generators(k)
     return gens, Differential(gens, {f"u{i}": gens.monomial((), (i,),
                                                            Fraction(1, factorial(i)))
                                      for i in range(1, k)})
+
+
+def sphere_reduced_generators(k: int) -> GeneratorSet:
+    """The generators of ``sphere_reduced_model(k)``, with no differential."""
+    _family_size(k, "sphere")
+    return GeneratorSet(tuple((f"u{i}", 4 * i - 1) for i in range(k, 2 * k - 1)),
+                        (("s", 4 * k, 1),))
 
 
 def sphere_reduced_model(k: int) -> tuple[GeneratorSet, Differential]:
     """S = Lambda(u_k..u_{2k-2}) tensor Q[s]/(s^2), d u_k = s: the
     sub-DGA of ``sphere_base_model(k)`` left when the free factor
     Lambda(u_1..u_{k-1}, v), all of whose differentials vanish, is split off."""
-    _family_size(k, "sphere")
-    gens = GeneratorSet(tuple((f"u{i}", 4 * i - 1) for i in range(k, 2 * k - 1)),
-                        (("s", 4 * k, 1),))
+    gens = sphere_reduced_generators(k)
     return gens, Differential(gens, {f"u{k}": gens.generator("s")})
 
 
@@ -314,30 +319,28 @@ def _inclusion(delta: CharacteristicMap, reduced, poly_index) -> _GeneratorMap:
                          [delta.poly_powers[i] for i in poly_index])
 
 
-def _certify_reduced(delta: CharacteristicMap, reduced, poly_index, veys,
-                     lifts) -> tuple[list[CertifiedClass], bool]:
-    """The Vey classes ``veys``, mapped by ``delta`` into its model M,
-    certified in the sub-DGA ``reduced`` of M (README, notes on the
-    frame-model certificates).
+def _reduced_classes(delta: CharacteristicMap, reduced, poly_index, veys, lifts) -> list:
+    """The Vey classes ``veys``, mapped by ``delta`` into its model M, as
+    the (label, lift, image, vey) tuples :func:`_certificate` ranks in the
+    sub-DGA ``reduced`` of M (README, notes on the frame-model
+    certificates).
 
     ``lifts`` holds the element of S built from each index; its image
     under the inclusion (:func:`_inclusion`, which sends the polynomial
-    generators of S to the c_i images at ``poly_index``) must
-    be the class's image in M, which names the entry.  M has a chain
-    retraction onto S, so a class is nonzero in M, and the classes are
-    independent modulo coboundaries, exactly when the same holds for
-    their lifts in S.
+    generators of S to the c_i images at ``poly_index``) must be the
+    class's image in M.  M has a chain retraction onto S, so a class is
+    nonzero in M, and the classes are independent modulo coboundaries,
+    exactly when the same holds for their lifts in S.
     """
     iota = _inclusion(delta, reduced, poly_index)
-    labels = [v.label() for v in veys]
-    images = [delta(v.element(delta.source_gens)) for v in veys]
-    for label, s, x in zip(labels, lifts, images):
+    classes = []
+    for v, s in zip(veys, lifts):
+        label, x = v.label(), delta(v.element(delta.source_gens))
         if iota(s) != x:
             raise ValueError(f"{label} maps to {x}, which is not the image of "
                              f"{s} in the reduced model")
-    nonzero, joint = _classes_mod_image(reduced[1], lifts, labels)
-    return [CertifiedClass(label, str(x), x.degree(), nz, vey=v)
-            for label, x, nz, v in zip(labels, images, nonzero, veys)], joint
+        classes.append((label, s, x, v))
+    return classes
 
 
 def projective_base_model(k: int) -> FrameModel:
@@ -359,11 +362,11 @@ def certify_projective_family(k: int) -> FrameCertificate:
     """
     model = projective_base_model(k)
     delta = CharacteristicMap(model)
-    gens_s, _ = reduced = projective_reduced_model(k)
+    gens_s, d_s = reduced = projective_reduced_model(k)
     veys = [VeyIndex(tuple(2 * i for i in (1,) + rest), (2,) * k)
             for rest in subsets(range(2, k))]
     lifts = [gens_s.monomial(tuple(i // 2 - 1 for i in v.I), (k,)) for v in veys]
-    return _certificate(model, *_certify_reduced(delta, reduced, [1], veys, lifts))
+    return _certificate(model, d_s, _reduced_classes(delta, reduced, [1], veys, lifts))
 
 
 def sphere_base_model(k: int) -> FrameModel:
@@ -384,17 +387,14 @@ def certify_sphere_family(k: int) -> FrameCertificate:
     """
     model = sphere_base_model(k)
     delta = CharacteristicMap(model)
-    gens_s, _ = reduced = sphere_reduced_model(k)
+    gens_s, d_s = reduced = sphere_reduced_model(k)
     veys = [VeyIndex(tuple(2 * i for i in (k,) + rest), (2 * k,))
             for rest in subsets(range(k + 1, 2 * k - 1))]
     lifts = [gens_s.monomial(tuple(i // 2 - k for i in v.I), (1,)) for v in veys]
-    entries, joint = _certify_reduced(delta, reduced, [2 * k - 1], veys, lifts)
+    classes = _reduced_classes(delta, reduced, [2 * k - 1], veys, lifts)
     vanishing = VeyIndex((2,), (2,) * (2 * k - 1))
     vanished = delta(vanishing.element(delta.source_gens))
-    entries.append(CertifiedClass(vanishing.label(), str(vanished), None,
-                                  not vanished.is_zero(), expected_zero=True,
-                                  vey=vanishing))
-    return _certificate(model, entries, joint)
+    return _certificate(model, d_s, classes, [(vanishing.label(), vanished, vanishing)])
 
 
 def permanence_family(I: tuple[int, ...], J: tuple[int, ...], q: int,
@@ -435,14 +435,12 @@ def permanence_family(I: tuple[int, ...], J: tuple[int, ...], q: int,
     d = Differential(gens, {})
     model = FrameModel(q, ModelRing(gens, None, f"SO({q}) x S^{n}"),
                        None, gens, d, q % 2 == 0)
-    elements = []
-    labels = []
+    classes = []
     for R in subsets(r_list):
         elem = chi
         for r in R:
             elem = gens.generator(f"u{r}") * elem
         twisted = "*".join([f"y{2 * r}" for r in R])
-        labels.append(seed.label() if not R else
-                      f"{seed.label()} twisted by {twisted}")
-        elements.append(elem)
-    return _certificate(model, *_certify(model, elements, labels))
+        label = seed.label() if not R else f"{seed.label()} twisted by {twisted}"
+        classes.append((label, elem, elem, None))  # each element is its own lift in M
+    return _certificate(model, d, classes)

@@ -412,16 +412,20 @@ def test_catalog_budget_exit_3(capsys):
 
 
 @pytest.mark.parametrize("argv, limit, message", [
-    # the reduced model's differential is built from one monomial per
-    # generator, and its size is counted before anything is laid out
+    # the reduced model is counted from its generators alone, before its
+    # differential, with its 1/i! for each i < k, or the full model is built
     ("frame --case 2k --k 1000", 1, "at least 2^1008 monomials"),
+    ("frame --case 2k --k 6000", 1, "at least 2^6011 monomials"),
     # 2^1500 exterior subsets are over the budget before the exact count
     ("cohomology --q 1500", 1.5, "at least 2^1500 monomials"),
-    # a generator is one bit of its word, so building W_q is linear in q
+    # W_q is built before it is counted; that stays fast up to about
+    # q = 10^4, and beyond it each of the q images of the c_i is a word of
+    # O(q) bits, so the time grows faster than q
     ("cohomology --q 4000", 0.5, "at least 2^4000 monomials"),
     # 2^14999 classes, a count whose decimal form Python refuses to print
     ("catalog --q 60000 --dim 5", 1, "at least 2^14999 classes"),
-], ids=["frame-2k-k1000", "cohomology-q1500", "cohomology-q4000", "catalog-q60000"])
+], ids=["frame-2k-k1000", "frame-2k-k6000", "cohomology-q1500", "cohomology-q4000",
+        "catalog-q60000"])
 def test_huge_sizes_exit_3_quickly(capsys, argv, limit, message):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv.split())

@@ -1,16 +1,19 @@
 """Frame-bundle Koszul models, characteristic maps, and certificates."""
 
+import ast
 import random
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
+import secclasses
 from secclasses import dga
 from secclasses.algebra import Element, GeneratorMismatch, SecclassesError, basis_of_degree
 from secclasses.dga import DegreeMismatch, Differential
 from secclasses.frames import (CertifiedClass, CharacteristicMap, FrameModel, IndexOutOfRange,
-                               _certificate, _certify, _certify_reduced, _inclusion,
+                               _certificate, _inclusion, _reduced_classes,
                                build_frame_model, certify_projective_family,
                                certify_sphere_family, fiber_primitive_count,
                                permanence_family, projective_base_model,
@@ -23,6 +26,7 @@ from secclasses.models import (BundleMap, Factor, admissible_monomials,
 from secclasses.weil import (VeyIndex, godbillon_vey, spherical_rigid_classes,
                              spherical_rigid_count, vey_basis, weil_complex)
 from test_dga import _random_in_degree
+from test_linalg import _where
 
 
 def test_fiber_primitive_counts():
@@ -160,19 +164,41 @@ def test_an_inclusion_image_of_the_wrong_degree_is_rejected():
         _inclusion(delta, projective_reduced_model(2), [3])
 
 
-@pytest.mark.parametrize("joint, nonzero, expected_zero", [
-    pytest.param(False, (True, True), (False, False), id="not-independent"),
-    pytest.param(True, (True, False), (False, False), id="zero-rigid-class"),
-    pytest.param(True, (True, True), (False, True), id="nonzero-expected-zero"),
+def _two_classes(gens):
+    """u1*a1^2*a2^2, the certified class over (CP^2)^2, and a1, both
+    nonzero cocycles of projective_base_model(2), and a1*a2^2 = d(u1*a1),
+    a coboundary, so a zero class."""
+    return (gens.monomial((0,), (2, 2)), gens.generator("a1"),
+            gens.monomial((), (1, 2)))
+
+
+@pytest.mark.parametrize("broken, why, fixed", [
+    # the same class twice, each nonzero, then once
+    pytest.param(lambda x, a, b: ([x, x], []),
+                 lambda c: not c.jointly_independent and all(e.nonzero for e in c.classes),
+                 lambda x, a, b: ([x, a], []), id="not-independent"),
+    # a coboundary among the rigid classes, then dropped
+    pytest.param(lambda x, a, b: ([x, b], []),
+                 lambda c: [e.nonzero for e in c.classes] == [True, False],
+                 lambda x, a, b: ([x], []), id="zero-rigid-class"),
+    # an expected-zero entry whose image is nonzero, then zero
+    pytest.param(lambda x, a, b: ([x], [a]),
+                 lambda c: c.jointly_independent and c.classes[-1].nonzero,
+                 lambda x, a, b: ([x], [a.gens.zero()]), id="nonzero-expected-zero"),
 ])
-def test_the_certificate_fails_on_each_broken_condition(joint, nonzero, expected_zero):
+def test_the_certificate_fails_on_each_broken_condition(broken, why, fixed):
     model = projective_base_model(2)
-    entries = [CertifiedClass(f"x{i}", "x", 3, nz, ez)
-               for i, (nz, ez) in enumerate(zip(nonzero, expected_zero))]
-    assert not _certificate(model, entries, joint).passed
-    fixed = [CertifiedClass(e.source, e.image, e.degree, not e.expected_zero,
-                            e.expected_zero, e.vey) for e in entries]
-    assert _certificate(model, fixed, True).passed
+    classes = _two_classes(model.gens)
+    assert model.d(model.gens.monomial((0,), (1, 0))) == classes[2]
+
+    def certify(make):
+        rigid, vanishing = make(*classes)
+        return _certificate(model, model.d,
+                            [(f"x{i}", x, x, None) for i, x in enumerate(rigid)],
+                            [(f"z{i}", x, None) for i, x in enumerate(vanishing)])
+    cert = certify(broken)
+    assert not cert.passed and why(cert)
+    assert certify(fixed).passed
 
 
 def test_chain_map_property_randomized():
@@ -360,9 +386,11 @@ def test_a_zero_element_leaves_the_certified_classes_dependent():
     model = projective_base_model(2)
     x = model.gens.monomial((0,), (2, 2))  # u1*a1^2*a2^2
     elements = [x, model.gens.zero()]
-    entries, joint = _certify(model, elements, ["x", "zero"])
-    assert [e.nonzero for e in entries] == [True, False]
-    assert joint is False
+    cert = _certificate(model, model.d, [(label, e, e, None)
+                                         for label, e in zip(["x", "zero"], elements)])
+    assert [e.nonzero for e in cert.classes] == [True, False]
+    assert [(e.image, e.degree) for e in cert.classes] == [(str(x), 11), ("0", None)]
+    assert cert.jointly_independent is False and cert.passed is False
     assert dga.classes_mod_image(model.d, elements) == ([True, False], False)
 
 
@@ -418,7 +446,7 @@ def test_certify_rejects_a_term_outside_the_model():
     bad = Element._of(model.gens, {model.gens._word((0,), (3, 0)): Fraction(1)})
     assert model.d(bad).is_zero()
     with pytest.raises(ValueError, match="outside the model"):
-        _certify(model, [bad], ["bad"])
+        _certificate(model, model.d, [("bad", bad, bad, None)])
 
 
 # -- the reduced models and their inclusion ------------------------------------
@@ -530,10 +558,11 @@ def test_reduced_certificate_matches_the_full_model(build, certify, k):
     rigid = [c for c in cert.classes if not c.expected_zero]
     delta = CharacteristicMap(model)
     images = [delta(c.vey.element(delta.source_gens)) for c in rigid]
-    entries, joint = _certify(model, images, [c.source for c in rigid])
+    full = _certificate(model, model.d,
+                        [(c.source, x, x, None) for c, x in zip(rigid, images)])
     assert [CertifiedClass(c.source, c.image, c.degree, c.nonzero, c.expected_zero)
-            for c in rigid] == entries
-    assert joint == cert.jointly_independent
+            for c in rigid] == list(full.classes)
+    assert full.jointly_independent == cert.jointly_independent
 
 
 @pytest.mark.parametrize("k, i", [(3, 2), (4, 2), (4, 3)])
@@ -558,5 +587,38 @@ def test_a_class_outside_the_reduced_model_is_rejected():
         model.gens.monomial((0,), (1,))  # u1 * s
     lift = reduced[0].monomial((0,), (1,))  # u2 * s
     with pytest.raises(ValueError, match="not the image"):
-        _certify_reduced(delta, reduced, [3], [outside], [lift])
+        _reduced_classes(delta, reduced, [3], [outside], [lift])
 
+
+def _uses(source: str, name: str, call_only: bool = False) -> list[str]:
+    """The functions of a module that read ``name``, or with ``call_only``
+    call it, by name, by import alias or as a module attribute, once per
+    node."""
+    names = {name} | {a.asname for node in ast.walk(ast.parse(source))
+                      if isinstance(node, ast.ImportFrom)
+                      for a in node.names if a.name == name and a.asname}
+
+    def named(node) -> bool:
+        return (isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.Attribute) and node.attr in names)
+    if call_only:
+        return _where(source, lambda node, _: isinstance(node, ast.Call) and named(node.func))
+    return _where(source, lambda node, _: named(node))
+
+
+def test_one_route_ranks_and_builds_every_frame_certificate():
+    # a second rank in frames, or a certificate built outside _certificate,
+    # would be a second way to certify, past its basis check or pass rule
+    src = Path(secclasses.__file__).parent
+    assert _uses((src / "frames.py").read_text(), "classes_mod_image") == ["_certificate"]
+    built = [(path.name, f) for path in sorted(src.glob("*.py"))
+             for f in _uses(path.read_text(), "FrameCertificate", call_only=True)]
+    assert built == [("frames.py", "_certificate")]
+    sample = ("from .dga import classes_mod_image as rank\n"
+              "from .frames import FrameCertificate as F\n"
+              "x = F(1)\n"
+              "def f(d, xs) -> FrameCertificate:\n"
+              "    dga.classes_mod_image(d, xs); rank(d, xs); g = classes_mod_image\n"
+              "    return frames.FrameCertificate(2)\n")
+    assert _uses(sample, "classes_mod_image") == ["f", "f", "f"]
+    assert _uses(sample, "FrameCertificate", call_only=True) == ["<module>", "f"]
