@@ -82,21 +82,27 @@ def cmd_vey(args) -> str:
 
 
 def cmd_cohomology(args) -> str:
-    gens, d = weil_complex(args.q, framed=args.framed)
     what = f"the codimension-{args.q} complex"
-    # every exterior subset times the unit: a lower bound that costs
-    # nothing, checked before the exact count, whose cost is superlinear in q
-    _check_budget(1 << len(gens.exterior), args.max_dim, what, at_least=True)
+    # every exterior subset times the unit: a lower bound from q alone (y_1..y_q
+    # framed, the odd y_i unframed), checked before W_q is built or counted
+    exterior = args.q if args.framed else (args.q + 1) // 2
+    _check_budget(1 << exterior, args.max_dim, what, at_least=True)
+    gens, d = weil_complex(args.q, framed=args.framed)
     dimension = gens.dimension()
     _check_budget(dimension, args.max_dim, what)
     max_degree = gens.top_degree() if args.max_degree is None else args.max_degree
     _check_budget(max_degree + 1, args.max_dim, "the report", "rows")
     report = cohomology(gens, d, max_degree, args.representatives)
     reps = args.representatives
-    records = [{"degree": n, "chain_dim": s.chain_dim, "dim": s.dim,
-                **({"representatives": [str(r) for r in s.representatives]}
+
+    def record(n, chain_dim, dim, representatives):
+        return {"degree": n, "chain_dim": chain_dim, "dim": dim,
+                **({"representatives": [str(r) for r in representatives]}
                    if reps else {})}
+    records = [record(n, s.chain_dim, s.dim, s.representatives)
                for n, s in report.by_degree.items()]
+    # the degrees above the top are empty, and the report does not store them
+    records += [record(n, 0, 0, ()) for n in range(len(records), max_degree + 1)]
     rows = [{**r, "representatives": "; ".join(r["representatives"])}
             if reps else r for r in records]
     columns = ["degree", "chain_dim", "dim"] + (["representatives"] if reps else [])

@@ -52,7 +52,6 @@ joint answer.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
 
@@ -146,49 +145,20 @@ class DegreeSlice(Record):
         self._set(chain_dim, dim, representatives)
 
 
-class _Slices(Record, Mapping):
-    """Degrees 0..max_degree, read only: the ``computed`` slices, then
-    ``empty`` for every degree above them, answered without being stored."""
-    __slots__ = ("computed", "max_degree", "empty")
-
-    def __init__(self, computed: dict[int, DegreeSlice], max_degree: int, empty: DegreeSlice):
-        self._set(computed, max_degree, empty)
-
-    def __getitem__(self, n: int) -> DegreeSlice:
-        if type(n) is int and len(self.computed) <= n <= self.max_degree:
-            return self.empty
-        return self.computed[n]
-
-    def __iter__(self):
-        return iter(range(self.max_degree + 1))
-
-    def __len__(self) -> int:
-        return self.max_degree + 1
-
-    def __eq__(self, other) -> bool:
-        """Equal to a ``_Slices`` slice by slice over the stored degrees,
-        then once for the degrees both answer with their empty slices;
-        compared as a mapping with any other ``Mapping``."""
-        if not isinstance(other, _Slices):
-            return Mapping.__eq__(self, other)
-        stored = max(len(self.computed), len(other.computed))
-        return (self.max_degree == other.max_degree
-                and all(self[n] == other[n]
-                        for n in range(min(stored, self.max_degree + 1)))
-                and (stored > self.max_degree or self.empty == other.empty))
-
-
 class CohomologyReport(Record):
+    """Cohomology up to ``max_degree``, the bound asked for: ``by_degree``
+    maps each degree n <= min(max_degree, top) to its :class:`DegreeSlice`.
+    The degrees above the top one are empty and are not stored."""
     __slots__ = ("max_degree", "by_degree")
 
-    def __init__(self, max_degree: int, by_degree: _Slices):
+    def __init__(self, max_degree: int, by_degree: dict[int, DegreeSlice]):
         self._set(max_degree, by_degree)
 
-    # equal reports compare equal, but ``_Slices`` holds a dict and has no hash
+    # equal reports compare equal, but ``by_degree`` is a dict and has no hash
     __hash__ = None
 
     def dims(self) -> dict[int, int]:
-        return {n: s.dim for n, s in self.by_degree.computed.items() if s.dim}
+        return {n: s.dim for n, s in self.by_degree.items() if s.dim}
 
 
 def _block_offsets(by_degree, parts, n: int) -> tuple[dict[int, int], int]:
@@ -315,7 +285,8 @@ def cohomology(gens: GeneratorSet, d: Differential, max_degree: int | None = Non
 
     Every complex is finite, and ``max_degree`` defaults to its top degree,
     the largest degree of a nonzero monomial; the degrees above the top
-    one are empty and are neither laid out nor stored.  Each dimension is
+    one are empty and are neither laid out nor stored, so ``by_degree``
+    holds the degrees 0..min(max_degree, top).  Each dimension is
     ``chain_dim - rank d_n - rank d_{n-1}``, rank d_n the rank of the
     :class:`.linalg.Echelon` built from the degree's nonzero columns,
     which :class:`_Layout` computes by index arithmetic up to degree
@@ -337,7 +308,7 @@ def cohomology(gens: GeneratorSet, d: Differential, max_degree: int | None = Non
         raise ValueError("max_degree must be nonnegative")
     last = min(max_degree, top)
     layout = _Layout(gens, d, last + 1)
-    computed: dict[int, DegreeSlice] = {}
+    by_degree: dict[int, DegreeSlice] = {}
     prev = Echelon()  # the image of d_{n-1}
     for n in range(last + 1):
         chain_dim, cols = layout.columns(n)
@@ -350,10 +321,9 @@ def cohomology(gens: GeneratorSet, d: Differential, max_degree: int | None = Non
             if len(reps) != dim:
                 raise RuntimeError(
                     f"degree {n}: {len(reps)} representatives but rank gives dim {dim}")
-        computed[n] = DegreeSlice(chain_dim, dim, reps)
+        by_degree[n] = DegreeSlice(chain_dim, dim, reps)
         prev = image
-    empty = DegreeSlice(0, 0, () if representatives else None)
-    return CohomologyReport(max_degree, _Slices(computed, max_degree, empty))
+    return CohomologyReport(max_degree, by_degree)
 
 
 def classes_mod_image(d: Differential, cocycles) -> tuple[list[bool], bool]:

@@ -418,14 +418,16 @@ def test_catalog_budget_exit_3(capsys):
     ("frame --case 2k --k 6000", 1, "at least 2^6011 monomials"),
     # 2^1500 exterior subsets are over the budget before the exact count
     ("cohomology --q 1500", 1.5, "at least 2^1500 monomials"),
-    # W_q is built before it is counted; that stays fast up to about
-    # q = 10^4, and beyond it each of the q images of the c_i is a word of
-    # O(q) bits, so the time grows faster than q
+    # the exterior subsets are counted from q alone, before W_q is built:
+    # building it takes time faster than linear in q, since each of the q
+    # images of the c_i is a word of O(q) bits
     ("cohomology --q 4000", 0.5, "at least 2^4000 monomials"),
+    ("cohomology --q 100000", 1, "at least 2^100000 monomials"),
+    ("cohomology --q 100000 --no-framed", 1, "at least 2^50000 monomials"),
     # 2^14999 classes, a count whose decimal form Python refuses to print
     ("catalog --q 60000 --dim 5", 1, "at least 2^14999 classes"),
 ], ids=["frame-2k-k1000", "frame-2k-k6000", "cohomology-q1500", "cohomology-q4000",
-        "catalog-q60000"])
+        "cohomology-q100000", "cohomology-q100000-unframed", "catalog-q60000"])
 def test_huge_sizes_exit_3_quickly(capsys, argv, limit, message):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv.split())
@@ -433,6 +435,18 @@ def test_huge_sizes_exit_3_quickly(capsys, argv, limit, message):
     assert code == 3
     assert out == ""
     assert message in err and "budget" in err
+
+
+@pytest.mark.parametrize("framed", [True, False], ids=["framed", "unframed"])
+def test_cohomology_lower_bound_counts_the_exterior_generators_of_w_q(capsys, framed):
+    # the bound is taken from q before W_q is built; it must count the
+    # exterior generators weil_complex builds
+    for q in range(1, 13):
+        gens, _ = weil.weil_complex(q, framed)
+        argv = ["cohomology", "--q", str(q), "--max-dim", "0"]
+        code, out, err = run(capsys, *argv, *([] if framed else ["--no-framed"]))
+        assert code == 3 and out == ""
+        assert f"at least {2 ** len(gens.exterior)} monomials" in err, q
 
 
 def test_catalog_usage_error(capsys):
@@ -570,6 +584,14 @@ def test_selftest_contract(capsys):
      "030b0c91fbf6a8181144fb48888d91c629960e2e432711baf99268d3a1448a00"),
     ("cohomology --q 3 --representatives",
      "10cf27cf349aed5ec05b38cea129f3e93a3c6996312bc5136f6964e5b814e6bd"),
+    # the empty degrees above the top, which the CLI writes itself, in JSON
+    # and table form with representatives and in JSON without them
+    ("cohomology --q 3 --max-degree 40 --representatives --format json",
+     "1f41cdb23f09512dacbd732107b4c1921c7bd3bd57a23f398eeb4c268170ade2"),
+    ("cohomology --q 3 --max-degree 40 --representatives",
+     "84f67edcbe3d51ca51b5a751c9aa93509ecd6cd2f0575b55779ea830b73c6cda"),
+    ("cohomology --q 2 --no-framed --max-degree 40 --format json",
+     "a8381ba3b71e438770462c1ee45486236e1524bf823cf449c0ec6f00e0fd1b4d"),
     # pin the Element arithmetic behind the pairings and the representatives
     # at sizes beyond the smallest reports
     ("pontrjagin --q 18 --format json",

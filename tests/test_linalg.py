@@ -8,6 +8,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fraction_linalg as oracle
 import secclasses
@@ -52,6 +53,14 @@ def test_integer_and_fraction_routes_agree():
         for r in rows:
             ech.add(dict(r))
         assert rank(rows) == ech.rank
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(st.dictionaries(st.integers(0, 7), st.integers(-3, 3), max_size=5),
+                max_size=8))
+def test_rank_equals_the_oracle_rank(rows):
+    # a zero coefficient is drawn too: the checked entry drops it
+    assert rank(rows) == len(oracle.rref(rows)[0])
 
 
 def test_rank_invariant_under_permutation():

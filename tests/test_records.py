@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from secclasses.algebra import Element, GeneratorSet, basis_of_degree
-from secclasses.dga import CohomologyReport, DegreeSlice, Differential, _Slices
+from secclasses.dga import CohomologyReport, DegreeSlice, Differential
 from secclasses.frames import CertifiedClass, FrameCertificate, FrameModel
 from secclasses.models import (SPHERE_NORMALIZATION_NOTE, BundleMap, CertificateBlock,
                                Factor, IndependenceReport, ModelRing, PontrjaginMonomial)
@@ -19,8 +19,7 @@ A = GENS.generator("a")
 FRAME_GENS = GeneratorSet((("u", 3),), GENS.poly)
 D = Differential(FRAME_GENS, {"u": FRAME_GENS.monomial((), (2,))})
 BUNDLE = BundleMap(RING, 2, {1: A * A}, A)
-EMPTY = DegreeSlice(0, 0, ())
-SLICES = _Slices({0: DegreeSlice(1, 1, ())}, 1, EMPTY)
+SLICES = {0: DegreeSlice(1, 1, ())}
 
 # (class, keyword arguments in field order, defaults left out of them,
 #  how records with equal fields compare, repr)
@@ -30,9 +29,6 @@ CASES = [
      "GeneratorSet(exterior=(('y1', 1),), poly=(('c1', 2, None),), truncation=2)"),
     (DegreeSlice, {"chain_dim": 2, "dim": 1, "representatives": None}, {}, "fields",
      "DegreeSlice(chain_dim=2, dim=1, representatives=None)"),
-    (_Slices, {"computed": {0: EMPTY}, "max_degree": 3, "empty": EMPTY}, {}, "unhashable",
-     "_Slices(computed={0: DegreeSlice(chain_dim=0, dim=0, representatives=())}, "
-     "max_degree=3, empty=DegreeSlice(chain_dim=0, dim=0, representatives=()))"),
     (CohomologyReport, {"max_degree": 1, "by_degree": SLICES}, {}, "unhashable",
      f"CohomologyReport(max_degree=1, by_degree={SLICES!r})"),
     (VeyIndex, {"I": (1,), "J": (1, 1)}, {}, "fields", "VeyIndex(I=(1,), J=(1, 1))"),
