@@ -271,21 +271,29 @@ def criterion_growth_table() -> tuple[bool, str]:
 
 
 def criterion_cross_module() -> tuple[bool, str]:
-    """Every spherical family entry passes membership and rigidity, and
-    every class certified by the frame models is a rigid Vey index."""
-    for q in (4, 6, 8, 10, 12):
-        for entry in spherical_rigid_classes(q):
+    """For even q in 4..16: every spherical family entry passes membership
+    and rigidity and is a nonzero class of a passing frame certificate,
+    family A of the projective one for k = q/2 and family B (q = 4k - 2)
+    of the sphere one, and every class those certify is a rigid Vey index."""
+    for q in range(4, 17, 2):
+        entries = spherical_rigid_classes(q)
+        for entry in entries:
             if not entry.vey.is_member(q) or not entry.vey.is_rigid(q):
                 return False, f"q={q}: {entry.label()} fails the predicates"
-    for q, cert in ((4, certify_projective_family(2)),
-                    (6, certify_projective_family(3)),
-                    (6, certify_sphere_family(2))):
-        for cls in cert.classes:
-            if cls.expected_zero:
+        for family, certify, k in (("A", certify_projective_family, q // 2),
+                                   ("B", certify_sphere_family, (q + 2) // 4)):
+            listed = {e.vey for e in entries if e.family == family}
+            if not listed:
                 continue
-            v = cls.vey
-            if v is None or v.label() != cls.source or not v.is_rigid(q):
-                return False, f"certified class {cls.source} is not rigid for q={q}"
+            cert = certify(k)
+            if not cert.passed or not listed <= {c.vey for c in cert.classes if c.nonzero}:
+                return False, f"q={q}: a family {family} class is not certified nonzero"
+            for cls in cert.classes:
+                if cls.expected_zero:
+                    continue
+                v = cls.vey
+                if v is None or v.label() != cls.source or not v.is_rigid(q):
+                    return False, f"certified class {cls.source} is not rigid for q={q}"
     return True, "family entries and certified classes all pass rigidity"
 
 

@@ -14,7 +14,10 @@ A monomial y_E c^x is one int, its word (:data:`Mono`), laid out by its
 exterior positions, all exponents) into a word with the checked ``pack``
 and reads it back with ``unpack``.  A product is one addition and one
 mask test, with the Koszul sign: the parity of the permutation sorting
-the concatenated exterior index sequences.
+the concatenated exterior index sequences.  Every other module reaches a
+word's parts through the set's methods: ``ext_positions``,
+``drop_exterior``, ``split``, ``poly_mul`` (the product with a word of
+the polynomial subring) and ``rehouse``.
 
 Coefficients are ints and :class:`fractions.Fraction` values, stored as
 given; no floating point is used anywhere.  A term is checked once, where
@@ -287,6 +290,38 @@ class GeneratorSet(Record):
             return None
         parity = sum((ea >> (i + 1)).bit_count() for i in bits(eb)) if eb else 0
         return (-1 if parity & 1 else 1), a + b
+
+    def poly_mul(self, a: Mono, b: Mono) -> Mono | None:
+        """The word of ``a`` times ``b``, a word with no exterior part, so of
+        sign +1; ``None`` where it breaks a cap or the truncation, by the
+        guard test of :meth:`mono_mul`."""
+        return None if (a + b + self._bias) & self._guard else a + b
+
+    # -- words' parts -----------------------------------------------------
+
+    def ext_positions(self, m: Mono) -> tuple[int, ...]:
+        """The exterior positions of the word ``m``, increasing."""
+        return bits(m >> self._ext_at)
+
+    def drop_exterior(self, m: Mono, i: int) -> Mono:
+        """The word ``m``, which has exterior generator ``i``, without it."""
+        return m - (1 << (self._ext_at + i))
+
+    def split(self, m: Mono) -> tuple[Mono, Mono]:
+        """The words of the exterior part and the polynomial part of ``m``."""
+        x = m & ((1 << self._ext_at) - 1)
+        return m - x, x
+
+    def rehouse(self, x: "Element") -> "Element":
+        """``x`` over this set, from a ring with the same polynomial
+        generators and truncation and no exterior generator, whose words
+        keep their meaning here; else :class:`GeneratorMismatch`."""
+        g = x.gens
+        if g.exterior or g.poly != self.poly or g.truncation != self.truncation:
+            raise GeneratorMismatch("only an element over this set's polynomial "
+                                    "generators and truncation, and no exterior "
+                                    "generator, re-houses here")
+        return Element._of(self, x.terms)
 
     # -- element constructors -------------------------------------------
 

@@ -29,7 +29,8 @@ import sys
 from .algebra import SecclassesError
 from .dga import cohomology
 from .reporting import FORMATS, envelope, rat, render
-from .weil import spherical_rigid_classes, spherical_rigid_count, vey_basis, weil_complex
+from .weil import (exterior_indices, spherical_rigid_classes, spherical_rigid_count,
+                   vey_basis, weil_complex)
 
 EXIT_OK = 0
 EXIT_BUDGET = 3
@@ -83,9 +84,9 @@ def cmd_vey(args) -> str:
 
 def cmd_cohomology(args) -> str:
     what = f"the codimension-{args.q} complex"
-    # every exterior subset times the unit: a lower bound from q alone (y_1..y_q
-    # framed, the odd y_i unframed), checked before W_q is built or counted
-    exterior = args.q if args.framed else (args.q + 1) // 2
+    # every exterior subset times the unit: a lower bound from q alone,
+    # checked before W_q is built or counted
+    exterior = len(exterior_indices(args.q, args.framed))
     _check_budget(1 << exterior, args.max_dim, what, at_least=True)
     gens, d = weil_complex(args.q, framed=args.framed)
     dimension = gens.dimension()

@@ -29,8 +29,7 @@ d(y_E c^x) = sum_p (-1)^p y_(E without E_p) c^x d(y_(E_p)), the terms of
 each subset (target subset, exponent shift, coefficient) are listed once
 per call, and one table per (bucket, shift) maps each position to the
 position of x + shift, or drops it when x + shift breaks a cap or the
-truncation; a part is its word (:class:`GeneratorSet`), so a shift is
-one addition and one lookup.
+truncation.
 
 Representatives are searched only when asked for, and only in degrees
 with classes: a representative is the residual of a kernel vector modulo
@@ -56,7 +55,7 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import (Element, GeneratorMismatch, GeneratorSet, Mono, Record,
-                      SecclassesError, basis_of_degree, bits, exterior_subsets,
+                      SecclassesError, basis_of_degree, exterior_subsets,
                       poly_parts, require_int)
 from .linalg import Echelon, IntegerEliminator, kernel_from_columns
 
@@ -78,7 +77,7 @@ class Differential:
     has an exterior part.  A polynomial generator's image must be zero.
     The images are kept as ``ext_images``, in generator order, and d of an
     element follows from them by the graded Leibniz rule, each product
-    formed by :meth:`GeneratorSet.mono_mul`.
+    formed by :meth:`GeneratorSet.poly_mul`.
     """
 
     __slots__ = ("gens", "ext_images")
@@ -98,7 +97,7 @@ class Differential:
             if img.degree() != degree + 1:
                 raise DegreeMismatch(
                     f"d({name}) must have degree {degree + 1}, got {img.degree()}")
-            if any(m >> gens._ext_at for m in img.terms):
+            if any(gens.ext_positions(m) for m in img.terms):
                 raise ValueError(f"d({name}) = {img} is not pure: it has an exterior term")
             return img
 
@@ -119,17 +118,17 @@ class Differential:
         if x.gens != self.gens:
             raise GeneratorMismatch("element does not live over the differential's generators")
         acc: dict[Mono, int | Fraction] = {}
-        mono_mul, ext_at = self.gens.mono_mul, self.gens._ext_at
+        gens = self.gens
+        positions, drop, poly_mul = gens.ext_positions, gens.drop_exterior, gens.poly_mul
         for m, coeff in x.terms.items():
-            for pos, idx in enumerate(bits(m >> ext_at)):
+            for pos, idx in enumerate(positions(m)):
                 image = self.ext_images[idx]
                 if image:
-                    rest = m - (1 << (ext_at + idx))
+                    rest = drop(m, idx)
                     c = -coeff if pos & 1 else coeff
                     for b, b_c in image.terms.items():
-                        # b has no exterior part, so the product's sign is +1
-                        if (r := mono_mul(rest, b)) is not None:
-                            acc[r[1]] = acc.get(r[1], 0) + c * b_c
+                        if (r := poly_mul(rest, b)) is not None:
+                            acc[r] = acc.get(r, 0) + c * b_c
         return Element._of(self.gens, acc)
 
 
@@ -189,12 +188,6 @@ class _Layout:
     d(y_(E_p)), T being the id of E without E_p and c that term's
     coefficient times (-1)^p and the scale s.
 
-    The code of a polynomial part is its word.  Two parts' words sum with
-    no carry out of any field, to the word of x + b when that is a part,
-    and otherwise to an int that is no part's word.  So the one lookup
-    ``pos.get(x + b)`` in :meth:`_shift` also drops the products that
-    break a cap or the truncation.
-
     The scale s is the lcm of the denominators of d's coefficients, one
     for the whole layout, so every c is an int and every column is a dict
     of nonzero ints, which the rank routes hand to the trusted constructor
@@ -217,28 +210,28 @@ class _Layout:
         terms = [[(b, c.numerator * (s // c.denominator))
                   for b, c in image.terms.items()] for image in d.ext_images]
         # a subset of degree top or more is never the source of a column
-        at = self.ext_at = gens._ext_at
-        self.images = [[(ext_id[E - (1 << (at + g))], b, -c if p & 1 else c)
-                        for p, g in enumerate(bits(E >> at)) for b, c in terms[g]]
+        self.images = [[(ext_id[gens.drop_exterior(E, g)], b, -c if p & 1 else c)
+                        for p, g in enumerate(gens.ext_positions(E)) for b, c in terms[g]]
                        if e < top else ()
                        for E, e in zip(ext, self.ext_degrees)]
+        self.gens = gens
         self._tables: dict = {}
 
     def row(self, m: Mono, n: int) -> int:
         """The row of ``m``, a monomial of the complex of degree ``n`` at
         most ``top``, in the degree-n basis."""
-        x = m & ((1 << self.ext_at) - 1)
-        return self.offsets[n][0][self.ext_id[m - x]] + self.pos[x]
+        E, x = self.gens.split(m)
+        return self.offsets[n][0][self.ext_id[E]] + self.pos[x]
 
     def _shift(self, k: int, b: Mono) -> list[tuple[int, int]]:
         """``(i, pos[x + b])`` for the parts x of bucket k whose shift
         is a part."""
         table = self._tables.get((k, b))
         if table is None:
-            pos = self.pos
+            pos, mul = self.pos, self.gens.poly_mul
             table = self._tables[k, b] = [
-                (i, p) for i, x in enumerate(self.parts[k])
-                if (p := pos.get(x + b)) is not None]
+                (i, pos[y]) for i, x in enumerate(self.parts[k])
+                if (y := mul(x, b)) is not None]
         return table
 
     def columns(self, n: int) -> tuple[int, list[dict[int, int]]]:

@@ -74,16 +74,6 @@ def _family_size(k: int, family: str) -> None:
         raise ValueError(f"the {family} family starts at k = 2")
 
 
-def _lift(gens: GeneratorSet, x: Element) -> Element:
-    """Re-house ``x`` over ``gens``, which extends x's ring by exterior generators.
-
-    ``gens`` has the same polynomial generators and truncation as x's
-    ring, so the same word fields up to the exterior bits, and x has no
-    exterior part: every word keeps its meaning, with no re-encoding.
-    """
-    return Element._of(gens, x.terms)
-
-
 class FrameModel(Record, eq=False):
     """Finite Koszul model of the frame bundle of a rank-q bundle."""
 
@@ -108,9 +98,9 @@ def build_frame_model(base: ModelRing, bundle: BundleMap, q: int,
     n_u = fiber_primitive_count(q)
     with_v = q % 2 == 0 and include_euler
     gens = GeneratorSet(_fiber_generators(q, with_v), base.gens.poly, base.gens.truncation)
-    images = {f"u{i}": _lift(gens, bundle.p(i)) for i in range(1, n_u + 1)}
+    images = {f"u{i}": gens.rehouse(bundle.p(i)) for i in range(1, n_u + 1)}
     if with_v:
-        images["v"] = _lift(gens, bundle.euler_image())
+        images["v"] = gens.rehouse(bundle.euler_image())
     d = Differential(gens, images)
     if bundle.rank != q:
         raise DegreeMismatch(f"a rank-{bundle.rank} bundle has no q = {q} frame model")
@@ -201,7 +191,7 @@ class CharacteristicMap(_GeneratorMap):
         q = model.q
         unit, zero = model.gens.unit(), model.gens.zero()
         n_u = fiber_primitive_count(q)
-        c_powers = [[unit, zero if i % 2 else _lift(model.gens, model.bundle.p(i // 2))]
+        c_powers = [[unit, zero if i % 2 else model.gens.rehouse(model.bundle.p(i // 2))]
                     for i in range(1, q + 1)]
         y_images: list[Element | None] = []
         for i in range(1, q + 1):
@@ -211,7 +201,7 @@ class CharacteristicMap(_GeneratorMap):
                 y_images.append(model.gens.generator(f"u{i // 2}"))
             elif q % 2 == 0 and i == q:
                 if model.has_euler_transgression:
-                    e = _lift(model.gens, model.bundle.euler_image())
+                    e = model.gens.rehouse(model.bundle.euler_image())
                     y_images.append(model.gens.generator("v") * e)
                 else:
                     y_images.append(None)

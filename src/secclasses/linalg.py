@@ -98,16 +98,16 @@ def _cancel(r: IntRow, p: IntRow, c: int) -> IntRow:
     return _strip_content(out)
 
 
-def _reduce(pivots: dict[int, IntRow], r: IntRow) -> IntRow:
-    """``r`` forward reduced until its lead is no pivot column: empty iff
-    ``r`` lies in the span of the pivots."""
+def _reduce(pivots: dict[int, IntRow], r: IntRow) -> tuple[IntRow, int | None]:
+    """``r`` forward reduced until its lead is no pivot column, and that
+    lead: an empty row and None iff ``r`` lies in the span of the pivots."""
     while r:
         lead = min(r)
         p = pivots.get(lead)
         if p is None:
-            break
+            return r, lead
         r = _cancel(r, p, lead)
-    return r
+    return r, None
 
 
 def _keep(pivots: dict[int, IntRow], r: IntRow, lead: int) -> IntRow:
@@ -155,14 +155,14 @@ class IntegerEliminator:
 
     def add(self, row: Row | IntRow) -> bool:
         """Reduce a row against the pivots; keep it if independent."""
-        if r := _reduce(self.pivots, _integer_row(row)[0]):
-            _keep(self.pivots, r, min(r))
-            return True
-        return False
+        r, lead = _reduce(self.pivots, _integer_row(row)[0])
+        if r:
+            _keep(self.pivots, r, lead)
+        return bool(r)
 
     def independent(self, row: Row | IntRow) -> bool:
         """Whether a row lies outside the span of the pivots; keeps nothing."""
-        return bool(_reduce(self.pivots, _integer_row(row)[0]))
+        return bool(_reduce(self.pivots, _integer_row(row)[0])[0])
 
 
 def rank(rows) -> int:
@@ -223,14 +223,11 @@ def kernel_from_columns(columns: list[Row]) -> list[IntRow]:
     for j, col in enumerate(columns):
         r, denom = _integer_row(col)
         r[offset + j] = denom
-        while True:
-            lead = min(r)
-            if lead >= offset:
-                out.append({k - offset: v for k, v in r.items()})
-                break
-            p = pivots.get(lead)
-            if p is None:
-                _keep(pivots, r, lead)
-                break
-            r = _cancel(r, p, lead)
+        # every pivot's lead lies below offset, and r's entry at offset + j
+        # never cancels, so r stops nonempty
+        r, lead = _reduce(pivots, r)
+        if lead >= offset:
+            out.append({k - offset: v for k, v in r.items()})
+        else:
+            _keep(pivots, r, lead)
     return out

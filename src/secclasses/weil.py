@@ -43,6 +43,12 @@ def _even_codimension(q: int) -> None:
         raise OddCodimension("families are defined for even codimension >= 4")
 
 
+def exterior_indices(q: int, framed: bool = True) -> range:
+    """The indices i of the exterior generators y_i of the codimension-q
+    complex: 1..q framed, the odd ones among them unframed."""
+    return range(1, q + 1) if framed else range(1, q + 1, 2)
+
+
 def weil_complex(q: int, framed: bool = True) -> tuple[GeneratorSet, Differential]:
     """The codimension-q complex (generators, differential).
 
@@ -50,7 +56,7 @@ def weil_complex(q: int, framed: bool = True) -> tuple[GeneratorSet, Differentia
     Unframed: only odd-indexed y_i survive (largest odd index <= q).
     """
     _codimension(q)
-    ys = range(1, q + 1) if framed else range(1, q + 1, 2)
+    ys = exterior_indices(q, framed)
     exterior = tuple((f"y{i}", 2 * i - 1) for i in ys)
     poly = tuple((f"c{i}", 2 * i, None) for i in range(1, q + 1))
     gens = GeneratorSet(exterior, poly, truncation=2 * q)

@@ -1,5 +1,6 @@
 """Sign conventions, truncation, and basis enumeration of the algebra core."""
 
+import ast
 import random
 import re
 from fractions import Fraction
@@ -7,6 +8,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import secclasses
 from secclasses.algebra import (Element, GeneratorMismatch, GeneratorSet,
@@ -421,6 +423,53 @@ def test_packed_words_match_the_tuple_reference():
     assert signs == {None, 1, -1}
 
 
+@st.composite
+def rings(draw):
+    """Rings shaped as :func:`_random_ring` draws them, with 0-4 exterior
+    generators of degree 1-9 as in the seeded test above; a ring with an
+    uncapped generator gets a truncation."""
+    poly = tuple((f"p{j}", draw(st.sampled_from((2, 4, 6))),
+                  draw(st.sampled_from((None, 0, 1, 2, 3, 4))))
+                 for j in range(draw(st.integers(1, 4))))
+    exterior = tuple((f"x{i}", draw(st.sampled_from((1, 3, 5, 7, 9))))
+                     for i in range(draw(st.integers(0, 4))))
+    low = 1 if any(cap is None for _, _, cap in poly) else 0
+    return GeneratorSet(exterior, poly, draw(st.integers(low, 12)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.data())
+def test_word_methods_match_the_tuple_reference(data):
+    # pack and unpack, mono_mul and every word method, on a pair of words
+    gens = data.draw(rings(), "gens")
+    basis = [m for n in range(gens.top_degree() + 1) for m in basis_of_degree(gens, n)]
+    a, b = data.draw(st.sampled_from(basis), "a"), data.draw(st.sampled_from(basis), "b")
+    (ext_a, exps_a), (ext_b, exps_b) = tuple_a, tuple_b = gens.unpack(a), gens.unpack(b)
+    assert gens.pack(ext_a, exps_a) == a
+    got = gens.mono_mul(a, b)
+    assert (got and (got[0], gens.unpack(got[1]))) == tuple_mono_mul(gens, tuple_a, tuple_b)
+    assert gens.split(b) == (gens.pack(ext_b, (0,) * gens.n_poly), gens.pack((), exps_b))
+    got = gens.poly_mul(a, gens.split(b)[1])
+    expected = tuple_mono_mul(gens, tuple_a, ((), exps_b))
+    assert (got if got is None else (1, gens.unpack(got))) == expected
+    assert gens.ext_positions(a) == ext_a
+    for i in ext_a:
+        rest = tuple(j for j in ext_a if j != i)
+        assert gens.unpack(gens.drop_exterior(a, i)) == (rest, exps_a)
+    # an element of the polynomial subring, re-housed from a ring without
+    # exterior generators; a ring with one, or another truncation, is refused
+    ring = GeneratorSet((), gens.poly, gens.truncation)
+    x = Element(ring, {ring.pack((), exps_a): 3, ring.pack((), exps_b): Fraction(-1, 2)})
+    y = gens.rehouse(x)
+    assert y.gens == gens
+    assert ({gens.unpack(m): c for m, c in y.terms.items()}
+            == {ring.unpack(m): c for m, c in x.terms.items()})
+    other = GeneratorSet((), gens.poly, gens.truncation + 1)
+    for refused in [Element._of(other, {})] + ([gens.unit()] if gens.exterior else []):
+        with pytest.raises(GeneratorMismatch):
+            gens.rehouse(refused)
+
+
 WORD_PRIVATES = ("_word", "_offsets", "_bias", "_guard", "_deg_at", "_ext_at", "_exps")
 # (ext, exps) pairs taken from an element's terms, as in
 # ``for (ext, exps), c in x.terms.items()`` or ``for ext, _ in x.terms``
@@ -429,18 +478,20 @@ TUPLE_KEYS = re.compile(r"for\s*\(\s*\w+\s*,\s*\w+\s*\)\s*,\s*\w+\s+in\s+[\w.()]
 
 
 def test_only_algebra_knows_the_word_layout():
-    # every other module reaches a word through GeneratorSet's methods;
-    # dga reads _ext_at, since its layout is exterior tensor polynomial
+    # every other module reaches a word through GeneratorSet's methods,
+    # and none reads a word's exterior bits with algebra.bits
     src = Path(secclasses.__file__).parent
     for path in sorted(src.glob("*.py")):
         if path.name == "algebra.py":
             continue
         text = path.read_text()
-        allowed = {"_ext_at"} if path.name == "dga.py" else set()
-        named = {name for name in WORD_PRIVATES
-                 if re.search(rf"\b{name}\b", text)} - allowed
+        named = {name for name in WORD_PRIVATES if re.search(rf"\b{name}\b", text)}
         assert not named, (path.name, named)
         assert not TUPLE_KEYS.search(text), (path.name, TUPLE_KEYS.search(text).group())
+        imported = {alias.name for node in ast.walk(ast.parse(text))
+                    if isinstance(node, ast.ImportFrom) and node.module == "algebra"
+                    for alias in node.names}
+        assert "bits" not in imported, path.name
     for line in ("for (ext, exps), coeff in x.terms.items():",
                  "if any(ext for ext, _ in img.terms):"):
         assert TUPLE_KEYS.search(line), line

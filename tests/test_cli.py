@@ -606,6 +606,8 @@ def test_selftest_contract(capsys):
      "73e77ddbcfd419fb27d48f24e0cfafb351cdf55c88877a2ff5c0736b34f7f140"),
     ("cohomology --q 9 --representatives --format json",
      "d46e2caf2983a6b1543d9ea0adff82ba1f0f34b44a36bf059597a161d787e6b7"),
+    ("cohomology --q 10 --representatives --format json",
+     "091fcb9f5456f785aaa5442c9575a0566d68db058861d661bf9293f998bdf085"),
     # int and Fraction coefficients mixed in the pairings and the frame
     # certificates, at sizes where the Element arithmetic dominates
     ("pontrjagin --q 24 --format json",
