@@ -25,20 +25,20 @@ coboundary in M iff it is one in S, and likewise for independence modulo
 coboundaries.  Over (CP^2)^k, S = Lambda(u_1..u_{k-1}) tensor
 Q[t]/(t^{k+1}) with d u_i = t^i / i! and t the p_1 image: r averages over
 the signed permutations of the a_j.  Over S^{4k}, S = Lambda(u_k..u_{2k-2})
-tensor Q[s]/(s^2) with d u_k = s: r kills u_1..u_{k-1} and v.  Each
-certified class is checked to be the image of the element of S built from
-its index.  M itself supplies the dimension and the printed images.
+tensor Q[s]/(s^2) with d u_k = s: r kills u_1..u_{k-1} and v.
 
-Both the characteristic map W -> M and the inclusion S -> M are one
-:class:`_GeneratorMap`, given on generators and checked at construction
-to be a chain map: each generator's image has its degree and commutes
-with d.  The inclusion shares the characteristic map's list of powers of
-the p_1 (or p_k) image.  Every family, permanence included, is certified
-by one :func:`_certificate` over (label, lift, image, vey) tuples, a lift
-in S checked by :func:`_reduced_classes` or a permanence class as its own
-lift in M: one :func:`dga.classes_mod_image` call ranks the lifts, and it
-passes when they are jointly independent and each class is nonzero unless
-it is expected to vanish, in which case it is zero.
+Three maps carry a family, each a :class:`_GeneratorMap` given on
+generators by name, with its own powers, and checked at construction to
+be a chain map: the characteristic map delta: W -> M, the inclusion
+iota: S -> M and the family's lift sigma: W -> S.  :func:`_rigid_family`
+checks iota sigma = delta on the generators sigma maps, which gives it on
+every class, as all three are multiplicative; a class v lifts to
+sigma(v) and prints as iota(sigma(v)).  M itself supplies the dimension.
+Every family, permanence included, is certified by one
+:func:`_certificate` over (label, lift, image, vey) tuples, a permanence
+class being its own lift in M: one :func:`dga.classes_mod_image` call
+ranks the lifts, and it passes when they are jointly independent and each
+class is nonzero unless it is expected to vanish, in which case it is zero.
 """
 
 from __future__ import annotations
@@ -109,12 +109,13 @@ def build_frame_model(base: ModelRing, bundle: BundleMap, q: int,
 
 class _GeneratorMap:
     """The multiplicative map from the DGA of ``source_d`` to that of
-    ``target_d``, given on generators: the i-th exterior generator goes to
-    ``ext_images[i]`` and the j-th polynomial one to ``poly_images[j]``,
-    read from its power list ``poly_powers[j] = [1, image, ...]``, which
-    the map extends in place, so maps given the same list share each power.
-    An exterior generator whose image is None has none, and an element
-    involving it raises.
+    ``target_d``, given on generators by name, as :class:`Differential`
+    takes its images: ``images[g]`` is the image of the generator g.  A
+    generator not named has no image, and an element involving it raises
+    :class:`IndexOutOfRange`.  The images are kept as ``ext_images`` and
+    ``poly_images``, in generator order, None where there is none; the
+    powers of each polynomial image are computed once, in the map's own
+    list [1, image, ...].
 
     Checked at construction to be a chain map on generators: each image
     has the generator's degree, and the image of d g is d of the image of
@@ -126,14 +127,19 @@ class _GeneratorMap:
     _no_image = "has no image"
 
     def __init__(self, source_d: Differential, target_d: Differential,
-                 ext_images, poly_powers):
-        self.source_gens = source_d.gens
+                 images: dict[str, Element]):
+        gens = self.source_gens = source_d.gens
         self.source_d = source_d
         self.target = target_d.gens
-        self.ext_images: tuple[Element | None, ...] = tuple(ext_images)
-        self.poly_powers: tuple[list[Element], ...] = tuple(poly_powers)
-        self.poly_images = tuple(powers[1] for powers in self.poly_powers)
-        gens = self.source_gens
+        images = dict(images)
+        self.poly_images = tuple(images.pop(name, None) for name, _, _ in gens.poly)
+        self.ext_images: tuple[Element | None, ...] = tuple(
+            images.pop(name, None) for name, _ in gens.exterior)
+        if images:
+            raise KeyError(f"images given for unknown generators: {sorted(images)}")
+        unit = self.target.unit()
+        self._powers = tuple((name, None if image is None else [unit, image])
+                             for (name, _, _), image in zip(gens.poly, self.poly_images))
         names = tuple((name, deg) for name, deg, _ in gens.poly) + gens.exterior
         for (name, degree), image in zip(names, self.poly_images + self.ext_images):
             if image is None:
@@ -163,9 +169,11 @@ class _GeneratorMap:
                 if term.is_zero():
                     break
             else:
-                for powers, e in zip(self.poly_powers, exps):
+                for (name, powers), e in zip(self._powers, exps):
                     if not e:
                         continue
+                    if powers is None:
+                        raise IndexOutOfRange(f"{name} {self._no_image}")
                     while len(powers) <= e:
                         powers.append(powers[-1] * powers[1])
                     term = term * powers[e]
@@ -188,26 +196,16 @@ class CharacteristicMap(_GeneratorMap):
 
     def __init__(self, model: FrameModel):
         self.model = model
-        q = model.q
-        unit, zero = model.gens.unit(), model.gens.zero()
-        n_u = fiber_primitive_count(q)
-        c_powers = [[unit, zero if i % 2 else model.gens.rehouse(model.bundle.p(i // 2))]
-                    for i in range(1, q + 1)]
-        y_images: list[Element | None] = []
-        for i in range(1, q + 1):
-            if i % 2 == 1:
-                y_images.append(zero)
-            elif i // 2 <= n_u:
-                y_images.append(model.gens.generator(f"u{i // 2}"))
-            elif q % 2 == 0 and i == q:
-                if model.has_euler_transgression:
-                    e = model.gens.rehouse(model.bundle.euler_image())
-                    y_images.append(model.gens.generator("v") * e)
-                else:
-                    y_images.append(None)
-            else:
-                raise AssertionError(f"unhoused generator y{i}")
-        super().__init__(weil_complex(q, framed=True)[1], model.d, y_images, c_powers)
+        q, gens = model.q, model.gens
+        zero = gens.zero()
+        images = {f"c{i}": zero if i % 2 else gens.rehouse(model.bundle.p(i // 2))
+                  for i in range(1, q + 1)}
+        images.update((f"y{i}", zero) for i in range(1, q + 1, 2))
+        images.update((f"y{2 * i}", gens.generator(f"u{i}"))
+                      for i in range(1, fiber_primitive_count(q) + 1))
+        if model.has_euler_transgression:
+            images[f"y{q}"] = gens.generator("v") * gens.rehouse(model.bundle.euler_image())
+        super().__init__(weil_complex(q, framed=True)[1], model.d, images)
 
 
 class CertifiedClass(Record):
@@ -274,8 +272,8 @@ def projective_reduced_model(k: int) -> tuple[GeneratorSet, Differential]:
     sub-DGA of ``projective_base_model(k)`` fixed by the signed
     permutations of the a_j, with t standing for the p_1 image."""
     gens = projective_reduced_generators(k)
-    return gens, Differential(gens, {f"u{i}": gens.monomial((), (i,),
-                                                           Fraction(1, factorial(i)))
+    t = gens.generator("t")
+    return gens, Differential(gens, {f"u{i}": (t ** i).scale(Fraction(1, factorial(i)))
                                      for i in range(1, k)})
 
 
@@ -294,43 +292,43 @@ def sphere_reduced_model(k: int) -> tuple[GeneratorSet, Differential]:
     return gens, Differential(gens, {f"u{k}": gens.generator("s")})
 
 
-def _inclusion(delta: CharacteristicMap, reduced, poly_index) -> _GeneratorMap:
+def _inclusion(delta: CharacteristicMap, reduced, poly_source: str) -> _GeneratorMap:
     """The inclusion of ``reduced`` = (gens, d), a sub-DGA S of the model M
-    of ``delta``: u_i goes to u_i, and the j-th polynomial generator of S
-    to ``delta.poly_images[poly_index[j]]``, whose power list it shares
-    with ``delta``, so each power is computed once.  The relation
-    t^{k+1} = 0 (or s^2 = 0) of S needs no check, since its image lies
-    above the top degree of the base.
+    of ``delta``: u_i goes to u_i, and the polynomial generator of S (t or
+    s) to the image under ``delta`` of the generator named ``poly_source``
+    (c_2 or c_{2k}).  The relation t^{k+1} = 0 (or s^2 = 0) of S needs no
+    check, since its image lies above the top degree of the base.
     """
     gens, d = reduced
     model = delta.model
-    return _GeneratorMap(d, model.d,
-                         [model.gens.generator(name) for name, _ in gens.exterior],
-                         [delta.poly_powers[i] for i in poly_index])
+    images = {name: model.gens.generator(name) for name, _ in gens.exterior}
+    images[gens.poly[0][0]] = delta(delta.source_gens.generator(poly_source))
+    return _GeneratorMap(d, model.d, images)
 
 
-def _reduced_classes(delta: CharacteristicMap, reduced, poly_index, veys, lifts) -> list:
-    """The Vey classes ``veys``, mapped by ``delta`` into its model M, as
-    the (label, lift, image, vey) tuples :func:`_certificate` ranks in the
-    sub-DGA ``reduced`` of M (README, notes on the frame-model
-    certificates).
-
-    ``lifts`` holds the element of S built from each index; its image
-    under the inclusion (:func:`_inclusion`, which sends the polynomial
-    generators of S to the c_i images at ``poly_index``) must be the
-    class's image in M.  M has a chain retraction onto S, so a class is
-    nonzero in M, and the classes are independent modulo coboundaries,
-    exactly when the same holds for their lifts in S.
+def _rigid_family(model: FrameModel, reduced, poly_source: str, lift, veys,
+                  vanishing=()) -> FrameCertificate:
+    """The certificate over ``model`` M of the Vey classes ``veys``, ranked
+    by their lifts in the sub-DGA ``reduced`` = (gens, d) of M, and of the
+    ``vanishing`` classes, expected to map to zero in M.  ``lift`` names
+    the image in S of each generator of W the classes use, so defines
+    sigma: W -> S.  On each generator it names, iota sigma must equal
+    delta (else ``ValueError`` names it), which gives iota(sigma(v)) =
+    delta(v) on every class v, all three maps being multiplicative.
     """
-    iota = _inclusion(delta, reduced, poly_index)
-    classes = []
-    for v, s in zip(veys, lifts):
-        label, x = v.label(), delta(v.element(delta.source_gens))
+    delta = CharacteristicMap(model)
+    d_s = reduced[1]
+    sigma = _GeneratorMap(delta.source_d, d_s, lift)
+    iota = _inclusion(delta, reduced, poly_source)
+    w = delta.source_gens
+    for name in lift:
+        g = w.generator(name)
+        s, x = sigma(g), delta(g)
         if iota(s) != x:
-            raise ValueError(f"{label} maps to {x}, which is not the image of "
-                             f"{s} in the reduced model")
-        classes.append((label, s, x, v))
-    return classes
+            raise ValueError(f"{name} lifts to {s}, which does not include as its image {x}")
+    lifts = [sigma(v.element(w)) for v in veys]
+    return _certificate(model, d_s, [(v.label(), s, iota(s), v) for v, s in zip(veys, lifts)],
+                        [(v.label(), delta(v.element(w)), v) for v in vanishing])
 
 
 def projective_base_model(k: int) -> FrameModel:
@@ -347,16 +345,20 @@ def certify_projective_family(k: int) -> FrameCertificate:
 
     I runs over index sets (2 = 2i_1 < 2i_2 < ...) within the fiber
     primitives; the images are p_1-image^k times u_{i_1}...u_{i_l}.
-    Certified in ``projective_reduced_model(k)``: y_I c_2^k lifts to
+    Certified in ``projective_reduced_model(k)`` through the lift
+    y_{2i} -> u_i (i < k), c_{2i} -> t^i / i!, so y_I c_2^k lifts to
     u_I t^k, and t includes as the p_1 image.
     """
     model = projective_base_model(k)
-    delta = CharacteristicMap(model)
-    gens_s, d_s = reduced = projective_reduced_model(k)
+    gens_s, _ = reduced = projective_reduced_model(k)
+    t = gens_s.generator("t")
+    lift = {f"y{2 * i}": gens_s.generator(f"u{i}") for i in range(1, k)}
+    lift["c2"] = t  # not t/1!, so that every lift keeps int coefficients
+    lift.update((f"c{2 * i}", (t ** i).scale(Fraction(1, factorial(i))))
+                for i in range(2, k + 1))
     veys = [VeyIndex(tuple(2 * i for i in (1,) + rest), (2,) * k)
             for rest in subsets(range(2, k))]
-    lifts = [gens_s.monomial(tuple(i // 2 - 1 for i in v.I), (k,)) for v in veys]
-    return _certificate(model, d_s, _reduced_classes(delta, reduced, [1], veys, lifts))
+    return _rigid_family(model, reduced, "c2", lift, veys)
 
 
 def sphere_base_model(k: int) -> FrameModel:
@@ -372,19 +374,19 @@ def certify_sphere_family(k: int) -> FrameCertificate:
     I runs over (2k = 2i_1 < 2i_2 < ...); images are s tensor u_{i_1}... .
     The class y_2 c_2^{2k-1} maps to zero here (p_1 pulls back to zero),
     which is reported as an expected-zero entry.  Certified in
-    ``sphere_reduced_model(k)``: y_I c_{2k} lifts to u_I s, and s includes
-    as the image of c_{2k}.
+    ``sphere_reduced_model(k)`` through the lift y_{2i} -> u_i
+    (k <= i <= 2k-2), c_{2k} -> s, c_{2i} -> 0 (k < i <= 2k-2), so
+    y_I c_{2k} lifts to u_I s, and s includes as the image of c_{2k}.
     """
     model = sphere_base_model(k)
-    delta = CharacteristicMap(model)
-    gens_s, d_s = reduced = sphere_reduced_model(k)
+    gens_s, _ = reduced = sphere_reduced_model(k)
+    lift = {f"y{2 * i}": gens_s.generator(f"u{i}") for i in range(k, 2 * k - 1)}
+    lift[f"c{2 * k}"] = gens_s.generator("s")
+    lift.update((f"c{2 * i}", gens_s.zero()) for i in range(k + 1, 2 * k - 1))
     veys = [VeyIndex(tuple(2 * i for i in (k,) + rest), (2 * k,))
             for rest in subsets(range(k + 1, 2 * k - 1))]
-    lifts = [gens_s.monomial(tuple(i // 2 - k for i in v.I), (1,)) for v in veys]
-    classes = _reduced_classes(delta, reduced, [2 * k - 1], veys, lifts)
-    vanishing = VeyIndex((2,), (2,) * (2 * k - 1))
-    vanished = delta(vanishing.element(delta.source_gens))
-    return _certificate(model, d_s, classes, [(vanishing.label(), vanished, vanishing)])
+    return _rigid_family(model, reduced, f"c{2 * k}", lift, veys,
+                         [VeyIndex((2,), (2,) * (2 * k - 1))])
 
 
 def permanence_family(I: tuple[int, ...], J: tuple[int, ...], q: int,

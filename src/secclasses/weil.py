@@ -26,7 +26,7 @@ class OddCodimension(SecclassesError, ValueError):
 
 
 class IndexOutOfRange(SecclassesError, ValueError):
-    """A twisting index addresses a generator the complex does not have."""
+    """An index addresses a generator the complex lacks, or one a map has no image for."""
 
 
 def _codimension(q: int) -> None:
@@ -119,12 +119,19 @@ class VeyIndex(Record, order=True):
                            + [(f"c{j}", len(list(run))) for j, run in groupby(self.J)])
 
     def element(self, gens: GeneratorSet) -> Element:
-        """The monomial y_I c_J over a framed complex's generators."""
-        ext = tuple(i - 1 for i in self.I)
+        """The monomial y_I c_J over a Weil complex's generators, framed or
+        not, each generator found by name: ``IndexOutOfRange`` names one
+        the complex lacks, and ``ValueError`` a monomial outside its ring."""
+        ext = {name: p for p, (name, _) in enumerate(gens.exterior)}
+        poly = {name: p for p, (name, _, _) in enumerate(gens.poly)}
+        ys, cs = [f"y{i}" for i in self.I], [f"c{j}" for j in self.J]
+        missing = [y for y in ys if y not in ext] + [c for c in cs if c not in poly]
+        if missing:
+            raise IndexOutOfRange(f"{missing[0]} is not a generator of the complex")
         exps = [0] * gens.n_poly
-        for j in self.J:
-            exps[j - 1] += 1
-        return gens.monomial(ext, tuple(exps))
+        for c in cs:
+            exps[poly[c]] += 1
+        return gens.monomial(tuple(ext[y] for y in ys), tuple(exps))
 
 
 def vey_basis(q: int, min_degree: int | None = None,

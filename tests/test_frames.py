@@ -1,19 +1,22 @@
 """Frame-bundle Koszul models, characteristic maps, and certificates."""
 
 import ast
+import functools
 import random
 from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import secclasses
 from secclasses import dga
-from secclasses.algebra import Element, GeneratorMismatch, SecclassesError, basis_of_degree
+from secclasses.algebra import (Element, GeneratorMismatch, SecclassesError, basis_of_degree,
+                               subsets)
 from secclasses.dga import DegreeMismatch, Differential
 from secclasses.frames import (CertifiedClass, CharacteristicMap, FrameModel, IndexOutOfRange,
-                               _certificate, _inclusion, _reduced_classes,
+                               _certificate, _GeneratorMap, _inclusion, _rigid_family,
                                build_frame_model, certify_projective_family,
                                certify_sphere_family, fiber_primitive_count,
                                permanence_family, projective_base_model,
@@ -161,7 +164,7 @@ def test_an_inclusion_image_of_the_wrong_degree_is_rejected():
     # t sent to the image of c_4 (degree 8) instead of c_2's (degree 4)
     delta = CharacteristicMap(projective_base_model(2))
     with pytest.raises(DegreeMismatch, match="image of t has the wrong degree"):
-        _inclusion(delta, projective_reduced_model(2), [3])
+        _inclusion(delta, projective_reduced_model(2), "c4")
 
 
 def _two_classes(gens):
@@ -463,7 +466,7 @@ def _projective_bridge(k):
     u_E t^m / (m! C(k, m)), since a_j^3 = 0 makes p_1^m = m! e_m(a_1^2, ...)."""
     model = projective_base_model(k)
     reduced = projective_reduced_model(k)
-    iota = _inclusion(CharacteristicMap(model), reduced, [1])
+    iota = _inclusion(CharacteristicMap(model), reduced, "c2")
 
     def r(ext, x):
         if any(e not in (0, 2) for e in x):
@@ -479,7 +482,7 @@ def _sphere_bridge(k):
     generator's image."""
     model = sphere_base_model(k)
     reduced = sphere_reduced_model(k)
-    iota = _inclusion(CharacteristicMap(model), reduced, [2 * k - 1])
+    iota = _inclusion(CharacteristicMap(model), reduced, f"c{2 * k}")
     first, v = k - 1, model.gens.n_exterior - 1
 
     def r(ext, x):
@@ -574,20 +577,114 @@ def test_a_wrong_factorial_fails_the_chain_check(k, i):
     images[f"u{i}"] = t ** i  # d u_i = t^i / i!
     wrong = (gens_s, Differential(gens_s, images))
     with pytest.raises(DegreeMismatch, match=f"commute with d on u{i}"):
-        _inclusion(delta, wrong, [1])
+        _inclusion(delta, wrong, "c2")
+
+
+def _projective_lift(k):
+    """The lift sigma of certify_projective_family, written out again:
+    y_{2i} -> u_i (i < k), c_{2i} -> t^i / i! (i <= k)."""
+    gens_s, _ = projective_reduced_model(k)
+    t = gens_s.generator("t")
+    lift = {f"y{2 * i}": gens_s.generator(f"u{i}") for i in range(1, k)}
+    lift.update((f"c{2 * i}", (t ** i).scale(Fraction(1, factorial(i))))
+                for i in range(1, k + 1))
+    return gens_s, lift
+
+
+def _projective_veys(k):
+    return [VeyIndex((2,) + tuple(2 * i for i in rest), (2,) * k)
+            for rest in subsets(range(2, k))]
+
+
+def test_the_written_out_lift_certifies_as_the_family_does():
+    _, lift = _projective_lift(4)
+    cert = _rigid_family(projective_base_model(4), projective_reduced_model(4), "c2",
+                         lift, _projective_veys(4))
+    assert cert == certify_projective_family(4) and cert.passed
+
+
+@pytest.mark.parametrize("wrong, error, match", [
+    pytest.param(lambda t, u: {"c4": t ** 2}, DegreeMismatch, "commute with d on y4",
+                 id="c4-to-t^2"),
+    pytest.param(lambda t, u: {"y4": u(1)}, DegreeMismatch, "wrong degree", id="y4-to-u1"),
+    # a chain map, but iota sigma = -delta on y2 and c2: y2 comes first in the lift
+    pytest.param(lambda t, u: {"y2": -u(1), "c2": -t}, ValueError, "^y2 lifts",
+                 id="y2-and-c2-negated"),
+    pytest.param(lambda t, u: {"c8": t.gens.zero()}, ValueError, "^c8 lifts", id="c8-to-0"),
+])
+def test_a_wrong_image_of_one_generator_fails(wrong, error, match):
+    # the wrong images pass sigma's degree and chain checks or fail them;
+    # either way the family is not certified
+    gens_s, lift = _projective_lift(4)
+    lift.update(wrong(gens_s.generator("t"), lambda i: gens_s.generator(f"u{i}")))
+    with pytest.raises(error, match=match):
+        _rigid_family(projective_base_model(4), projective_reduced_model(4), "c2",
+                      lift, _projective_veys(4))
 
 
 def test_a_class_outside_the_reduced_model_is_rejected():
-    # y2 maps to u1, which the sphere's reduced model splits off
-    model = sphere_base_model(2)
-    reduced = sphere_reduced_model(2)
-    delta = CharacteristicMap(model)
-    outside = VeyIndex((2,), (4,))
-    assert delta(outside.element(delta.source_gens)) == \
-        model.gens.monomial((0,), (1,))  # u1 * s
-    lift = reduced[0].monomial((0,), (1,))  # u2 * s
-    with pytest.raises(ValueError, match="not the image"):
-        _reduced_classes(delta, reduced, [3], [outside], [lift])
+    # y2 maps to u1, which the sphere's reduced model splits off, so the
+    # sphere lift sigma gives y2 no image
+    gens_s, _ = reduced = sphere_reduced_model(2)
+    lift = {"y4": gens_s.generator("u2"), "c4": gens_s.generator("s")}
+    with pytest.raises(IndexOutOfRange, match="^y2 has no image$"):
+        _rigid_family(sphere_base_model(2), reduced, "c4", lift, [VeyIndex((2,), (4,))])
+
+
+def test_a_generator_map_takes_its_images_by_name():
+    # an unnamed generator, exterior or polynomial, has no image; an
+    # unknown name is refused as Differential refuses it
+    gens_w, d_w = weil_complex(2)
+    f = _GeneratorMap(d_w, d_w, {"y2": gens_w.generator("y2"), "c2": gens_w.generator("c2")})
+    assert f.ext_images == (None, gens_w.generator("y2"))
+    assert f.poly_images == (None, gens_w.generator("c2"))
+    for name in ("y1", "c1"):
+        with pytest.raises(IndexOutOfRange, match=f"^{name} has no image$"):
+            f(gens_w.generator(name))
+    with pytest.raises(KeyError, match="unknown generators: \\['c3'\\]"):
+        _GeneratorMap(d_w, d_w, {"c3": gens_w.zero()})
+
+
+@functools.cache
+def _generator_map(name):
+    if name.startswith("delta"):
+        return CharacteristicMap({"delta-projective-2": projective_base_model(2),
+                                  "delta-projective-3": projective_base_model(3),
+                                  "delta-sphere-2": sphere_base_model(2)}[name])
+    if name == "iota-projective":
+        return _inclusion(CharacteristicMap(projective_base_model(3)),
+                          projective_reduced_model(3), "c2")
+    return _inclusion(CharacteristicMap(sphere_base_model(3)), sphere_reduced_model(3), "c6")
+
+
+@st.composite
+def _elements(draw, f):
+    """Sums of up to three products of up to three generators with an
+    image under ``f``, so that products often survive in the target."""
+    gens = f.source_gens
+    names = [name for (name, *_), image in zip(gens.exterior + gens.poly,
+                                                f.ext_images + f.poly_images)
+             if image is not None]
+    x = gens.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        term = gens.unit().scale(draw(st.integers(-3, 3) | st.fractions(-2, 2, max_denominator=3)))
+        for name in draw(st.lists(st.sampled_from(names), max_size=3)):
+            term = term * gens.generator(name)
+        x = x + term
+    return x
+
+
+@pytest.mark.parametrize("name", ["delta-projective-2", "delta-projective-3",
+                                  "delta-sphere-2", "iota-projective", "iota-sphere"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(data=st.data())
+def test_the_generator_maps_are_multiplicative_and_additive(name, data):
+    # why agreement of iota sigma and delta on generators is agreement on
+    # every class
+    f = _generator_map(name)
+    x, y = (data.draw(_elements(f), label) for label in "xy")
+    assert f(x * y) == f(x) * f(y)
+    assert f(x + y) == f(x) + f(y)
 
 
 def _uses(source: str, name: str, call_only: bool = False) -> list[str]:
@@ -622,3 +719,17 @@ def test_one_route_ranks_and_builds_every_frame_certificate():
               "    return frames.FrameCertificate(2)\n")
     assert _uses(sample, "classes_mod_image") == ["f", "f", "f"]
     assert _uses(sample, "FrameCertificate", call_only=True) == ["<module>", "f"]
+
+
+def test_frames_takes_every_lift_and_image_from_a_map_or_a_generator():
+    # a monomial packed by hand in frames would be a lift built from an
+    # index, past the check that iota sigma = delta on generators
+    source = (Path(secclasses.__file__).parent / "frames.py").read_text()
+    assert _uses(source, "monomial", call_only=True) == []
+    assert _uses(source, "pack", call_only=True) == []
+    sample = ("from .algebra import pack as p\n"
+              "def f(gens):\n"
+              "    gens.monomial((0,), (1,)); g = gens.pack; gens.unpack(0)\n"
+              "    return p((), ()), gens.pack((), ())\n")
+    assert _uses(sample, "monomial", call_only=True) == ["f"]
+    assert _uses(sample, "pack", call_only=True) == ["f", "f"]

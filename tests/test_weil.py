@@ -5,7 +5,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from secclasses.dga import cohomology
-from secclasses.weil import (OddCodimension, VeyIndex, godbillon_vey,
+from secclasses.weil import (IndexOutOfRange, OddCodimension, VeyIndex, godbillon_vey,
                              spherical_rigid_classes, vey_basis,
                              vey_counts_by_degree, weil_complex)
 
@@ -74,6 +74,28 @@ def test_vey_monomials_are_cocycles():
         gens, d = weil_complex(q)
         for v in vey_basis(q):
             assert d(v.element(gens)).is_zero()
+
+
+def test_vey_element_finds_each_generator_by_name():
+    # unframed, y3 sits at exterior position 1, not 2
+    gens, _ = weil_complex(5, framed=False)
+    x = VeyIndex((3,), (3,)).element(gens)
+    assert str(x) == "y3*c3" and x.degree() == 11
+    with pytest.raises(IndexOutOfRange, match="^y2 is not a generator"):
+        VeyIndex((2,), (2,)).element(weil_complex(2, framed=False)[0])
+    with pytest.raises(IndexOutOfRange, match="^c3 is not a generator"):
+        VeyIndex((1,), (3,)).element(weil_complex(2)[0])
+    with pytest.raises(ValueError, match="invalid monomial"):
+        VeyIndex((1,), (2, 2)).element(weil_complex(3)[0])  # above the truncation
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+def test_vey_element_over_a_framed_complex_is_y_at_i_minus_one(q):
+    # the positional rule each framed complex satisfies
+    gens, _ = weil_complex(q)
+    for v in vey_basis(q):
+        exps = tuple(v.J.count(j) for j in range(1, q + 1))
+        assert v.element(gens) == gens.monomial(tuple(i - 1 for i in v.I), exps), v
 
 
 def test_vey_counts_match_cohomology_small():
