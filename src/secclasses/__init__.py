@@ -19,15 +19,14 @@ _EXPORTS = {
     "dga": ("CohomologyReport", "DegreeMismatch", "Differential", "NotACocycle",
             "class_nonzero", "cohomology"),
     "weil": ("IndexOutOfRange", "OddCodimension", "RigidFamilyEntry", "VeyIndex",
-             "godbillon_vey", "spherical_rigid_classes", "vey_basis",
-             "vey_counts_by_degree", "weil_complex"),
+             "spherical_rigid_classes", "vey_basis", "vey_counts_by_degree",
+             "weil_complex"),
     "frames": ("CharacteristicMap", "FrameCertificate", "FrameModel",
                "build_frame_model", "certify_projective_family",
                "certify_sphere_family", "permanence_family"),
     "models": ("BundleMap", "Factor", "IndependenceReport", "ModelRing",
                "PontrjaginMonomial", "admissible_monomials", "canonical_bundle",
-               "cp2", "evaluate_on_cycle", "independence_certificate",
-               "product_model", "pullback", "sphere_model",
+               "cp2", "independence_certificate", "product_model", "sphere_model",
                "verify_symmetric_multiple"),
 }
 _LAZY = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -111,8 +111,9 @@ class _GeneratorMap:
     """The multiplicative map from the DGA of ``source_d`` to that of
     ``target_d``, given on generators by name, as :class:`Differential`
     takes its images: ``images[g]`` is the image of the generator g.  A
-    generator not named has no image, and an element involving it raises
-    :class:`IndexOutOfRange`.  The images are kept as ``ext_images`` and
+    generator not named has no image, and an element with a term involving
+    it raises :class:`IndexOutOfRange`, whatever the term's other
+    generators map to.  The images are kept as ``ext_images`` and
     ``poly_images``, in generator order, None where there is none; the
     powers of each polynomial image are computed once, in the map's own
     list [1, image, ...].
@@ -159,21 +160,21 @@ class _GeneratorMap:
         unit, unpack = self.target.unit(), self.source_gens.unpack
         for m, coeff in x.terms.items():
             ext, exps = unpack(m)
+            unmapped = [self.source_gens.exterior[pos][0] for pos in ext
+                        if self.ext_images[pos] is None]
+            unmapped += [name for (name, powers), e in zip(self._powers, exps)
+                         if e and powers is None]
+            if unmapped:
+                raise IndexOutOfRange(f"{unmapped[0]} {self._no_image}")
             term = unit
             for pos in ext:
-                img = self.ext_images[pos]
-                if img is None:
-                    raise IndexOutOfRange(
-                        f"{self.source_gens.exterior[pos][0]} {self._no_image}")
-                term = term * img
+                term = term * self.ext_images[pos]
                 if term.is_zero():
                     break
             else:
-                for (name, powers), e in zip(self._powers, exps):
+                for (_, powers), e in zip(self._powers, exps):
                     if not e:
                         continue
-                    if powers is None:
-                        raise IndexOutOfRange(f"{name} {self._no_image}")
                     while len(powers) <= e:
                         powers.append(powers[-1] * powers[1])
                     term = term * powers[e]
@@ -425,7 +426,7 @@ def permanence_family(I: tuple[int, ...], J: tuple[int, ...], q: int,
         gens = GeneratorSet(exterior, (("x", n, 1),))
     chi = gens.generator("x")
     d = Differential(gens, {})
-    model = FrameModel(q, ModelRing(gens, None, f"SO({q}) x S^{n}"),
+    model = FrameModel(q, ModelRing(gens, f"SO({q}) x S^{n}"),
                        None, gens, d, q % 2 == 0)
     classes = []
     for R in subsets(r_list):

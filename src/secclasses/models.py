@@ -7,9 +7,10 @@ here are even-degree, so the Koszul signs in this module are trivial.
 
 A bundle map assigns to each Pontrjagin slot p_i an element of the ring;
 Whitney sums combine them by multiplying total classes.  Linear
-independence of pullback classes is certified by pairing against the
-fundamental classes of product test cycles and checking exact ranks,
-degree block by degree block.
+independence of the Pontrjagin monomials is certified by pairing them
+against the fundamental classes of product test cycles and checking exact
+ranks, degree block by degree block.  The pairings are counted, with no
+ring built, as Pontrjagin numbers of products are (see :func:`_deals`).
 
 Sphere normalization: the pullback of p_k to S^{4k} is a nonzero multiple
 of the volume generator; the multiple is taken to be 1.  Every rank
@@ -19,8 +20,10 @@ statement is invariant under that column scaling.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, prod
+from operator import sub
 
-from .algebra import (Element, GeneratorMismatch, GeneratorSet, Mono, Record,
+from .algebra import (Element, GeneratorMismatch, GeneratorSet, Record,
                       exponent_vectors, power_label, require_int)
 from .dga import DegreeMismatch
 from .linalg import rank
@@ -63,13 +66,12 @@ class Factor(Record):
 
 
 class ModelRing(Record):
-    """A finite truncated cohomology ring with an optional fundamental class."""
+    """A finite truncated cohomology ring, the product of ``factors`` if given."""
 
-    __slots__ = ("gens", "top", "label", "factors")
+    __slots__ = ("gens", "label", "factors")
 
-    def __init__(self, gens: GeneratorSet, top: Mono | None, label: str,
-                 factors: tuple[Factor, ...] = ()):
-        self._set(gens, top, label, factors)
+    def __init__(self, gens: GeneratorSet, label: str, factors: tuple[Factor, ...] = ()):
+        self._set(gens, label, factors)
 
     def zero(self) -> Element:
         return self.gens.zero()
@@ -99,7 +101,7 @@ def product_model(factors: list[Factor] | tuple[Factor, ...]) -> ModelRing:
                                    f.gen_degree, f.cap)
                                   for j, f in zip(suffixes, factors)))
     label = " x ".join(f.label() for f in factors)
-    return ModelRing(gens, gens.pack((), tuple(f.cap for f in factors)), label, factors)
+    return ModelRing(gens, label, factors)
 
 
 class BundleMap(Record, eq=False):
@@ -234,31 +236,36 @@ def admissible_monomials(q: int) -> list[PontrjaginMonomial]:
     return found
 
 
-def test_cycle(mono: PontrjaginMonomial) -> ModelRing:
-    """The product cycle paired with p(n): (CP^2)^{n_1} x prod S^{4i}^{n_i}."""
-    factors = [Factor("cp2", 1)] * (mono.exps[0] if mono.exps else 0)
+def _cycle_label(mono: PontrjaginMonomial) -> str:
+    """The test cycle paired with p(n): (CP^2)^{n_1} x prod S^{4i}^{n_i}."""
+    factors = [Factor("cp2", 1)] * mono.exps[0]
     for i, e in enumerate(mono.exps[1:], start=2):
         factors.extend([Factor("sphere", i)] * e)
-    return product_model(factors)
+    return " x ".join(f.label() for f in factors)
 
 
-def pullback(mono: PontrjaginMonomial, bundle: BundleMap) -> Element:
-    """p(n) of the bundle, multiplied out in the ring."""
-    out = bundle.ring.unit()
-    for i, e in enumerate(mono.exps, start=1):
-        if e:
-            out = out * bundle.p(i) ** e
-    return out
+def _deals(slots: tuple[int, ...], left: tuple[int, ...], memo: dict) -> int:
+    """The pairing of p_{i_1} ... p_{i_r}, ``slots`` = (i_1, ..., i_r), with
+    the fundamental class of a product of CP^2's and spheres with ``left[j]``
+    factors of weight j + 1, on its canonical bundle; memoised in ``memo``.
 
-
-def evaluate_on_cycle(x: Element, ring: ModelRing) -> int | Fraction:
-    """Pairing with the fundamental class: the top-monomial coefficient,
-    the int 0 when x has no top term."""
-    if ring.top is None:
-        raise ValueError(f"{ring.label} has no fundamental class")
-    if x.gens != ring.gens:
-        raise GeneratorMismatch("element does not live over the cycle's ring")
-    return x.coefficient(ring.top)
+    Each factor carries one class x with x^2 = 0: a^2, of weight 1, on
+    CP^2, and the volume class, of weight i, on S^{4i}.  p_k is the sum of
+    the products of these classes over the factor sets of weight k
+    (Milnor-Stasheff, *Characteristic Classes*), so the pairing counts the
+    ways to deal the factors into the slots, in order, each slot taking
+    factors whose weights sum to its own.
+    """
+    if not slots:
+        return int(not any(left))
+    if (key := (slots, left)) not in memo:
+        w = slots[0]
+        memo[key] = sum(prod(map(comb, left, take))
+                        * _deals(slots[1:], tuple(map(sub, left, take)), memo)
+                        for take, weight in exponent_vectors(range(1, len(left) + 1), w,
+                                                             caps=left)
+                        if weight == w)
+    return memo[key]
 
 
 class CertificateBlock(Record):
@@ -292,21 +299,18 @@ def independence_certificate(q: int) -> IndependenceReport:
     by_degree: dict[int, list[PontrjaginMonomial]] = {}
     for m in monos:
         by_degree.setdefault(m.degree, []).append(m)
-    blocks = []
+    blocks, memo = [], {}
     for degree in sorted(by_degree):
         group = by_degree[degree]
-        cycles = [test_cycle(m) for m in group]
-        bundles = [canonical_bundle(r) for r in cycles]
         matrix = []
         for cls in group:
-            row = tuple(evaluate_on_cycle(pullback(cls, b), r)
-                        for r, b in zip(cycles, bundles))
-            matrix.append(row)
+            slots = tuple(i for i, e in enumerate(cls.exps, start=1) for _ in range(e))
+            matrix.append(tuple(_deals(slots, cycle.exps, memo) for cycle in group))
         block_rank = rank({j: v for j, v in enumerate(row) if v} for row in matrix)
         blocks.append(CertificateBlock(
             degree,
             tuple(m.label() for m in group),
-            tuple(r.label for r in cycles),
+            tuple(_cycle_label(m) for m in group),
             tuple(matrix),
             block_rank,
             block_rank == len(group),

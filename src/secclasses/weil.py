@@ -173,12 +173,6 @@ def vey_counts_by_degree(q: int) -> dict[int, int]:
     return counts
 
 
-def godbillon_vey(q: int) -> VeyIndex:
-    """The class y_1 c_1^q, the archetypal non-rigid secondary class."""
-    require_int("q", q)
-    return VeyIndex((1,), (1,) * q)
-
-
 class RigidFamilyEntry(Record):
     """One spherically supported rigid class in even codimension."""
 

@@ -271,7 +271,8 @@ def test_star_import_binds_every_exported_name():
     assert set(secclasses._LAZY) <= set(secclasses.__all__)
     assert len(set(secclasses.__all__)) == len(secclasses.__all__)
     assert set(secclasses.__all__) <= set(dir(secclasses))
-    for removed in ("is_rigid", "whitney_pullback", "x_model", "rigid_count_table"):
+    for removed in ("is_rigid", "whitney_pullback", "x_model", "rigid_count_table",
+                    "godbillon_vey", "pullback", "evaluate_on_cycle"):
         with pytest.raises(AttributeError):
             getattr(secclasses, removed)
 
@@ -578,6 +579,8 @@ def test_selftest_contract(capsys):
      "a714dd9eab978ddb9e8ab747e531677221cec89c7e563fc4d19d2e3eda4a0fb9"),
     ("pontrjagin --q 6",
      "d05787759441e3b594d05e8de2387ce48ac3f52dfb5d93be20785c4901e63569"),
+    ("pontrjagin --q 10 --format csv",
+     "d7a8a9d503967bd6581e0667c3db458d0de814fa1a02f91fe7bead53f55ae3e3"),
     ("vey --q 4 --rigid-only",
      "74e8fee7ba15c68b789d8e7b20edebe7ae9896ee96460b2076050c513531f70b"),
     ("catalog --q 14 --dim 51",
@@ -592,8 +595,8 @@ def test_selftest_contract(capsys):
      "84f67edcbe3d51ca51b5a751c9aa93509ecd6cd2f0575b55779ea830b73c6cda"),
     ("cohomology --q 2 --no-framed --max-degree 40 --format json",
      "a8381ba3b71e438770462c1ee45486236e1524bf823cf449c0ec6f00e0fd1b4d"),
-    # pin the Element arithmetic behind the pairings and the representatives
-    # at sizes beyond the smallest reports
+    # pin the counted pairings and the representatives at sizes beyond the
+    # smallest reports
     ("pontrjagin --q 18 --format json",
      "5f78008fc7dd795ee0ba2da72559b745f4ed22faef52885fd832415261d948c2"),
     # the rank route through the layout at a size where it does real work
@@ -608,10 +611,13 @@ def test_selftest_contract(capsys):
      "d46e2caf2983a6b1543d9ea0adff82ba1f0f34b44a36bf059597a161d787e6b7"),
     ("cohomology --q 10 --representatives --format json",
      "091fcb9f5456f785aaa5442c9575a0566d68db058861d661bf9293f998bdf085"),
-    # int and Fraction coefficients mixed in the pairings and the frame
-    # certificates, at sizes where the Element arithmetic dominates
+    # pairings beyond the range of the ring oracle (q <= 22), recorded on the
+    # ring route, and a frame certificate at a size where the Element
+    # arithmetic dominates
     ("pontrjagin --q 24 --format json",
      "7fa7dbf5949c604e289b017ce28c068920bbfa3a34538c7a185bb9d905380823"),
+    ("pontrjagin --q 26 --format json",
+     "f8e37186750935d3b690fe04be9e5c97865ea0a072727d89bd61d7ae6ad97d8d"),
     ("frame --case 2k --k 12 --format json",
      "a2fdcc0b8f1512ae30c26ed8c598e7a6957b629001f838395bf30ef757c42d12"),
 ])

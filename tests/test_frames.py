@@ -2,6 +2,8 @@
 
 import ast
 import functools
+import itertools
+import operator
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -23,11 +25,12 @@ from secclasses.frames import (CertifiedClass, CharacteristicMap, FrameModel, In
                                projective_reduced_model, sphere_base_model,
                                sphere_reduced_model)
 from secclasses.models import (BundleMap, Factor, admissible_monomials,
-                               canonical_bundle, cp2, evaluate_on_cycle,
-                               independence_certificate, product_model, sphere_model,
-                               verify_symmetric_multiple, whitney_sum)
-from secclasses.weil import (VeyIndex, godbillon_vey, spherical_rigid_classes,
-                             spherical_rigid_count, vey_basis, weil_complex)
+                               canonical_bundle, cp2, independence_certificate,
+                               product_model, sphere_model, verify_symmetric_multiple,
+                               whitney_sum)
+from secclasses.weil import (VeyIndex, spherical_rigid_classes, spherical_rigid_count,
+                             vey_basis, weil_complex)
+from ring_pairings import evaluate_on_cycle
 from test_dga import _random_in_degree
 from test_linalg import _where
 
@@ -417,8 +420,9 @@ def _basis_after_int(n):
     (lambda: spherical_rigid_count(4.0), "q"),
     (lambda: verify_symmetric_multiple(2.0, 1), "k"),
     (lambda: verify_symmetric_multiple(2, True), "ell"),
-    (lambda: godbillon_vey(2.0), "q"),
-    (lambda: godbillon_vey(True), "q"),
+    # the Godbillon-Vey class y1*c1^q at q = 2
+    (lambda: VeyIndex((1,), (1,) * 2).is_rigid(2.0), "q"),
+    (lambda: VeyIndex((1,), (1,) * 2).is_member(True), "q"),
     (lambda: permanence_family((2,), (2, 2), 4.0, ()), "q"),
     (lambda: permanence_family((2,), (2, 2), 4, (2.0,)), "twisting index"),
     (lambda: permanence_family((2,), (2, 2, 2), 6, (True,)), "twisting index"),
@@ -643,6 +647,36 @@ def test_a_generator_map_takes_its_images_by_name():
             f(gens_w.generator(name))
     with pytest.raises(KeyError, match="unknown generators: \\['c3'\\]"):
         _GeneratorMap(d_w, d_w, {"c3": gens_w.zero()})
+
+
+def _zero_on_y1_c1():
+    """The map W_3 -> W_3 sending y1 and c1 to zero, with no image of the
+    other generators."""
+    gens_w, d_w = weil_complex(3)
+    return _GeneratorMap(d_w, d_w, {"y1": gens_w.zero(), "c1": gens_w.zero()})
+
+
+@pytest.mark.parametrize("make, names, unmapped", [
+    (lambda: _generator_map("delta-projective-2"), ("y1", "y4"), "y4"),
+    (lambda: _generator_map("delta-projective-2"), ("y1", "y4", "c1"), "y4"),
+    (lambda: _generator_map("delta-projective-2"), ("y4", "c1"), "y4"),
+    (lambda: _generator_map("delta-projective-2"), ("y3", "y4", "c2"), "y4"),
+    (_zero_on_y1_c1, ("y1", "y2"), "y2"),
+    (_zero_on_y1_c1, ("c1", "c2"), "c2"),
+    (_zero_on_y1_c1, ("y1", "c1", "c2"), "c2"),
+], ids=["delta-y1-y4", "delta-y1-y4-c1", "delta-y4-c1", "delta-y3-y4-c2", "w3-y1-y2",
+        "w3-c1-c2", "w3-y1-c1-c2"])
+def test_a_term_with_an_unmapped_generator_raises_in_every_order(make, names, unmapped):
+    # a factor mapping to zero, before or after it, must not hide the
+    # generator without an image
+    f = make()
+    for order in itertools.permutations(names):
+        x = functools.reduce(operator.mul, map(f.source_gens.generator, order))
+        assert x
+        with pytest.raises(IndexOutOfRange, match=f"^{unmapped} has no image"):
+            f(x)
+        with pytest.raises(IndexOutOfRange, match=f"^{unmapped} has no image"):
+            f(x + f.source_gens.unit())
 
 
 @functools.cache

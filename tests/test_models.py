@@ -10,10 +10,11 @@ from secclasses.algebra import GeneratorSet, basis_of_degree
 from secclasses.linalg import Echelon
 from secclasses.models import (Factor, ModelRing, PontrjaginMonomial,
                                admissible_monomials, canonical_bundle,
-                               canonical_factor_bundles, cp2, evaluate_on_cycle,
-                               independence_certificate, product_model, pullback,
-                               sphere_model, verify_symmetric_multiple, whitney_sum)
-from secclasses.models import test_cycle as cycle_for
+                               canonical_factor_bundles, cp2, independence_certificate,
+                               product_model, sphere_model, verify_symmetric_multiple,
+                               whitney_sum)
+from ring_pairings import evaluate_on_cycle, pairing_block, pullback
+from ring_pairings import test_cycle as cycle_for
 
 
 def test_cp2_ring():
@@ -100,7 +101,7 @@ def test_evaluate_examples():
     assert evaluate_on_cycle(sq, ring) == 2
     assert evaluate_on_cycle(bundle.p(2), ring) == 1
     with pytest.raises(ValueError):
-        no_top = ModelRing(_pontrjagin_ring(4), None, "X(4)")
+        no_top = ModelRing(_pontrjagin_ring(4), "X(4)")
         evaluate_on_cycle(no_top.unit(), no_top)
 
 
@@ -131,6 +132,20 @@ def test_certificate_q6_degree8_block():
     assert block.matrix == ((Fraction(2), Fraction(0)),
                             (Fraction(1), Fraction(1)))
     assert block.rank == 2
+
+
+def test_counted_pairings_equal_the_ring_oracle():
+    # every block of every certificate up to q = 22, entry by entry and in
+    # type, against p(n) multiplied out in each cycle's ring
+    for q in range(2, 23):
+        monos = admissible_monomials(q)
+        for block in independence_certificate(q).blocks:
+            group = [m for m in monos if m.degree == block.degree]
+            cycles, matrix = pairing_block(group)
+            assert block.classes == tuple(m.label() for m in group)
+            assert (block.cycles, block.matrix) == (cycles, matrix)
+            assert [type(v) for row in block.matrix for v in row] == \
+                [type(v) for row in matrix for v in row]
 
 
 def test_certificates_pass_up_to_q10():
@@ -191,9 +206,10 @@ def test_every_division_stays_exact():
     ring = product_model([Factor("cp2", 1)] * 2)
     a1, a2 = (ring.gens.generator(n) for n in ("a1", "a2"))
     x, absent = a1 * a1 * a2 * a2 - a1 * a2, next(iter(a1.terms))
+    top = ring.gens.pack((), (2, 2))
     for c in (3, Fraction(3), Fraction(3, 2)):
         y = x.scale(c)
-        values = (*y.terms.values(), y.coefficient(ring.top), y.coefficient(absent),
+        values = (*y.terms.values(), y.coefficient(top), y.coefficient(absent),
                   evaluate_on_cycle(y, ring), evaluate_on_cycle(y * a1, ring))
         assert exact(*values) and values[-4:] == (c, 0, c, 0)
     for two, three in ((2, 3), (Fraction(2), Fraction(3))):

@@ -14,7 +14,7 @@ from secclasses.models import (SPHERE_NORMALIZATION_NOTE, BundleMap, Certificate
 from secclasses.weil import RigidFamilyEntry, VeyIndex
 
 GENS = GeneratorSet((), (("a", 2, 2),))
-RING = ModelRing(GENS, GENS.pack((), (2,)), "CP^2")
+RING = ModelRing(GENS, "CP^2")
 A = GENS.generator("a")
 FRAME_GENS = GeneratorSet((("u", 3),), GENS.poly)
 D = Differential(FRAME_GENS, {"u": FRAME_GENS.monomial((), (2,))})
@@ -48,10 +48,9 @@ CASES = [
      "jointly_independent=True, passed=True)"),
     (Factor, {"kind": "sphere", "index": 2}, {}, "fields",
      "Factor(kind='sphere', index=2)"),
-    # the word of a^2: 2 in a's field, degree 4 in the degree field at bit 3
-    (ModelRing, {"gens": GENS, "top": 2 + (4 << 3), "label": "CP^2"}, {"factors": ()},
+    (ModelRing, {"gens": GENS, "label": "CP^2"}, {"factors": ()},
      "fields", "ModelRing(gens=GeneratorSet(exterior=(), poly=(('a', 2, 2),), "
-     "truncation=0), top=34, label='CP^2', factors=())"),
+     "truncation=0), label='CP^2', factors=())"),
     (BundleMap, {"ring": RING, "rank": 2, "p_images": {1: A * A}}, {"euler": None},
      "identity", f"BundleMap(ring={RING!r}, rank=2, p_images={{1: Element(a^2)}}, "
                  "euler=None)"),
