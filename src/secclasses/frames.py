@@ -139,8 +139,9 @@ class _GeneratorMap:
         if images:
             raise KeyError(f"images given for unknown generators: {sorted(images)}")
         unit = self.target.unit()
-        self._powers = tuple((name, None if image is None else [unit, image])
-                             for (name, _, _), image in zip(gens.poly, self.poly_images))
+        self._powers = tuple(None if image is None else [unit, image] for image in self.poly_images)
+        self._no_ext = frozenset(p for p, image in enumerate(self.ext_images) if image is None)
+        self._no_poly = tuple(i for i, image in enumerate(self.poly_images) if image is None)
         names = tuple((name, deg) for name, deg, _ in gens.poly) + gens.exterior
         for (name, degree), image in zip(names, self.poly_images + self.ext_images):
             if image is None:
@@ -158,21 +159,20 @@ class _GeneratorMap:
             raise GeneratorMismatch("element does not live over the map's source")
         acc: dict[Mono, int | Fraction] = {}
         unit, unpack = self.target.unit(), self.source_gens.unpack
+        no_ext, no_poly = self._no_ext, self._no_poly
         for m, coeff in x.terms.items():
             ext, exps = unpack(m)
-            unmapped = [self.source_gens.exterior[pos][0] for pos in ext
-                        if self.ext_images[pos] is None]
-            unmapped += [name for (name, powers), e in zip(self._powers, exps)
-                         if e and powers is None]
-            if unmapped:
-                raise IndexOutOfRange(f"{unmapped[0]} {self._no_image}")
+            if not no_ext.isdisjoint(ext) or any(exps[i] for i in no_poly):
+                names = [self.source_gens.exterior[pos][0] for pos in ext if pos in no_ext]
+                names += [self.source_gens.poly[i][0] for i in no_poly if exps[i]]
+                raise IndexOutOfRange(f"{names[0]} {self._no_image}")
             term = unit
             for pos in ext:
                 term = term * self.ext_images[pos]
                 if term.is_zero():
                     break
             else:
-                for (_, powers), e in zip(self._powers, exps):
+                for powers, e in zip(self._powers, exps):
                     if not e:
                         continue
                     while len(powers) <= e:

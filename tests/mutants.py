@@ -37,6 +37,42 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest node ids of whole test functions
 
 
+# _GeneratorMap.__call__ with its no-image check up front, and the planted
+# fault: each generator checked only as it is multiplied in, so a term whose
+# product reaches zero before it returns zero instead of raising
+_NO_IMAGE_UP_FRONT = """\
+            if not no_ext.isdisjoint(ext) or any(exps[i] for i in no_poly):
+                names = [self.source_gens.exterior[pos][0] for pos in ext if pos in no_ext]
+                names += [self.source_gens.poly[i][0] for i in no_poly if exps[i]]
+                raise IndexOutOfRange(f"{names[0]} {self._no_image}")
+            term = unit
+            for pos in ext:
+                term = term * self.ext_images[pos]
+                if term.is_zero():
+                    break
+            else:
+                for powers, e in zip(self._powers, exps):
+                    if not e:
+                        continue
+"""
+_NO_IMAGE_IN_THE_PRODUCT = """\
+            term = unit
+            for pos in ext:
+                img = self.ext_images[pos]
+                if img is None:
+                    raise IndexOutOfRange(
+                        f"{self.source_gens.exterior[pos][0]} {self._no_image}")
+                term = term * img
+                if term.is_zero():
+                    break
+            else:
+                for i, (powers, e) in enumerate(zip(self._powers, exps)):
+                    if not e:
+                        continue
+                    if powers is None:
+                        raise IndexOutOfRange(f"{self.source_gens.poly[i][0]} {self._no_image}")
+"""
+
 MUTANTS = (
     Mutant("linalg-cancel-offsets-entries", "src/secclasses/linalg.py",
            "v = r.get(j, 0) * b - a * p.get(j, 0)",
@@ -54,8 +90,9 @@ MUTANTS = (
            "powers.append(powers[-1] * powers[-1])",
            ("tests/test_frames.py::test_the_generator_maps_are_multiplicative_and_additive",)),
     Mutant("frames-generator-map-checks-no-image-late", "src/secclasses/frames.py",
-           "            if unmapped:\n", "            if False:\n",
-           ("tests/test_frames.py::test_a_term_with_an_unmapped_generator_raises_in_every_order",)),
+           _NO_IMAGE_UP_FRONT, _NO_IMAGE_IN_THE_PRODUCT,
+           ("tests/test_frames.py::"
+            "test_a_term_with_an_unmapped_generator_raises_whatever_its_other_factors_map_to",)),
     Mutant("models-deals-count-one-way-per-slot", "src/secclasses/models.py",
            "prod(map(comb, left, take))", "1",
            ("tests/test_models.py::test_counted_pairings_equal_the_ring_oracle",

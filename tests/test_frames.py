@@ -2,8 +2,6 @@
 
 import ast
 import functools
-import itertools
-import operator
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -666,17 +664,19 @@ def _zero_on_y1_c1():
     (_zero_on_y1_c1, ("y1", "c1", "c2"), "c2"),
 ], ids=["delta-y1-y4", "delta-y1-y4-c1", "delta-y4-c1", "delta-y3-y4-c2", "w3-y1-y2",
         "w3-c1-c2", "w3-y1-c1-c2"])
-def test_a_term_with_an_unmapped_generator_raises_in_every_order(make, names, unmapped):
-    # a factor mapping to zero, before or after it, must not hide the
-    # generator without an image
+def test_a_term_with_an_unmapped_generator_raises_whatever_its_other_factors_map_to(
+        make, names, unmapped):
+    # a factor mapping to zero, before or after the generator without an
+    # image in generator order, must not hide it
     f = make()
-    for order in itertools.permutations(names):
-        x = functools.reduce(operator.mul, map(f.source_gens.generator, order))
-        assert x
-        with pytest.raises(IndexOutOfRange, match=f"^{unmapped} has no image"):
-            f(x)
-        with pytest.raises(IndexOutOfRange, match=f"^{unmapped} has no image"):
-            f(x + f.source_gens.unit())
+    x = f.source_gens.unit()
+    for name in names:
+        x = x * f.source_gens.generator(name)
+    assert x
+    with pytest.raises(IndexOutOfRange, match=f"^{unmapped} has no image"):
+        f(x)
+    with pytest.raises(IndexOutOfRange, match=f"^{unmapped} has no image"):
+        f(x + f.source_gens.unit())
 
 
 @functools.cache
