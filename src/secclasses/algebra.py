@@ -81,28 +81,38 @@ def subsets(pool) -> list[tuple]:
     return sorted(c for r in range(len(pool) + 1) for c in combinations(pool, r))
 
 
-def exponent_vectors(weights, budget: int, caps=None):
-    """Yield ``(exps, degree)`` for every exponent vector of weighted degree <= budget.
+def exponent_vectors(weights, budget: int, caps=None, least: int = 0):
+    """Yield ``(exps, degree)`` for every exponent vector of weighted degree
+    in ``[least, budget]``.
 
     ``degree`` is ``sum(w * e)`` over ``weights``.  ``caps[j]``, when given
     and not None, bounds ``exps[j]``.  Vectors come in lexicographic order,
-    and each branch stops as soon as the budget is spent.
+    and the walk enters a branch only if some vector below it ends inside
+    the window.
     """
     n = len(weights)
-    caps = caps or [None] * n
+    top, low = max(budget + 1, 0), max(least, 0)
+    most = [top // w if cap is None else min(top // w, cap)
+            for w, cap in zip(weights, caps or [None] * n)]
+    # ends[j]: bit d is set when a walk at entry j with degree d so far can
+    # end inside the window; ends[n] is the window itself
+    ends = [((1 << top) - 1) >> low << low] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        reach = ends[j + 1]
+        for e in range(1, most[j] + 1):
+            reach |= ends[j + 1] >> e * weights[j]
+        ends[j] = reach
 
     def rec(j: int, degree: int):
         if j == n:
             yield (), degree
             return
-        w, cap = weights[j], caps[j]
-        emax = (budget - degree) // w
-        if cap is not None:
-            emax = min(emax, cap)
-        for e in range(emax + 1):
-            for rest, total in rec(j + 1, degree + e * w):
-                yield (e,) + rest, total
-    return rec(0, 0)
+        w, after = weights[j], ends[j + 1]
+        for e in range(min((budget - degree) // w, most[j]) + 1):
+            if after >> degree + e * w & 1:
+                for rest, total in rec(j + 1, degree + e * w):
+                    yield (e,) + rest, total
+    return rec(0, 0) if ends[0] & 1 else iter(())
 
 
 @lru_cache(maxsize=1 << 12)

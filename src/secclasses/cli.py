@@ -62,12 +62,10 @@ def _report(args, params, results, title, columns, rows, notes) -> str:
 
 
 def cmd_vey(args) -> str:
-    classes = [(v, v.is_rigid(args.q))
-               for v in vey_basis(args.q, args.min_degree, args.max_degree)]
-    if args.rigid_only:
-        classes = [(v, rigid) for v, rigid in classes if rigid]
-    records = [{"class": v.label(), "degree": v.degree, "rigid": rigid,
-                "I": list(v.I), "J": list(v.J)} for v, rigid in classes]
+    classes = vey_basis(args.q, args.min_degree, args.max_degree, rigid=args.rigid_only)
+    records = [{"class": v.label(), "degree": v.degree,
+                "rigid": args.rigid_only or v.is_rigid(args.q),
+                "I": list(v.I), "J": list(v.J)} for v in classes]
     results = {"count": len(records),
                "unit_class": "excluded from the listing; contributes 1 in degree 0",
                "classes": records}

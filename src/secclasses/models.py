@@ -228,7 +228,7 @@ def admissible_monomials(q: int) -> list[PontrjaginMonomial]:
         raise ValueError("q must be at least 2")
     weights = [4 * i - 2 for i in range(1, (q + 2) // 4 + 1)]
     found = [PontrjaginMonomial.of(*exps)
-             for exps, weight in exponent_vectors(weights, q) if weight]
+             for exps, _ in exponent_vectors(weights, q, least=1)]
     found.sort(key=lambda m: (len(m.exps), m.exps))
     for m in found:
         if m.degree > 2 * q:
@@ -254,7 +254,8 @@ def _deals(slots: tuple[int, ...], left: tuple[int, ...], memo: dict) -> int:
     the products of these classes over the factor sets of weight k
     (Milnor-Stasheff, *Characteristic Classes*), so the pairing counts the
     ways to deal the factors into the slots, in order, each slot taking
-    factors whose weights sum to its own.
+    factors whose weights sum to its own: the window [w, w] of
+    :func:`exponent_vectors` enumerates exactly those takes.
     """
     if not slots:
         return int(not any(left))
@@ -262,9 +263,8 @@ def _deals(slots: tuple[int, ...], left: tuple[int, ...], memo: dict) -> int:
         w = slots[0]
         memo[key] = sum(prod(map(comb, left, take))
                         * _deals(slots[1:], tuple(map(sub, left, take)), memo)
-                        for take, weight in exponent_vectors(range(1, len(left) + 1), w,
-                                                             caps=left)
-                        if weight == w)
+                        for take, _ in exponent_vectors(range(1, len(left) + 1), w,
+                                                        caps=left, least=w))
     return memo[key]
 
 

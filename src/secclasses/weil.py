@@ -135,13 +135,15 @@ class VeyIndex(Record, order=True):
 
 
 def vey_basis(q: int, min_degree: int | None = None,
-              max_degree: int | None = None) -> list[VeyIndex]:
-    """All Vey indices for codimension q, ordered by (I, J) lexicographically.
+              max_degree: int | None = None, rigid: bool = False) -> list[VeyIndex]:
+    """All Vey indices for codimension q, ordered by (I, J) lexicographically;
+    with ``rigid``, only the rigid ones.
 
     Membership fixes the shape: for each i_1, J runs over the partitions
     with parts in [i_1, q] and sum in [q+1-i_1, q], and I over (i_1,)
-    followed by any subset of (i_1, q].  The unit class is excluded;
-    report it separately when counting degree 0.
+    followed by any subset of (i_1, q].  Rigidity raises the least sum of
+    J to q+2-i_1, so the enumeration builds no other class.  The unit class
+    is excluded; report it separately when counting degree 0.
     """
     _codimension(q)
     for name, bound in (("min_degree", min_degree), ("max_degree", max_degree)):
@@ -152,7 +154,7 @@ def vey_basis(q: int, min_degree: int | None = None,
         parts = range(i1, q + 1)
         js = sorted(
             tuple(j for j, e in zip(parts, mult) for _ in range(e))
-            for mult, total in exponent_vectors(parts, q) if total >= q + 1 - i1)
+            for mult, _ in exponent_vectors(parts, q, least=q + 1 - i1 + rigid))
         for rest in subsets(range(i1 + 1, q + 1)):
             I = (i1,) + rest
             for J in js:

@@ -97,6 +97,16 @@ MUTANTS = (
            "prod(map(comb, left, take))", "1",
            ("tests/test_models.py::test_counted_pairings_equal_the_ring_oracle",
             "tests/test_models.py::test_certificate_q6_degree8_block")),
+    Mutant("weil-rigid-vey-basis-keeps-the-member-floor", "src/secclasses/weil.py",
+           "least=q + 1 - i1 + rigid", "least=q + 1 - i1",
+           ("tests/test_weil.py::test_rigid_vey_basis_is_the_basis_filtered_by_is_rigid",)),
+    Mutant("algebra-exponent-vectors-least-off-by-one", "src/secclasses/algebra.py",
+           "top, low = max(budget + 1, 0), max(least, 0)",
+           "top, low = max(budget + 1, 0), max(least - 1, 0)",
+           ("tests/test_algebra.py::test_enumerators_match_brute_force_product",)),
+    Mutant("models-deals-takes-one-weight-short", "src/secclasses/models.py",
+           "caps=left, least=w))", "caps=left, least=w - 1))",
+           ("tests/test_models.py::test_counted_pairings_of_every_degree_equal_the_ring_oracle",)),
 )
 
 

@@ -134,6 +134,14 @@ def test_enumerators_match_brute_force_product():
                for e in product(*ranges)]
     assert list(exponent_vectors(weights, 10, caps)) == \
         [(e, d) for e, d in vectors if d <= 10]
+    # windows [least, budget]: one exact weight at (10, 10), and two whose
+    # budget lies below their least; then the empty weights
+    for least, budget in ((0, 10), (1, 10), (7, 10), (10, 10), (11, 10), (7, 6)):
+        assert list(exponent_vectors(weights, budget, caps, least)) == \
+            [(e, d) for e, d in vectors if least <= d <= budget]
+    for least, budget in ((0, 0), (0, 5), (0, -1), (1, 5), (3, 2)):
+        assert list(exponent_vectors((), budget, least=least)) == \
+            ([((), 0)] if least <= 0 <= budget else [])
     exts = sorted(tuple(i for i in range(3) if mask >> i & 1)
                   for mask in range(8))
     assert subsets(range(3)) == exts

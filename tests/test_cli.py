@@ -62,7 +62,11 @@ def test_vey_rigid_only_decides_rigidity_once_per_class(capsys, monkeypatch):
         return real(self, q)
 
     monkeypatch.setattr(weil.VeyIndex, "is_rigid", counted)
+    # the enumeration decides rigidity under --rigid-only, so no class
+    # reaches is_rigid; without the flag each class reaches it once
     code, _, _ = run(capsys, "vey", "--q", "6", "--rigid-only")
+    assert code == 0 and calls == []
+    code, _, _ = run(capsys, "vey", "--q", "6")
     assert code == 0
     assert len(calls) == len(set(calls)) == len(weil.vey_basis(6))
 
@@ -583,6 +587,13 @@ def test_selftest_contract(capsys):
      "d7a8a9d503967bd6581e0667c3db458d0de814fa1a02f91fe7bead53f55ae3e3"),
     ("vey --q 4 --rigid-only",
      "74e8fee7ba15c68b789d8e7b20edebe7ae9896ee96460b2076050c513531f70b"),
+    # rigid-only reports, recorded when they filtered the whole basis
+    ("vey --q 10 --rigid-only --format csv",
+     "5d409299119eb2974bc0a1b128302c338d0932beeb5440c533a8231cfc48aee5"),
+    ("vey --q 10 --rigid-only --format json",
+     "03fb0dd0ea0e79e417293ae5f76c77fb1e4f045a1b6540f58b5822c582317d3a"),
+    ("vey --q 8 --rigid-only --min-degree 40 --max-degree 60",
+     "ceef6eb8927460591017440c3a2b49cef5554ec0d843d31da03a8535f3cf506b"),
     ("catalog --q 14 --dim 51",
      "030b0c91fbf6a8181144fb48888d91c629960e2e432711baf99268d3a1448a00"),
     ("cohomology --q 3 --representatives",

@@ -9,7 +9,7 @@ import pytest
 from secclasses.algebra import GeneratorSet, basis_of_degree
 from secclasses.linalg import Echelon
 from secclasses.models import (Factor, ModelRing, PontrjaginMonomial,
-                               admissible_monomials, canonical_bundle,
+                               _deals, admissible_monomials, canonical_bundle,
                                canonical_factor_bundles, cp2, independence_certificate,
                                product_model, sphere_model, verify_symmetric_multiple,
                                whitney_sum)
@@ -146,6 +146,20 @@ def test_counted_pairings_equal_the_ring_oracle():
             assert (block.cycles, block.matrix) == (cycles, matrix)
             assert [type(v) for row in block.matrix for v in row] == \
                 [type(v) for row in matrix for v in row]
+
+
+def test_counted_pairings_of_every_degree_equal_the_ring_oracle():
+    # each class against each test cycle, of its own degree or another: off
+    # the diagonal a slot can take no factors short of its weight, so the
+    # count reads 0 as the ring does
+    monos = admissible_monomials(10)
+    for cycle in monos:
+        ring = cycle_for(cycle)
+        bundle = canonical_bundle(ring)
+        for cls in monos:
+            slots = tuple(i for i, e in enumerate(cls.exps, start=1) for _ in range(e))
+            assert _deals(slots, cycle.exps, {}) == \
+                evaluate_on_cycle(pullback(cls, bundle), ring), (cls, cycle)
 
 
 def test_certificates_pass_up_to_q10():

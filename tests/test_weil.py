@@ -207,3 +207,23 @@ def test_vey_index_rejects_repeats_and_a_low_first_entry(I, J, message):
 def test_non_integer_q_and_indices_rejected(make):
     with pytest.raises(TypeError, match="must be an int"):
         make()
+
+
+@pytest.mark.parametrize("q", range(1, 10))
+@pytest.mark.parametrize("bounds", [(None, None), (None, 30), (20, None), (15, 45)])
+def test_rigid_vey_basis_is_the_basis_filtered_by_is_rigid(q, bounds):
+    rigid = vey_basis(q, *bounds, rigid=True)
+    assert rigid == [v for v in vey_basis(q, *bounds) if v.is_rigid(q)]
+
+
+def test_rigid_vey_basis_builds_only_rigid_classes(monkeypatch):
+    built = []
+    real = VeyIndex.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(VeyIndex, "__post_init__", counted)
+    rigid = vey_basis(12, rigid=True)
+    assert len(built) == len(rigid) == 33729
