@@ -3,7 +3,8 @@
 Every command emits a deterministic report in one of three formats:
 a plain table (default), a schema-versioned JSON envelope, or flat CSV.
 A command is one ``cmd_<name>`` function: it builds its records once,
-and :func:`_report` renders them in the chosen format.
+builds its table rows lazily, only for the format that prints them, and
+returns ``(text, exit code)``; :func:`_report` renders the chosen format.
 
 Arguments are checked by argparse alone, so a bad value is a usage error
 that names the subcommand and the argument (``secclasses vey: error:
@@ -56,16 +57,16 @@ def _check_budget(count: int, max_dim: int, what: str, unit: str = "monomials",
             f"budget of {max_dim}; raise --max-dim to proceed")
 
 
-def _report(args, params, results, title, columns, rows, notes) -> str:
+def _report(args, params, results, title, columns, rows, notes) -> tuple[str, int]:
     return render(args.format, envelope(args.command, params, results),
-                  title, columns, rows, notes)
+                  title, columns, rows, notes), EXIT_OK
 
 
-def cmd_vey(args) -> str:
+def cmd_vey(args) -> tuple[str, int]:
     classes = vey_basis(args.q, args.min_degree, args.max_degree, rigid=args.rigid_only)
     records = [{"class": v.label(), "degree": v.degree,
                 "rigid": args.rigid_only or v.is_rigid(args.q),
-                "I": list(v.I), "J": list(v.J)} for v in classes]
+                "I": v.I, "J": v.J} for v in classes]
     results = {"count": len(records),
                "unit_class": "excluded from the listing; contributes 1 in degree 0",
                "classes": records}
@@ -73,14 +74,14 @@ def cmd_vey(args) -> str:
               "min_degree": args.min_degree, "max_degree": args.max_degree}
     title = f"Vey basis, codimension {args.q}" + \
         (" (rigid only)" if args.rigid_only else "")
-    rows = [{**r, "I": " ".join(map(str, r["I"])), "J": " ".join(map(str, r["J"]))}
-            for r in records]
+    rows = ({**r, "I": " ".join(map(str, r["I"])), "J": " ".join(map(str, r["J"]))}
+            for r in records)
     return _report(args, params, results, title,
                    ["class", "degree", "rigid", "I", "J"], rows,
-                   [f"{len(rows)} classes (unit class excluded)"])
+                   [f"{len(records)} classes (unit class excluded)"])
 
 
-def cmd_cohomology(args) -> str:
+def cmd_cohomology(args) -> tuple[str, int]:
     what = f"the codimension-{args.q} complex"
     # every exterior subset times the unit: a lower bound from q alone,
     # checked before W_q is built or counted
@@ -102,8 +103,8 @@ def cmd_cohomology(args) -> str:
                for n, s in report.by_degree.items()]
     # the degrees above the top are empty, and the report does not store them
     records += [record(n, 0, 0, ()) for n in range(len(records), max_degree + 1)]
-    rows = [{**r, "representatives": "; ".join(r["representatives"])}
-            if reps else r for r in records]
+    rows = ({**r, "representatives": "; ".join(r["representatives"])}
+            for r in records) if reps else records
     columns = ["degree", "chain_dim", "dim"] + (["representatives"] if reps else [])
     nonzero = report.dims()
     results = {
@@ -120,24 +121,24 @@ def cmd_cohomology(args) -> str:
                    columns, rows, [f"nonzero dims: {nonzero}"])
 
 
-def cmd_pontrjagin(args) -> str:
+def cmd_pontrjagin(args) -> tuple[str, int]:
     from .models import independence_certificate
     report = independence_certificate(args.q)
-    rows = []
-    for b in report.blocks:
-        for cls, matrix_row in zip(b.classes, b.matrix):
-            for cyc, value in zip(b.cycles, matrix_row):
-                rows.append({"kind": "entry", "degree": b.degree, "class": cls,
-                             "cycle": cyc, "value": rat(value)})
-        rows.append({"kind": "block", "degree": b.degree, "class": "",
-                     "cycle": "", "value": "",
-                     "rank": b.rank, "full": b.full})
+
+    def rows():
+        for b in report.blocks:
+            for cls, matrix_row in zip(b.classes, b.matrix):
+                for cyc, value in zip(b.cycles, matrix_row):
+                    yield {"kind": "entry", "degree": b.degree, "class": cls,
+                           "cycle": cyc, "value": rat(value)}
+            yield {"kind": "block", "degree": b.degree, "class": "",
+                   "cycle": "", "value": "", "rank": b.rank, "full": b.full}
     results = {
-        "monomials": list(report.monomials),
+        "monomials": report.monomials,
         "blocks": [{
             "degree": b.degree,
-            "classes": list(b.classes),
-            "cycles": list(b.cycles),
+            "classes": b.classes,
+            "cycles": b.cycles,
             "matrix": [[rat(v) for v in row] for row in b.matrix],
             "rank": b.rank,
             "full_rank": b.full,
@@ -152,10 +153,10 @@ def cmd_pontrjagin(args) -> str:
     return _report(args, {"q": args.q}, results,
                    f"Pontrjagin independence certificate, q = {args.q}",
                    ["kind", "degree", "class", "cycle", "value", "rank", "full"],
-                   rows, notes)
+                   rows(), notes)
 
 
-def cmd_frame(args) -> str:
+def cmd_frame(args) -> tuple[str, int]:
     from . import frames
     if args.case == "2k":
         reduced, certify = frames.projective_reduced_generators, frames.certify_projective_family
@@ -181,7 +182,7 @@ def cmd_frame(args) -> str:
                    columns, records, notes)
 
 
-def cmd_catalog(args) -> str:
+def cmd_catalog(args) -> tuple[str, int]:
     _check_budget(spherical_rigid_count(args.q), args.max_dim,
                   f"the codimension-{args.q} spherical family", "classes")
     entries = [e for e in spherical_rigid_classes(args.q) if e.degree == args.dim]
@@ -205,16 +206,15 @@ def cmd_selftest(args) -> tuple[str, int]:
     from . import acceptance
     results = acceptance.run_all()
     passed = all(ok for _, ok, _ in results)
+    code = EXIT_OK if passed else EXIT_INTERNAL
     if args.format != "table":
         criteria = [{"name": n, "passed": ok, "detail": d} for n, ok, d in results]
-        text = _report(args, {}, {"criteria": criteria, "passed": passed},
-                       "", ["name", "passed", "detail"], criteria, [])
-    else:
-        lines = [f"{'PASS' if ok else 'FAIL'}  {name}: {detail}"
-                 for name, ok, detail in results]
-        lines.append(f"{sum(ok for _, ok, _ in results)}/{len(results)} criteria passed")
-        text = "\n".join(lines) + "\n"
-    return text, EXIT_OK if passed else EXIT_INTERNAL
+        return _report(args, {}, {"criteria": criteria, "passed": passed},
+                       "", ["name", "passed", "detail"], criteria, [])[0], code
+    lines = [f"{'PASS' if ok else 'FAIL'}  {name}: {detail}"
+             for name, ok, detail in results]
+    lines.append(f"{sum(ok for _, ok, _ in results)}/{len(results)} criteria passed")
+    return "\n".join(lines) + "\n", code
 
 
 def _at_least(low: int, even: bool = False):
@@ -294,14 +294,13 @@ def main(argv: list[str] | None = None) -> int:
     # looked up per call, so that a replaced cmd_<command> is the one run
     command = globals()[f"cmd_{args.command}"]
     try:
-        out = command(args)
+        text, code = command(args)
     except BudgetExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BUDGET
     except SecclassesError as exc:
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
-    text, code = out if isinstance(out, tuple) else (out, EXIT_OK)
     sys.stdout.write(text)
     return code
 

@@ -319,11 +319,12 @@ def independence_certificate(q: int) -> IndependenceReport:
                               tuple(blocks), all(b.full for b in blocks))
 
 
-def verify_symmetric_multiple(k: int, ell: int) -> tuple[Fraction | None, bool]:
+def verify_symmetric_multiple(k: int, ell: int) -> tuple[Fraction, bool]:
     """Ratio p_ell / p_1^ell for the canonical sum over (CP^2)^k.
 
     Returns (ratio, proportional).  Squares of the degree-2 generators cap
-    out, so the ratio is 1/ell! whenever 1 <= ell <= k.
+    out, so the ratio is 1/ell! whenever 1 <= ell <= k; there p_ell =
+    e_ell(a_1^2, ..., a_k^2) and p_1^ell are both nonzero.
     """
     require_int("k", k)
     require_int("ell", ell)
@@ -333,10 +334,6 @@ def verify_symmetric_multiple(k: int, ell: int) -> tuple[Fraction | None, bool]:
     bundle = canonical_bundle(ring)
     p_ell = bundle.p(ell)
     p1_pow = bundle.p(1) ** ell
-    if p_ell.is_zero() and p1_pow.is_zero():
-        return None, True
-    if p_ell.is_zero() or p1_pow.is_zero():
-        return None, False
     m, c = p_ell.sorted_terms()[0]
     # two ints would divide to a float
     ratio = Fraction(c) / p1_pow.coefficient(m)

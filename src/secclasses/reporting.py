@@ -8,6 +8,7 @@ byte-identical output.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from fractions import Fraction
 
 from . import __version__
@@ -38,18 +39,17 @@ def render_json(env: dict) -> str:
     return json.dumps(env, indent=2) + "\n"
 
 
-def render_csv(columns: list[str], rows: list[dict]) -> str:
+def render_csv(columns: list[str], rows: Iterable[dict]) -> str:
     import csv  # only here, so that json and table reports never load it
     import io
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=columns, restval="", lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({c: row.get(c, "") for c in columns})
+    writer.writerows(rows)
     return buf.getvalue()
 
 
-def render_table(title: str, columns: list[str], rows: list[dict],
+def render_table(title: str, columns: list[str], rows: Iterable[dict],
                  notes: list[str] | None = None) -> str:
     widths = {c: len(c) for c in columns}
     body = []
@@ -64,7 +64,7 @@ def render_table(title: str, columns: list[str], rows: list[dict],
     lines.append("  ".join("-" * widths[c] for c in columns).rstrip())
     for cells in body:
         lines.append("  ".join(cells[c].ljust(widths[c]) for c in columns).rstrip())
-    if not rows:
+    if not body:
         lines.append("(empty)")
     for note in notes or []:
         lines.append(note)
@@ -72,7 +72,7 @@ def render_table(title: str, columns: list[str], rows: list[dict],
 
 
 def render(fmt: str, env: dict, title: str, columns: list[str],
-           rows: list[dict], notes: list[str] | None = None) -> str:
+           rows: Iterable[dict], notes: list[str] | None = None) -> str:
     if fmt == "json":
         return render_json(env)
     if fmt == "csv":

@@ -2,11 +2,12 @@
 package, each with the tests that must fail on it.
 
 Run it from anywhere with ``python tests/mutants.py``.  It copies ``src/``,
-``tests/`` and ``pyproject.toml`` into a temporary directory, checks that
-every test the register names passes there, and then, for each entry in
-turn, replaces the entry's old text by its new text in the copy and runs
-the entry's tests under pytest in a subprocess.  An entry is killed when
-one of its tests fails (or the run times out), and survived otherwise.
+``tests/``, ``schemas/`` and ``pyproject.toml`` into a temporary directory,
+checks that every test the register names passes there, and then, for
+each entry in turn, replaces the entry's old text by its new text in the
+copy and runs the entry's tests under pytest in a subprocess.  An entry
+is killed when one of its tests fails (or the run times out), and
+survived otherwise.
 It prints one line per entry and exits 1 if an entry survived.  Nothing
 outside the temporary directory is written.
 
@@ -107,6 +108,37 @@ MUTANTS = (
     Mutant("models-deals-takes-one-weight-short", "src/secclasses/models.py",
            "caps=left, least=w))", "caps=left, least=w - 1))",
            ("tests/test_models.py::test_counted_pairings_of_every_degree_equal_the_ring_oracle",)),
+    Mutant("reporting-empty-table-tests-the-rows", "src/secclasses/reporting.py",
+           "    if not body:\n", "    if not rows:\n",
+           ("tests/test_cli.py::test_golden_output_sha256",)),
+    Mutant("weil-is-member-skips-the-j-sum", "src/secclasses/weil.py",
+           "        if sj > q:\n            return False\n", "",
+           ("tests/test_weil.py::"
+            "test_is_member_rejects_an_empty_i_an_index_above_q_and_a_j_sum_above_q",)),
+    Mutant("linalg-keep-leaves-a-negative-lead", "src/secclasses/linalg.py",
+           "    if r[lead] < 0:\n        r = {j: -v for j, v in r.items()}\n", "",
+           ("tests/test_linalg.py::test_kept_pivots_are_content_stripped_with_a_positive_lead",)),
+    Mutant("linalg-echelon-skips-later-pivot-columns", "src/secclasses/linalg.py",
+           "c = min((j for j in r if j > c and j in pivots), default=None)", "c = None",
+           ("tests/test_linalg.py::test_echelon_residuals_equal_the_fraction_oracle",)),
+    Mutant("linalg-kernel-offset-one-low", "src/secclasses/linalg.py",
+           "offset = 1 + max(", "offset = max(",
+           ("tests/test_linalg.py::test_kernel_vectors_annihilate",
+            "tests/test_linalg.py::test_integer_kernel_spans_the_oracle_kernel")),
+    Mutant("algebra-mono-mul-drops-the-exterior-overlap", "src/secclasses/algebra.py",
+           "if ea & eb or (a + b + self._bias) & self._guard:",
+           "if (a + b + self._bias) & self._guard:",
+           ("tests/test_algebra.py::test_word_methods_match_the_tuple_reference",
+            "tests/test_algebra.py::test_exterior_square_inside_product")),
+    Mutant("dga-layout-shift-drops-the-cap-test", "src/secclasses/dga.py",
+           "(i, pos[y]) for i, x in enumerate(self.parts[k])\n"
+           "                if (y := mul(x, b)) is not None]",
+           "(i, pos[x + b]) for i, x in enumerate(self.parts[k])]",
+           ("tests/test_dga.py::test_layout_columns_drop_an_image_term_beyond_a_cap",)),
+    Mutant("cli-cohomology-drops-the-exterior-lower-bound", "src/secclasses/cli.py",
+           "    _check_budget(1 << exterior, args.max_dim, what, at_least=True)\n", "",
+           ("tests/test_cli.py::"
+            "test_cohomology_lower_bound_counts_the_exterior_generators_of_w_q",)),
 )
 
 
@@ -126,7 +158,7 @@ def _passes(root: Path, tests) -> bool:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for name in ("src", "tests"):
+        for name in ("src", "tests", "schemas"):
             shutil.copytree(ROOT / name, root / name,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy2(ROOT / "pyproject.toml", root)

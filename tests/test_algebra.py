@@ -540,6 +540,18 @@ def test_generator_set_rejects_non_integers(make, name):
         make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: GeneratorSet((), (("p", 2, -1),)), "cap for p must be nonnegative"),
+    (lambda: GeneratorSet((), (("p", 2, 1),), -1), "truncation must be nonnegative"),
+    (lambda: GeneratorSet((), (("p", 2, 1),)).generator("p") ** -1,
+     "negative powers are not defined"),
+], ids=["negative-cap", "negative-truncation", "negative-power"])
+def test_generator_set_rejects_negative_integers(make, message):
+    with pytest.raises(ValueError) as caught:
+        make()
+    assert caught.type is ValueError and str(caught.value) == message
+
+
 def _scanned_generator(gens, name):
     """The generator as the name scan built it before the name index."""
     for i, (n, _) in enumerate(gens.exterior):

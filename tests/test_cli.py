@@ -314,6 +314,18 @@ def test_pontrjagin_q6_block(capsys):
     assert "normaliz" in results["normalization"]
 
 
+def test_a_json_pontrjagin_run_builds_no_table_row(capsys, monkeypatch):
+    # the table rows format each entry a second time; JSON builds none of
+    # them, so rat runs once per matrix entry
+    calls = []
+    real = cli.rat
+    monkeypatch.setattr(cli, "rat", lambda value: calls.append(value) or real(value))
+    code, payload, _ = run_json(capsys, "pontrjagin", "--q", "10")
+    assert code == 0
+    blocks = payload["results"]["blocks"]
+    assert len(calls) == sum(len(row) for b in blocks for row in b["matrix"]) == 19
+
+
 def test_pontrjagin_q2(capsys):
     code, payload, _ = run_json(capsys, "pontrjagin", "--q", "2")
     assert code == 0
@@ -583,6 +595,20 @@ def test_selftest_contract(capsys):
      "a714dd9eab978ddb9e8ab747e531677221cec89c7e563fc4d19d2e3eda4a0fb9"),
     ("pontrjagin --q 6",
      "d05787759441e3b594d05e8de2387ce48ac3f52dfb5d93be20785c4901e63569"),
+    # renderings that build their rows lazily: the empty table and CSV, a
+    # table of entry and block rows, and representatives joined per row
+    ("vey --q 3 --min-degree 999",
+     "76f4654771377adebd67c1ee7ba067c0212e0022aff8822f9b80e05e106d9d70"),
+    ("vey --q 3 --min-degree 999 --format csv",
+     "f4502bd1923498d6b32bc2df470c74bfd996943152b72d5e749033c0e6551534"),
+    ("pontrjagin --q 10",
+     "dec4746315a50258bcb58f9cb233dea4f9ab2b660abf0f8a8001ca4cfa264663"),
+    ("cohomology --q 5 --representatives",
+     "d0b95dbd2f8594929e569d6203455077b7944d0d53b3f6843376f8a52dd6532f"),
+    ("cohomology --q 5 --representatives --format csv",
+     "0b7868cda42098d93f9286b98a38377f227d8bf370520a9d981742aa5805b9f1"),
+    ("vey --q 7",
+     "e7a96e301df53ee3bba21c1b86551c6cfde906f2c528982be0d7c0979a37e000"),
     ("pontrjagin --q 10 --format csv",
      "d7a8a9d503967bd6581e0667c3db458d0de814fa1a02f91fe7bead53f55ae3e3"),
     ("vey --q 4 --rigid-only",

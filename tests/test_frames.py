@@ -124,6 +124,19 @@ def test_a_bundle_of_another_rank_is_rejected():
         build_frame_model(base, bundle, 4, include_euler=False)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: build_frame_model(cp2(), canonical_bundle(cp2()), 1),
+                 ValueError, "frame models need q >= 2", id="build_frame_model-q"),
+    pytest.param(lambda: CharacteristicMap(projective_base_model(2))(_a1()),
+                 GeneratorMismatch, "element does not live over the map's source",
+                 id="generator-map-source"),
+])
+def test_frame_input_checks_raise_their_exception_and_message(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert caught.type is error and str(caught.value) == message
+
+
 def _cp2_squared():
     return product_model([Factor("cp2", 1), Factor("cp2", 1)])
 
@@ -306,6 +319,19 @@ def test_permanence_strictness_and_range():
         permanence_family((2,), (1, 1), 4, ())  # not a basis member
     with pytest.raises(ValueError):
         permanence_family((2,), (2, 2, 2), 6, (2, 2))  # not strictly increasing
+
+
+def test_permanence_from_an_even_degree_seed():
+    # an even seed degree makes the sphere class a polynomial generator x
+    # with x^2 = 0, in place of an exterior one
+    seed = VeyIndex((2, 4), (2, 2, 2, 2))
+    assert seed.degree == 26
+    cert = permanence_family(seed.I, seed.J, 8, (3,))
+    assert cert.passed and cert.jointly_independent
+    assert cert.model_label == "SO(8) x S^26"
+    assert [(c.source, c.image, c.degree, c.nonzero) for c in cert.classes] == [
+        ("y2*y4*c2^4", "x", 26, True),
+        ("y2*y4*c2^4 twisted by y6", "u3*x", 37, True)]
 
 
 def test_permanence_degree_bookkeeping():

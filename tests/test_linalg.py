@@ -224,6 +224,26 @@ def test_trusted_rank_equals_the_checked_rank_and_the_oracle(unit):
             assert [prefix.add(row) for row in rows[i:]] == want[i:], i
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.lists(st.dictionaries(st.integers(0, 7), st.sampled_from((-4, -2, -1, 1, 2, 3, 6)),
+                                max_size=5), max_size=8))
+def test_kept_pivots_are_content_stripped_with_a_positive_lead(rows):
+    # the pivot rule every entry keeps, Echelon's later-column cancelling
+    # included; the checked adds and the trusted constructor agree
+    checked, echelon = IntegerEliminator(), Echelon()
+    for row in rows:
+        checked.add(row)
+        echelon.add(row)
+    trusted = IntegerEliminator._of(rows)
+    assert checked.pivots == trusted.pivots
+    for c, pivot in [*checked.pivots.items(), *echelon.pivots.items()]:
+        assert min(pivot) == c and pivot[c] > 0
+        content = 0
+        for v in pivot.values():
+            content = gcd(content, v)
+        assert content == 1
+
+
 def test_no_entry_mutates_a_row_it_is_given():
     # a trusted row may be stored as a pivot as it is, so its caller must
     # still read it unchanged after later rows cancel against it

@@ -8,7 +8,8 @@ import pytest
 
 from secclasses.algebra import GeneratorSet, basis_of_degree
 from secclasses.linalg import Echelon
-from secclasses.models import (Factor, ModelRing, PontrjaginMonomial,
+from secclasses.dga import DegreeMismatch
+from secclasses.models import (BundleMap, Factor, ModelRing, PontrjaginMonomial,
                                _deals, admissible_monomials, canonical_bundle,
                                canonical_factor_bundles, cp2, independence_certificate,
                                product_model, sphere_model, verify_symmetric_multiple,
@@ -236,6 +237,36 @@ def test_every_division_stays_exact():
     report = independence_certificate(10)
     assert report.passed
     assert all(exact(*row) for block in report.blocks for row in block.matrix)
+
+
+def _bare_cp2():
+    """The ring of CP^2 with no factors recorded."""
+    return ModelRing(cp2().gens, "bare")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Factor("torus", 1), ValueError, "unknown factor kind 'torus'"),
+    (lambda: Factor("sphere", 0), ValueError, "sphere factors are S^(4i) with i >= 1"),
+    (lambda: product_model([]), ValueError, "a product needs at least one factor"),
+    (lambda: BundleMap(cp2(), 4, {}, euler=cp2().gens.generator("a")),
+     DegreeMismatch, "Euler image must have degree 4"),
+    (lambda: canonical_factor_bundles(_bare_cp2()), ValueError,
+     "bare carries no canonical factor bundles"),
+    (lambda: whitney_sum([]), ValueError, "empty Whitney sum"),
+    (lambda: canonical_bundle(_bare_cp2()), ValueError,
+     "bare has no canonical bundle; build a BundleMap explicitly"),
+    (lambda: PontrjaginMonomial(()), ValueError,
+     "exponent vector must end in a positive entry"),
+    (lambda: PontrjaginMonomial((1, 0)), ValueError,
+     "exponent vector must end in a positive entry"),
+    (lambda: PontrjaginMonomial((-1, 1)), ValueError, "exponents must be nonnegative"),
+], ids=["factor-kind", "sphere-index", "empty-product", "euler-degree",
+        "no-factor-bundles", "empty-whitney-sum", "no-canonical-bundle",
+        "empty-exponents", "trailing-zero", "negative-exponent"])
+def test_model_input_checks_raise_their_exception_and_message(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert caught.type is error and str(caught.value) == message
 
 
 @pytest.mark.parametrize("make, name", [

@@ -181,6 +181,17 @@ def test_vey_index_validation():
         VeyIndex((0,), ())
 
 
+@pytest.mark.parametrize("index", [
+    VeyIndex((), (1,)),  # no exterior factor
+    VeyIndex((5,), ()),  # y5 lies above q
+    VeyIndex((1,), (1,) * 5),  # each c1 lies in W_4, but c1^5 does not
+], ids=["empty-I", "index-above-q", "J-sum-above-q"])
+def test_is_member_rejects_an_empty_i_an_index_above_q_and_a_j_sum_above_q(index):
+    # each index fails only the check it names: without that check the
+    # last two would be members, and the first would index an empty I
+    assert index.is_member(4) is False
+
+
 @pytest.mark.parametrize("I, J, message", [
     ((1, 1), (), "I must be strictly increasing"),
     ((0, 1), (), "indices start at 1"),
